@@ -44,8 +44,10 @@ from .valuation import (
 
 
 class InputError(Exception):
+    """Bad input; ``pointer`` names the flag or field it came from."""
+
     def __init__(self, pointer: str, message: str):
-        super().__init__(f"{pointer}: {message}")
+        super().__init__(message)
         self.pointer = pointer
 
 
@@ -81,6 +83,13 @@ def _report_exit(args, report: CheckReport, extra: dict | None = None) -> int:
     doc["ok"] = report.ok
     _dump(args, doc)
     return 0 if report.ok else 1
+
+
+def _samples(args) -> int:
+    """The sample count of a sampled check: zero samples would check nothing."""
+    if args.samples < 1:
+        raise InputError("--samples", f"need at least one sample, got {args.samples}")
+    return args.samples
 
 
 def _parse_interval_file(path: str, pointer: str):
@@ -155,7 +164,7 @@ def cmd_quotient(args) -> int:
         name="phi",
         sampler=lambda rng: rng.choice(lat.carrier),
     )
-    vrep = check_valuation(phi, args.samples, args.seed)
+    vrep = check_valuation(phi, _samples(args), args.seed)
     if not vrep.ok:
         return _report_exit(args, vrep, {"error": "input is not a valuation"})
     qlat, qphi = quotient(phi)
@@ -381,7 +390,7 @@ def _suite_report(name: str, samples: int, seed: int, depth: int) -> CheckReport
 
 
 def cmd_check(args) -> int:
-    report = _suite_report(args.suite, args.samples, args.seed, args.depth)
+    report = _suite_report(args.suite, _samples(args), args.seed, args.depth)
     return _report_exit(args, report, {"suite": args.suite, "seed": args.seed})
 
 

@@ -5,6 +5,13 @@ A 2-D step function is stored on the full grid refinement of its rectangle
 terms: one value per open cell, plus values on the measure-zero grid lines
 and grid points so sections through a grid line stay exact.  Integrals
 ignore the line and point values, mirroring the 1-D convention.
+
+Each axis is classified by the sweep kernel of :mod:`latval.intervals`: one
+merge of the terms' base-set breakpoints gives the grid and, for every term,
+the point and open-gap atoms its base set contains.  The canonical grid drops
+a grid line where its values equal the cells on both sides; seen along one
+axis, a column is a breakpoint whose values are vectors, so the 1-D
+canonicaliser removes all redundant columns in one pass, and then all rows.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .instances import mu_S
-from .intervals import IntervalSet, iset_from_json, iset_make
+from .intervals import IntervalSet, _breaks, _canonical_breaks, _sweep, iset_from_json, iset_make
 from .oag import rat
 from .report import CheckReport
 from .stepfn import StepFn, ZERO_FN, step_from_values
@@ -45,14 +52,17 @@ def rect_term(coefficient, xs, ys) -> RectTerm:
     return RectTerm(rat(coefficient), iset_make(xs), iset_make(ys))
 
 
-def _axis_atoms(points: Sequence[Fraction]) -> list[tuple[str, Fraction]]:
-    """Alternating point and open-gap atoms along one axis."""
-    atoms: list[tuple[str, Fraction]] = []
-    for i, p in enumerate(points):
-        atoms.append(("pt", p))
-        if i + 1 < len(points):
-            atoms.append(("open", (p + points[i + 1]) / 2))
-    return atoms
+def _axis_atoms(sets: Iterable[IntervalSet]) -> tuple[list[Fraction], list[int], list[int]]:
+    """The grid of the sets' endpoints and, per grid point, the bitmasks of
+    the sets containing the point and the open gap right of it."""
+    grid: list[Fraction] = []
+    at_masks: list[int] = []
+    gap_masks: list[int] = []
+    for x, at, after in _sweep([_breaks(s) for s in sets], False):
+        grid.append(x)
+        at_masks.append(sum(1 << t for t, x_in in enumerate(at) if x_in))
+        gap_masks.append(sum(1 << t for t, gap_in in enumerate(after) if gap_in))
+    return grid, at_masks, gap_masks
 
 
 @dataclass(frozen=True)
@@ -110,122 +120,60 @@ class StepFn2D:
 ZERO_2D = StepFn2D((), (), (), (), (), ())
 
 
-def _canonical_2d(xs, ys, cells, vlines, hlines, points) -> StepFn2D:
-    xs, ys = list(xs), list(ys)
-    cells = [list(r) for r in cells]
-    vlines = [list(r) for r in vlines]
-    hlines = [list(r) for r in hlines]
-    points = [list(r) for r in points]
-
-    def col_removable(i: int) -> bool:
-        left = cells[i - 1] if i > 0 else [ZERO] * (len(ys) - 1)
-        right = cells[i] if i < len(xs) - 1 else [ZERO] * (len(ys) - 1)
-        hl_left = hlines[i - 1] if i > 0 else [ZERO] * len(ys)
-        hl_right = hlines[i] if i < len(xs) - 1 else [ZERO] * len(ys)
-        return vlines[i] == left == right and points[i] == hl_left == hl_right
-
-    def drop_col(i: int) -> None:
-        old_nx = len(xs)
-        del xs[i], vlines[i], points[i]
-        if old_nx >= 2:
-            ic = i if i < old_nx - 1 else i - 1  # merged x-cell
-            del cells[ic], hlines[ic]
-
-    def row_removable(j: int) -> bool:
-        below = [c[j - 1] for c in cells] if j > 0 else [ZERO] * (len(xs) - 1)
-        above = [c[j] for c in cells] if j < len(ys) - 1 else [ZERO] * (len(xs) - 1)
-        hline = [h[j] for h in hlines]
-        vl_below = [v[j - 1] for v in vlines] if j > 0 else [ZERO] * len(xs)
-        vl_above = [v[j] for v in vlines] if j < len(ys) - 1 else [ZERO] * len(xs)
-        pts = [p[j] for p in points]
-        return hline == below == above and pts == vl_below == vl_above
-
-    def drop_row(j: int) -> None:
-        old_ny = len(ys)
-        del ys[j]
-        for p in points:
-            del p[j]
-        for h in hlines:
-            del h[j]
-        if old_ny >= 2:
-            jc = j if j < old_ny - 1 else j - 1  # merged y-cell
-            for c in cells:
-                del c[jc]
-            for v in vlines:
-                del v[jc]
-
-    changed = True
-    while changed and xs:
-        changed = False
-        for i in range(len(xs)):
-            if col_removable(i):
-                drop_col(i)
-                changed = True
-                break
-        if changed:
-            continue
-        for j in range(len(ys)):
-            if row_removable(j):
-                drop_row(j)
-                changed = True
-                break
-
-    if not xs or not ys:
+def _drop_columns(f: StepFn2D) -> StepFn2D:
+    """Remove every grid column whose vertical line equals the cells, and
+    whose points equal the horizontal lines, on both sides.  Along x a column
+    is a breakpoint with vector values: its line and points at x, its cells
+    and horizontal lines right of x."""
+    if not (f.xs and f.ys):
         return ZERO_2D
-    return StepFn2D(
-        tuple(xs),
-        tuple(ys),
-        tuple(tuple(r) for r in cells),
-        tuple(tuple(r) for r in vlines),
-        tuple(tuple(r) for r in hlines),
-        tuple(tuple(r) for r in points),
-    )
+    zero = ((ZERO,) * (len(f.ys) - 1), (ZERO,) * len(f.ys))
+    right = [*zip(f.cells, f.hlines), zero]
+    kept = _canonical_breaks(zip(f.xs, zip(f.vlines, f.points), right), zero)
+    if not kept:
+        return ZERO_2D
+    xs, at, right = zip(*kept)
+    vlines, points = zip(*at)
+    cells, hlines = zip(*right[:-1]) if len(right) > 1 else ((), ())
+    return StepFn2D(xs, f.ys, cells, vlines, hlines, points)
+
+
+def _canonical_2d(f: StepFn2D) -> StepFn2D:
+    """The minimal grid: redundant columns go, then redundant rows (the
+    columns of the transpose).  Dropping a line leaves every other line's
+    test as it was, so neither pass needs to look again."""
+    return transpose(_drop_columns(transpose(_drop_columns(f))))
 
 
 def step2d_make(terms: Iterable[RectTerm]) -> StepFn2D:
     """Sum of coefficient times rectangle indicators, on the refined grid.
 
-    Each term is rasterized onto the union grid of all base-set endpoints;
-    overlaps add cell-wise and cancellations fall out of the canonical
-    minimization.
+    Every atom of the union grid of all base-set endpoints gets the sum of
+    the coefficients of the terms whose rectangle contains it; cancellations
+    fall out of the canonical minimization.
     """
     terms = list(terms)
     if not terms:
         return ZERO_2D
-    xs = sorted({e for t in terms for e in t.base_x.endpoints()})
-    ys = sorted({e for t in terms for e in t.base_y.endpoints()})
-    x_atoms = _axis_atoms(xs)
-    y_atoms = _axis_atoms(ys)
+    xs, x_at, x_gap = _axis_atoms(t.base_x for t in terms)
+    ys, y_at, y_gap = _axis_atoms(t.base_y for t in terms)
 
-    nx, ny = len(xs), len(ys)
-    cells = [[ZERO] * (ny - 1) for _ in range(nx - 1)]
-    vlines = [[ZERO] * (ny - 1) for _ in range(nx)]
-    hlines = [[ZERO] * ny for _ in range(nx - 1)]
-    points = [[ZERO] * ny for _ in range(nx)]
+    sums: dict[int, Fraction] = {}
 
-    for t in terms:
-        in_x = [t.base_x.contains(coord) for _, coord in x_atoms]
-        in_y = [t.base_y.contains(coord) for _, coord in y_atoms]
-        for ai, xin in enumerate(in_x):
-            if not xin:
-                continue
-            x_is_pt = ai % 2 == 0
-            xi = ai // 2
-            for aj, yin in enumerate(in_y):
-                if not yin:
-                    continue
-                y_is_pt = aj % 2 == 0
-                yj = aj // 2
-                if x_is_pt and y_is_pt:
-                    points[xi][yj] += t.coefficient
-                elif x_is_pt:
-                    vlines[xi][yj] += t.coefficient
-                elif y_is_pt:
-                    hlines[xi][yj] += t.coefficient
-                else:
-                    cells[xi][yj] += t.coefficient
+    def value(mask: int) -> Fraction:
+        # atoms covered by the same terms share one sum
+        if mask not in sums:
+            sums[mask] = sum((t.coefficient for k, t in enumerate(terms) if mask >> k & 1), ZERO)
+        return sums[mask]
 
-    return _canonical_2d(xs, ys, cells, vlines, hlines, points)
+    def grid(x_masks, y_masks):
+        return tuple(tuple(value(mx & my) for my in y_masks) for mx in x_masks)
+
+    x_gap, y_gap = x_gap[:-1], y_gap[:-1]  # nothing is right of the last line
+    return _canonical_2d(StepFn2D(
+        tuple(xs), tuple(ys),
+        grid(x_gap, y_gap), grid(x_at, y_gap), grid(x_gap, y_at), grid(x_at, y_at),
+    ))
 
 
 def partial_integrate(f: StepFn2D) -> StepFn:
@@ -343,21 +291,20 @@ def transpose(f: StepFn2D) -> StepFn2D:
 def rectset_measure(rects: Sequence[tuple[IntervalSet, IntervalSet]]) -> Fraction:
     """Measure of a finite union of rectangles by open-cell decomposition.
 
-    Grid lines have measure zero, so membership of each open cell (tested
-    at its midpoint pair) decides the whole measure exactly.
+    Grid lines have measure zero, so the open cells decide the whole measure
+    exactly: a cell is in the union when one rectangle's x-set contains its
+    x-gap and the same rectangle's y-set its y-gap.
     """
     if not rects:
         return ZERO
-    xs = sorted({e for a, _ in rects for e in a.endpoints()})
-    ys = sorted({e for _, b in rects for e in b.endpoints()})
+    xs, _, x_gap = _axis_atoms(a for a, _ in rects)
+    ys, _, y_gap = _axis_atoms(b for _, b in rects)
     total = ZERO
     for i in range(len(xs) - 1):
-        mx = (xs[i] + xs[i + 1]) / 2
-        w = xs[i + 1] - xs[i]
-        for j in range(len(ys) - 1):
-            my = (ys[j] + ys[j + 1]) / 2
-            if any(a.contains(mx) and b.contains(my) for a, b in rects):
-                total += w * (ys[j + 1] - ys[j])
+        height = sum(
+            (ys[j + 1] - ys[j] for j in range(len(ys) - 1) if x_gap[i] & y_gap[j]), ZERO
+        )
+        total += (xs[i + 1] - xs[i]) * height
     return total
 
 

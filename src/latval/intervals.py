@@ -6,12 +6,15 @@ equality.  Closed, open, half-open pieces and singletons are all stored
 natively: the ring generated by closed and open intervals forces half-open
 pieces under difference, and canonical forms keep equality decidable.
 
-All operations are computed by atomizing the real line at the union of the
-operands' endpoints: each endpoint is a point atom, each gap between
-consecutive endpoints an open atom.  Membership of an atom in a canonical
-set is decided exactly (point membership directly, open-atom membership at
-the midpoint), the Boolean operation is applied atom by atom, and maximal
-runs of kept atoms reassemble into canonical pieces.
+A set is also a 0/1 step function: a sorted list of breakpoints
+``(x, in at x, in just right of x)``, out left of the first.  All operations
+run on that view.  ``_sweep`` merges the breakpoint lists of the operands in
+one left-to-right pass and gives each operand's value at every breakpoint of
+the union and on the open gap right of it, so no gap needs a probe point;
+the Boolean operation is applied to both values, ``_canonical_breaks`` drops
+the breakpoints where nothing changes, and what is left reassembles into
+canonical pieces.  ``stepfn`` and ``fubini`` use the same two functions for
+step functions and for the lines of 2-D grids.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from .oag import rat
 
@@ -122,40 +126,91 @@ def singleton(x) -> IntervalSet:
     return IntervalSet((Piece(x, True, x, True),))
 
 
-def _assemble(points: Sequence[Fraction], keep_flags: Sequence[bool]) -> IntervalSet:
-    # Atoms alternate: pt p0, open (p0,p1), pt p1, ..., pt p_last.
+def _sweep(operands: Sequence[Sequence[tuple]], zero) -> Iterator[tuple]:
+    """Merge the operands' breakpoint lists in one left-to-right pass.
+
+    An operand is a sorted list of ``(x, value at x, value right of x)`` and
+    is ``zero`` left of its first breakpoint.  Yields ``(x, at, after)`` for
+    each distinct ``x`` of the union in increasing order: ``at[i]`` and
+    ``after[i]`` are operand ``i``'s values at ``x`` and on the open gap
+    right of it.  Both lists are reused: read them before advancing.
+    """
+    events = sorted(
+        ((b[0], i, b[1], b[2]) for i, op in enumerate(operands) for b in op),
+        key=itemgetter(0),
+    )
+    at = [zero] * len(operands)
+    after = [zero] * len(operands)
+    touched: list[int] = []
+    x = None
+    for ex, i, v_at, v_after in events:
+        if touched and ex != x:
+            yield x, at, after
+            for j in touched:
+                at[j] = after[j]
+            touched.clear()
+        x = ex
+        at[i] = v_at
+        after[i] = v_after
+        touched.append(i)
+    if touched:
+        yield x, at, after
+
+
+def _canonical_breaks(breaks: Iterable[tuple], zero) -> list[tuple]:
+    """Drop every breakpoint whose left, point and right values are equal.
+
+    ``breaks`` are ``(x, value at x, value right of x)`` in increasing ``x``,
+    ``zero`` left of the first and right of the last.  Removing a breakpoint
+    joins two gaps of equal value, so it changes no other breakpoint's test
+    and one pass is exact.  Values are compared with ``==``.
+    """
+    kept = []
+    left = zero
+    for b in breaks:
+        if not (left == b[1] == b[2]):
+            kept.append(b)
+        left = b[2]
+    return kept
+
+
+def _breaks(s: IntervalSet) -> list[tuple[Fraction, bool, bool]]:
+    """The set as a 0/1 step function: ``(x, x in s, s just right of x)``."""
+    out: list[tuple[Fraction, bool, bool]] = []
+    for p in s.pieces:
+        if p.lo == p.hi:
+            out.append((p.lo, True, False))
+            continue
+        if out and out[-1][0] == p.lo:  # (., x) u (x, .): one open endpoint
+            out[-1] = (p.lo, False, True)
+        else:
+            out.append((p.lo, p.lo_closed, True))
+        out.append((p.hi, p.hi_closed, False))
+    return out
+
+
+def _from_breaks(breaks: Iterable[tuple]) -> IntervalSet:
+    """Canonical set of a 0/1 breakpoint list: maximal runs become pieces."""
     pieces: list[Piece] = []
-    run_start: int | None = None
-    n_atoms = len(keep_flags)
-
-    def flush(start: int, end: int) -> None:
-        # even atoms are the points themselves, odd atoms the open gaps
-        lo = points[start // 2]
-        hi = points[(end + 1) // 2]
-        pieces.append(Piece(lo, start % 2 == 0, hi, end % 2 == 0))
-
-    for i, kept in enumerate(keep_flags):
-        if kept and run_start is None:
-            run_start = i
-        elif not kept and run_start is not None:
-            flush(run_start, i - 1)
-            run_start = None
-    if run_start is not None:
-        flush(run_start, n_atoms - 1)
+    lo = lo_closed = None
+    inside = False
+    for x, at, after in _canonical_breaks(breaks, False):
+        if inside:  # a piece runs up to x; at and after are not both in
+            pieces.append(Piece(lo, lo_closed, x, at))
+            lo, lo_closed = x, False
+        elif after:
+            lo, lo_closed = x, at
+        else:  # kept, out on both sides: an isolated point
+            pieces.append(Piece(x, True, x, True))
+        inside = after
     return IntervalSet(tuple(pieces))
 
 
 def _combine(a: IntervalSet, b: IntervalSet, keep) -> IntervalSet:
-    points = sorted(set(a.endpoints()) | set(b.endpoints()))
-    if not points:
-        return EMPTY
-    flags: list[bool] = []
-    for i, p in enumerate(points):
-        flags.append(keep(a.contains(p), b.contains(p)))
-        if i + 1 < len(points):
-            mid = (p + points[i + 1]) / 2
-            flags.append(keep(a.contains(mid), b.contains(mid)))
-    return _assemble(points, flags)
+    return _from_breaks(
+        (x, keep(*at), keep(*after))
+        for x, at, after in _sweep((_breaks(a), _breaks(b)), False)
+    )
 
 
 def iset_meet(a: IntervalSet, b: IntervalSet) -> IntervalSet:
@@ -189,7 +244,7 @@ def iset_make(raw: Iterable) -> IntervalSet:
     with those keys, or ``IntervalSet``/``Piece`` values.  Overlapping and
     adjacent pieces are merged.
     """
-    out = EMPTY
+    parts = []
     for d in raw:
         if isinstance(d, IntervalSet):
             part = d
@@ -210,8 +265,8 @@ def iset_make(raw: Iterable) -> IntervalSet:
                 part = interval(seq[0], seq[1], bool(seq[2]), bool(seq[3]))
             else:
                 raise ValueError(f"bad interval descriptor: {d!r}")
-        out = iset_join(out, part)
-    return out
+        parts.append(_breaks(part))
+    return _from_breaks((x, any(at), any(after)) for x, at, after in _sweep(parts, False))
 
 
 def iset_from_json(doc: str | list) -> IntervalSet:

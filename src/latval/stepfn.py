@@ -7,8 +7,11 @@ integral, but the lattice order is pointwise, so they are stored and kept
 canonical: a breakpoint survives only if the function actually changes
 there (value on the left, at the point, and on the right not all equal).
 
-Binary operations are computed on the common breakpoint refinement and
-re-canonicalized.
+Binary operations, the order and ``step_make`` run on the sweep kernel of
+:mod:`latval.intervals`: one merge of the operands' sorted breakpoints gives
+each operand's value at every breakpoint of the common refinement and on the
+open gap right of it, and one pass drops the breakpoints where nothing
+changes.
 """
 
 from __future__ import annotations
@@ -19,10 +22,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .intervals import IntervalSet
+from .intervals import _breaks as _set_breaks
+from .intervals import _canonical_breaks, _sweep, iset_make
 from .oag import rat
 
 ZERO = Fraction(0)
+
+
+def _check_shape(bps: Sequence, ovals: Sequence, pvals: Sequence) -> None:
+    n = len(bps)
+    if len(ovals) != max(0, n - 1) or len(pvals) != n:
+        raise ValueError(
+            f"{n} breakpoints need {max(0, n - 1)} open and {n} point values,"
+            f" got {len(ovals)} and {len(pvals)}"
+        )
+    if any(bps[i] >= bps[i + 1] for i in range(n - 1)):
+        raise ValueError("breakpoints must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -32,13 +47,7 @@ class StepFn:
     point_values: tuple[Fraction, ...]  # value at s_i
 
     def __post_init__(self):
-        n = len(self.breakpoints)
-        if len(self.open_values) != max(0, n - 1) or len(self.point_values) != n:
-            raise ValueError("inconsistent breakpoint/value lengths")
-        if any(
-            self.breakpoints[i] >= self.breakpoints[i + 1] for i in range(n - 1)
-        ):
-            raise ValueError("breakpoints must be strictly increasing")
+        _check_shape(self.breakpoints, self.open_values, self.point_values)
 
     def __call__(self, x) -> Fraction:
         x = rat(x)
@@ -79,35 +88,42 @@ class StepFn:
 ZERO_FN = StepFn((), (), ())
 
 
+def _breaks(f: StepFn) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """``(x, f(x), value right of x)`` for each breakpoint of ``f``."""
+    return list(zip(f.breakpoints, f.point_values, f.open_values + (ZERO,)))
+
+
 def _canonical(
     bps: Sequence[Fraction], ovals: Sequence[Fraction], pvals: Sequence[Fraction]
 ) -> StepFn:
-    bps, ovals, pvals = list(bps), list(ovals), list(pvals)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(bps)):
-            left = ovals[i - 1] if i > 0 else ZERO
-            right = ovals[i] if i < len(bps) - 1 else ZERO
-            if left == pvals[i] == right:
-                del bps[i], pvals[i]
-                if i < len(ovals):
-                    del ovals[i]
-                elif ovals:
-                    del ovals[i - 1]
-                changed = True
-                break
-    return StepFn(tuple(bps), tuple(ovals), tuple(pvals))
+    kept = _canonical_breaks(zip(bps, pvals, [*ovals, ZERO]), ZERO)
+    if not kept:
+        return ZERO_FN
+    bps, pvals, ovals = zip(*kept)
+    return StepFn(bps, ovals[:-1], pvals)
 
 
 def step_from_values(
     bps: Sequence[Fraction], ovals: Sequence[Fraction], pvals: Sequence[Fraction]
 ) -> StepFn:
-    return _canonical([rat(s) for s in bps], [rat(v) for v in ovals], [rat(v) for v in pvals])
+    bps, ovals, pvals = [rat(s) for s in bps], [rat(v) for v in ovals], [rat(v) for v in pvals]
+    _check_shape(bps, ovals, pvals)
+    return _canonical(bps, ovals, pvals)
 
 
 class ConflictingAssignment(ValueError):
     pass
+
+
+def _assigned(values: Sequence, x: Fraction) -> Fraction:
+    """The one value assigned among ``values`` (``None`` is unassigned)."""
+    found = None
+    for v in values:
+        if v is not None:
+            if found is not None and found != v:
+                raise ConflictingAssignment(f"conflicting values {found} and {v} at {x}")
+            found = v
+    return ZERO if found is None else found
 
 
 def step_make(parts: Iterable, points: Iterable = ()) -> StepFn:
@@ -118,46 +134,23 @@ def step_make(parts: Iterable, points: Iterable = ()) -> StepFn:
     are extra ``(x, value)`` assignments.  Regions assigned two different
     values raise :class:`ConflictingAssignment`; unassigned regions are zero.
     """
-    from .intervals import iset_make
-
-    regions: list[tuple[IntervalSet, Fraction]] = []
+    operands = []
     for desc, value in parts:
-        regions.append((iset_make([desc]), rat(value)))
-    point_vals: list[tuple[Fraction, Fraction]] = [(rat(x), rat(v)) for x, v in points]
+        value = rat(value)
+        operands.append([
+            (x, value if at else None, value if after else None)
+            for x, at, after in _set_breaks(iset_make([desc]))
+        ])
+    operands += [[(rat(x), rat(v), None)] for x, v in points]
 
-    coords: set[Fraction] = set()
-    for region, _ in regions:
-        coords.update(region.endpoints())
-    coords.update(x for x, _ in point_vals)
-    bps = sorted(coords)
-    if not bps:
-        return ZERO_FN
-
-    def described_value(x: Fraction, at_point: bool) -> Fraction:
-        found: Fraction | None = None
-        for region, value in regions:
-            if region.contains(x):
-                if found is not None and found != value:
-                    raise ConflictingAssignment(
-                        f"conflicting values {found} and {value} at {x}"
-                    )
-                found = value
-        if at_point:
-            for x0, value in point_vals:
-                if x0 == x:
-                    if found is not None and found != value:
-                        raise ConflictingAssignment(
-                            f"conflicting values {found} and {value} at point {x}"
-                        )
-                    found = value
-        return found if found is not None else ZERO
-
-    pvals = [described_value(s, at_point=True) for s in bps]
-    ovals = [
-        described_value((bps[i] + bps[i + 1]) / 2, at_point=False)
-        for i in range(len(bps) - 1)
-    ]
-    return _canonical(bps, ovals, pvals)
+    bps: list[Fraction] = []
+    ovals: list[Fraction] = []
+    pvals: list[Fraction] = []
+    for x, at, after in _sweep(operands, None):
+        bps.append(x)
+        pvals.append(_assigned(at, x))
+        ovals.append(_assigned(after, x))
+    return _canonical(bps, ovals[:-1], pvals)
 
 
 def indicator(lo, hi, lo_closed: bool = True, hi_closed: bool = True, value=1) -> StepFn:
@@ -165,15 +158,14 @@ def indicator(lo, hi, lo_closed: bool = True, hi_closed: bool = True, value=1) -
 
 
 def _pointwise(f: StepFn, g: StepFn, combine) -> StepFn:
-    bps = sorted(set(f.breakpoints) | set(g.breakpoints))
-    if not bps:
-        return ZERO_FN
-    pvals = [combine(f(s), g(s)) for s in bps]
-    ovals = [
-        combine(f((bps[i] + bps[i + 1]) / 2), g((bps[i] + bps[i + 1]) / 2))
-        for i in range(len(bps) - 1)
-    ]
-    return _canonical(bps, ovals, pvals)
+    bps: list[Fraction] = []
+    ovals: list[Fraction] = []
+    pvals: list[Fraction] = []
+    for x, at, after in _sweep((_breaks(f), _breaks(g)), ZERO):
+        bps.append(x)
+        pvals.append(combine(*at))
+        ovals.append(combine(*after))
+    return _canonical(bps, ovals[:-1], pvals)
 
 
 def step_add(f: StepFn, g: StepFn) -> StepFn:
@@ -225,15 +217,10 @@ def step_combine(kind: str, f: StepFn, g: StepFn | None = None, lam=None) -> Ste
 
 def step_leq(f: StepFn, g: StepFn) -> bool:
     """Pointwise order, decided on the common refinement."""
-    bps = sorted(set(f.breakpoints) | set(g.breakpoints))
-    for i, s in enumerate(bps):
-        if f(s) > g(s):
-            return False
-        if i + 1 < len(bps):
-            mid = (s + bps[i + 1]) / 2
-            if f(mid) > g(mid):
-                return False
-    return True
+    return all(
+        at[0] <= at[1] and after[0] <= after[1]
+        for _, at, after in _sweep((_breaks(f), _breaks(g)), ZERO)
+    )
 
 
 def integral(f: StepFn) -> Fraction:

@@ -191,6 +191,48 @@ def test_input_error_exit_code(files, tmp_path, capsys):
     assert "--set" in err
 
 
+def test_input_error_names_pointer_once(files, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"breakpoints": ["0"]}')
+    assert main(["integrate", "--step", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        "input error at --step: bad step-function document: 'open_values'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # too few open values for three breakpoints
+        {"breakpoints": ["0", "1", "2"], "open_values": ["1"], "point_values": ["1", "1", "1"]},
+        # too many open values for two breakpoints
+        {"breakpoints": ["0", "1"], "open_values": ["1", "1", "1"], "point_values": ["1", "1"]},
+        # a repeated breakpoint the canonical form would drop
+        {"breakpoints": ["0", "0", "1"], "open_values": ["1", "1"], "point_values": ["1", "1", "1"]},
+        {"breakpoints": ["1", "0"], "open_values": ["0"], "point_values": ["0", "0"]},
+    ],
+)
+def test_malformed_step_document_is_input_error(doc, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, text = run_cli(["integrate", "--step", str(bad)], tmp_path)
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("input error at --step: bad step-function document: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_check_rejects_zero_samples(samples, tmp_path, capsys):
+    code, text = run_cli(
+        ["check", "--suite", "modularity-mu", "--samples", samples], tmp_path
+    )
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == (
+        f"input error at --samples: need at least one sample, got {samples}\n"
+    )
+
+
 def test_schema_error_points_at_field(files, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"carrier": ["a"], "leq": []}')

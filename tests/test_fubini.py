@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 from latval.fubini import (
+    ZERO_2D,
     RectTerm,
+    StepFn2D,
     double_integral,
     fubini_check,
     mu_XY,
@@ -253,3 +255,131 @@ def test_terms_from_json():
     terms = terms_from_json(doc)
     assert terms[0].coefficient == 2
     assert mu_S(terms[0].base_x) == 3
+
+
+def restart_canonical_2d(xs, ys, cells, vlines, hlines, points) -> StepFn2D:
+    """Reference: the grid minimisation that removes one line at a time and
+    rescans the whole grid after every removal."""
+    ZERO = Fraction(0)
+    xs, ys = list(xs), list(ys)
+    cells = [list(r) for r in cells]
+    vlines = [list(r) for r in vlines]
+    hlines = [list(r) for r in hlines]
+    points = [list(r) for r in points]
+
+    def col_removable(i: int) -> bool:
+        left = cells[i - 1] if i > 0 else [ZERO] * (len(ys) - 1)
+        right = cells[i] if i < len(xs) - 1 else [ZERO] * (len(ys) - 1)
+        hl_left = hlines[i - 1] if i > 0 else [ZERO] * len(ys)
+        hl_right = hlines[i] if i < len(xs) - 1 else [ZERO] * len(ys)
+        return vlines[i] == left == right and points[i] == hl_left == hl_right
+
+    def drop_col(i: int) -> None:
+        old_nx = len(xs)
+        del xs[i], vlines[i], points[i]
+        if old_nx >= 2:
+            ic = i if i < old_nx - 1 else i - 1  # merged x-cell
+            del cells[ic], hlines[ic]
+
+    def row_removable(j: int) -> bool:
+        below = [c[j - 1] for c in cells] if j > 0 else [ZERO] * (len(xs) - 1)
+        above = [c[j] for c in cells] if j < len(ys) - 1 else [ZERO] * (len(xs) - 1)
+        hline = [h[j] for h in hlines]
+        vl_below = [v[j - 1] for v in vlines] if j > 0 else [ZERO] * len(xs)
+        vl_above = [v[j] for v in vlines] if j < len(ys) - 1 else [ZERO] * len(xs)
+        pts = [p[j] for p in points]
+        return hline == below == above and pts == vl_below == vl_above
+
+    def drop_row(j: int) -> None:
+        old_ny = len(ys)
+        del ys[j]
+        for p in points:
+            del p[j]
+        for h in hlines:
+            del h[j]
+        if old_ny >= 2:
+            jc = j if j < old_ny - 1 else j - 1  # merged y-cell
+            for c in cells:
+                del c[jc]
+            for v in vlines:
+                del v[jc]
+
+    changed = True
+    while changed and xs:
+        changed = False
+        for i in range(len(xs)):
+            if col_removable(i):
+                drop_col(i)
+                changed = True
+                break
+        if changed:
+            continue
+        for j in range(len(ys)):
+            if row_removable(j):
+                drop_row(j)
+                changed = True
+                break
+
+    if not xs or not ys:
+        return ZERO_2D
+    return StepFn2D(
+        tuple(xs),
+        tuple(ys),
+        tuple(tuple(r) for r in cells),
+        tuple(tuple(r) for r in vlines),
+        tuple(tuple(r) for r in hlines),
+        tuple(tuple(r) for r in points),
+    )
+
+
+def random_grid(rng: random.Random):
+    """A grid of values 0..2 in which some lines, runs of lines and border
+    lines are made removable by copying the neighbouring values onto them."""
+    nx, ny = rng.randint(1, 7), rng.randint(1, 7)
+
+    def v():
+        return Fraction(rng.choice((0, 0, 1, 2)))
+
+    cells = [[v() for _ in range(ny - 1)] for _ in range(nx - 1)]
+    vlines = [[v() for _ in range(ny - 1)] for _ in range(nx)]
+    hlines = [[v() for _ in range(ny)] for _ in range(nx - 1)]
+    points = [[v() for _ in range(ny)] for _ in range(nx)]
+    zero_cells, zero_h = [Fraction(0)] * (ny - 1), [Fraction(0)] * ny
+    for i in range(nx):  # columns, left to right so runs form
+        if rng.random() < 0.5:
+            left = (cells[i - 1], hlines[i - 1]) if i > 0 else (zero_cells, zero_h)
+            vlines[i], points[i] = list(left[0]), list(left[1])
+            if i < nx - 1:
+                cells[i], hlines[i] = list(left[0]), list(left[1])
+    for j in range(ny):  # rows, bottom to top
+        if rng.random() < 0.4:
+            for i in range(nx - 1):
+                below = cells[i][j - 1] if j > 0 else Fraction(0)
+                hlines[i][j] = below
+                if j < ny - 1:
+                    cells[i][j] = below
+            for i in range(nx):
+                below = vlines[i][j - 1] if j > 0 else Fraction(0)
+                points[i][j] = below
+                if j < ny - 1:
+                    vlines[i][j] = below
+    xs = sorted(rng.sample(range(-20, 20), nx))
+    ys = sorted(rng.sample(range(-20, 20), ny))
+    return [Fraction(x) for x in xs], [Fraction(y) for y in ys], cells, vlines, hlines, points
+
+
+def test_one_pass_canonical_2d_matches_restart_loop():
+    from latval.fubini import _canonical_2d
+
+    rng = random.Random(2024)
+    dropped = 0
+    for _ in range(600):
+        xs, ys, cells, vlines, hlines, points = random_grid(rng)
+        raw = StepFn2D(
+            tuple(xs), tuple(ys),
+            *(tuple(map(tuple, m)) for m in (cells, vlines, hlines, points)),
+        )
+        expected = restart_canonical_2d(xs, ys, cells, vlines, hlines, points)
+        assert _canonical_2d(raw) == expected
+        dropped += len(xs) + len(ys) - len(expected.xs) - len(expected.ys)
+    assert dropped > 1000  # the grids exercise removal, not only the identity

@@ -156,3 +156,84 @@ def test_randomized_ops_against_oracle_seeded():
         a, b = sample_interval_set(rng), sample_interval_set(rng)
         for kind in OPS:
             assert_matches_oracle(kind, a, b)
+
+
+# --- the breakpoint sweep on edge cases ------------------------------------
+
+
+def atom_probes(*sets: IntervalSet) -> list[Fraction]:
+    """Every endpoint, every midpoint between consecutive endpoints, and one
+    point beyond each end: one probe in each atom of the refinement."""
+    ends = sorted({e for s in sets for e in s.endpoints()})
+    if not ends:
+        return [Fraction(0)]
+    mids = [(lo + hi) / 2 for lo, hi in zip(ends, ends[1:])]
+    return [ends[0] - 1, *ends, *mids, ends[-1] + 1]
+
+
+def assert_atoms_match(kind: str, a: IntervalSet, b: IntervalSet) -> IntervalSet:
+    out = iset_op(kind, a, b)
+    for x in atom_probes(a, b, out):
+        assert out.contains(x) == OPS[kind](a.contains(x), b.contains(x)), (kind, x)
+    return out
+
+
+SHARED_OPEN = iset_make([(0, 1, False, False), (1, 2, False, False)])
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (SHARED_OPEN, singleton(1)),
+        (SHARED_OPEN, interval(1, 3, False, True)),
+        (SHARED_OPEN, SHARED_OPEN),
+        (SHARED_OPEN, iset_make([(-1, 0), (2, 3, False, True)])),
+        (singleton(1), interval(0, 1, True, False)),
+        (singleton(1), interval(1, 2, False, True)),
+        (singleton(1), interval(0, 1)),
+        (singleton(1), singleton(1)),
+        (singleton(1), singleton(2)),
+        (EMPTY, EMPTY),
+        (EMPTY, SHARED_OPEN),
+        (interval(0, 1), EMPTY),
+    ],
+)
+@pytest.mark.parametrize("kind", sorted(OPS))
+def test_sweep_shared_endpoints_singletons_and_empty(a, b, kind):
+    assert_atoms_match(kind, a, b)
+    assert_atoms_match(kind, b, a)
+
+
+def test_shared_open_endpoint_examples():
+    assert SHARED_OPEN.pieces[0].hi == SHARED_OPEN.pieces[1].lo == 1
+    assert iset_join(SHARED_OPEN, singleton(1)) == interval(0, 2, False, False)
+    assert iset_diff(interval(0, 2, False, False), singleton(1)) == SHARED_OPEN
+    assert iset_join(singleton(1), interval(0, 1, True, False)) == interval(0, 1)
+    assert iset_meet(singleton(1), interval(0, 1)) == singleton(1)
+    assert iset_symmdiff(SHARED_OPEN, SHARED_OPEN) == EMPTY
+    assert iset_join(EMPTY, EMPTY) == EMPTY
+
+
+def test_make_merges_runs_of_touching_pieces():
+    # every inner endpoint is removable: one piece remains
+    chain = [(k, k + 1, k == 0, False) for k in range(6)] + [(k, k) for k in range(1, 6)]
+    assert iset_make(chain) == interval(0, 6, True, False)
+    # open chains keep the shared open endpoints
+    opens = iset_make([(k, k + 1, False, False) for k in range(4)])
+    assert [(p.lo, p.hi) for p in opens.pieces] == [(k, k + 1) for k in range(4)]
+    assert iset_make(reversed(opens.pieces)) == opens
+
+
+def test_sweep_on_thousand_bit_endpoints():
+    from latval.sequences import sqrt2_convergents
+
+    qs, rs = sqrt2_convergents(430)
+    qs, rs = qs[400:], rs[400:]  # the last 30 convergents: 1000+ bits each
+    assert min(q.denominator.bit_length() for q in qs + rs) > 1000
+    ups = iset_make([(qs[k], qs[k + 1], k % 3 == 0, k % 2 == 0) for k in range(0, 29, 2)])
+    downs = iset_make([(rs[k + 1], rs[k], k % 2 == 0, True) for k in range(1, 29, 3)])
+    shifted = iset_make([(q - 1 + r, q, True, False) for q, r in zip(qs[::4], rs[::4])])
+    for a, b in [(ups, downs), (ups, shifted), (downs, shifted), (ups, ups)]:
+        for kind in OPS:
+            assert_atoms_match(kind, a, b)
+        assert measure(iset_meet(a, b)) + measure(iset_join(a, b)) == measure(a) + measure(b)

@@ -163,3 +163,95 @@ def test_randomized_against_oracle_seeded():
         f, g = sample_step_fn(rng), sample_step_fn(rng)
         for kind in POINTWISE:
             assert_pointwise(kind, f, g)
+
+
+# --- the breakpoint sweep on edge cases ------------------------------------
+
+
+def raw_value(bps, ovals, pvals, x):
+    """Evaluate an uncanonicalised breakpoint description directly."""
+    for i, s in enumerate(bps):
+        if x == s:
+            return pvals[i]
+        if i + 1 < len(bps) and s < x < bps[i + 1]:
+            return ovals[i]
+    return Fraction(0)
+
+
+def refinement_probes(*fns):
+    """One probe in each atom of the common refinement of ``fns``."""
+    bps = sorted({s for f in fns for s in f.breakpoints})
+    if not bps:
+        return [Fraction(0)]
+    return [bps[0] - 1, *bps, *((a + b) / 2 for a, b in zip(bps, bps[1:])), bps[-1] + 1]
+
+
+def test_canonical_drops_runs_of_removable_breakpoints():
+    # zero runs at both ends and a run of equal values inside
+    f = step_from_values(range(8), [0, 0, 2, 2, 2, 0, 0], [0, 0, 0, 2, 2, 2, 0, 0])
+    assert f == step_make([((2, 5, False, True), 2)])
+    assert step_from_values(range(5), [3] * 4, [3] * 5) == indicator(0, 4, value=3)
+    assert step_from_values(range(4), [0] * 3, [0] * 4) == ZERO_FN
+    assert step_from_values([], [], []) == ZERO_FN
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(rationals, min_size=0, max_size=8, unique=True).map(sorted),
+    st.data(),
+)
+def test_canonical_keeps_the_function(bps, data):
+    values = st.integers(-1, 1).map(Fraction)
+    ovals = [data.draw(values) for _ in bps[1:]]
+    pvals = [data.draw(values) for _ in bps]
+    f = step_from_values(bps, ovals, pvals)
+    probes = [*bps, *((a + b) / 2 for a, b in zip(bps, bps[1:]))] or [Fraction(0)]
+    for x in [probes[0] - 1, *probes, probes[-1] + 1]:
+        assert f(x) == raw_value(bps, ovals, pvals, x), x
+
+
+@pytest.mark.parametrize(
+    "bps, ovals, pvals",
+    [
+        ([0, 1, 2], [1], [1, 1, 1]),
+        ([0, 1], [1, 1, 1], [1, 1]),
+        ([0, 1], [1], [1]),
+        ([0, 0, 1], [1, 1], [1, 1, 1]),
+        ([1, 0], [0], [0, 0]),
+    ],
+)
+def test_from_values_rejects_malformed_input(bps, ovals, pvals):
+    with pytest.raises(ValueError):
+        step_from_values(bps, ovals, pvals)
+
+
+def test_ops_with_empty_and_shared_breakpoints():
+    f = step_make([((0, 1, False, False), 2)], points=[(1, 5)])
+    for g in (ZERO_FN, f, indicator(1, 2), step_make([], points=[(1, -5)])):
+        for kind in POINTWISE:
+            out = step_combine(kind, f, g)
+            for x in refinement_probes(f, g, out):
+                assert out(x) == POINTWISE[kind](f(x), g(x)), (kind, x)
+    assert step_add(f, step_make([], points=[(1, -5)])) == step_make([((0, 1, False, False), 2)])
+    assert step_leq(ZERO_FN, ZERO_FN) and step_add(ZERO_FN, ZERO_FN) == ZERO_FN
+
+
+def test_sweep_on_thousand_bit_breakpoints():
+    from latval.sequences import sqrt2_convergents
+
+    qs, rs = sqrt2_convergents(430)
+    qs, rs = qs[400:], rs[400:]  # the last 30 convergents: 1000+ bits each
+    assert min(q.denominator.bit_length() for q in qs + rs) > 1000
+    f = step_from_values(qs, [k % 3 - 1 for k in range(29)], [k % 2 for k in range(30)])
+    g = step_from_values(
+        sorted([*qs[::3], *(q + r - 1 for q, r in zip(qs[1::3], rs[1::3]))]),
+        [k % 2 for k in range(19)],
+        [-1] * 20,
+    )
+    for a, b in [(f, g), (g, f), (f, f)]:
+        for kind in POINTWISE:
+            out = step_combine(kind, a, b)
+            for x in refinement_probes(a, b, out):
+                assert out(x) == POINTWISE[kind](a(x), b(x)), (kind, x)
+        assert step_leq(a, b) == all(a(x) <= b(x) for x in refinement_probes(a, b))
+        assert step_leq(step_meet(a, b), step_join(a, b))
