@@ -1,6 +1,6 @@
 """Exact lattice valuations and the machinery built on them."""
 
-from .intervals import IntervalSet, interval, iset_make, iset_op, measure, singleton
+from .intervals import IntervalSet, interval, iset_make, measure, singleton
 from .lattice import (
     FiniteLattice,
     Lattice,
@@ -10,9 +10,9 @@ from .lattice import (
     finite_lattice_build,
     powerset_lattice,
 )
-from .oag import DIV_POS, LEX_PLANE, RATIONALS, DivPos, LexPair, check_group_axioms, group_op
+from .oag import DIV_POS, LEX_PLANE, RATIONALS, DivPos, LexPair, check_group_axioms
 from .report import CheckReport
-from .stepfn import StepFn, indicator, integral, step_combine, step_make
+from .stepfn import StepFn, indicator, integral, step_make
 from .valuation import (
     Valuation,
     approx_equal,
@@ -55,20 +55,17 @@ __all__ = [
     "dimension_valuation",
     "dist",
     "finite_lattice_build",
-    "group_op",
     "indicator",
     "integral",
     "interval",
     "interval_measure",
     "iset_make",
-    "iset_op",
     "measure",
     "mu_S",
     "phi_S",
     "powerset_lattice",
     "quotient",
     "singleton",
-    "step_combine",
     "step_integral",
     "step_make",
     "totient",

@@ -40,15 +40,6 @@ def unpair(k: int) -> tuple[int, int]:
     return x + 1, y + 1
 
 
-@dataclass(frozen=True)
-class TupleCode:
-    code: int
-
-    def __post_init__(self):
-        if self.code < 1:
-            raise ValueError("tuple codes are positive")
-
-
 def tuple_encode(xs: Sequence[int]) -> int:
     """Right fold with terminator 1: <a1, <a2, ... <an, 1> ...>>."""
     code = 1

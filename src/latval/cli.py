@@ -1,9 +1,15 @@
 """Batch command-line front end.
 
 Every subcommand reads JSON, runs one operation or one named property
-suite, and emits a JSON (or CSV) document.  Output is deterministic for
-fixed inputs, flags, and seed.  Exit codes: 0 success, 1 property failure
-(report still emitted), 2 input error.
+suite, and emits a JSON document (``converge-trace`` can emit CSV).
+Output is deterministic for fixed inputs and flags.  Exit codes: 0
+success, 1 property failure (report still emitted), 2 input error.
+
+Every subcommand takes ``--out``.  The other shared flags go only where
+the command reads them: ``--seed`` and ``--samples`` on ``quotient``,
+``fubini-check`` and ``check``; ``--depth`` on ``check``,
+``converge-trace``, ``sqrt2-witness`` and ``dense-approx``; ``--format``
+on ``converge-trace``.
 """
 
 from __future__ import annotations
@@ -61,20 +67,33 @@ def _load_json(path: str, pointer: str):
         raise InputError(pointer, f"invalid JSON in {path}: {exc}")
 
 
+def _load_doc(path: str, pointer: str, what: str, parse):
+    """``parse`` applied to the JSON document at ``path``; a document it
+    rejects is an input error at ``pointer``."""
+    doc = _load_json(path, pointer)
+    try:
+        return parse(doc)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise InputError(pointer, f"bad {what}: {exc}")
+
+
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
+def _encode(obj) -> str:
+    """Rationals are emitted as exact ``p/q`` strings."""
+    if isinstance(obj, Fraction):
+        return str(obj)
+    raise TypeError(f"cannot emit {type(obj).__name__} as JSON")
+
+
 def _dump(args, obj) -> None:
-    _emit(args, json.dumps(obj, indent=2) + "\n")
-
-
-def _fr(x: Fraction) -> str:
-    return str(x)
+    _emit(args, json.dumps(obj, indent=2, default=_encode) + "\n")
 
 
 def _report_exit(args, report: CheckReport, extra: dict | None = None) -> int:
@@ -85,61 +104,61 @@ def _report_exit(args, report: CheckReport, extra: dict | None = None) -> int:
     return 0 if report.ok else 1
 
 
+def _at_least_one(args, dest: str, need: str) -> int:
+    """An integer flag that must be at least 1: zero samples would check
+    nothing, and depths, indices and codes count from 1."""
+    value = getattr(args, dest)
+    if value < 1:
+        raise InputError("--" + dest.replace("_", "-"), f"need {need}, got {value}")
+    return value
+
+
 def _samples(args) -> int:
-    """The sample count of a sampled check: zero samples would check nothing."""
-    if args.samples < 1:
-        raise InputError("--samples", f"need at least one sample, got {args.samples}")
-    return args.samples
+    return _at_least_one(args, "samples", "at least one sample")
 
 
-def _parse_interval_file(path: str, pointer: str):
-    doc = _load_json(path, pointer)
-    try:
-        return iset_from_json(doc)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(pointer, f"bad interval-set document: {exc}")
+def _depth(args) -> int:
+    return _at_least_one(args, "depth", "a depth of at least 1")
 
 
-def _parse_step_file(path: str, pointer: str):
-    doc = _load_json(path, pointer)
-    try:
-        return step_from_json(doc)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(pointer, f"bad step-function document: {exc}")
+# The valuation of each element kind (--kind, and the kind of a sequence).
+_VALUATIONS = {"interval": interval_measure, "step": step_integral}
+
+
+def _read_element(kind: str, path: str, pointer: str):
+    if kind == "interval":
+        return _load_doc(path, pointer, "interval-set document", iset_from_json)
+    return _load_doc(path, pointer, "step-function document", step_from_json)
 
 
 def cmd_measure(args) -> int:
-    a = _parse_interval_file(args.set, "--set")
-    _dump(args, {"value": _fr(interval_measure(a))})
+    a = _read_element("interval", args.set, "--set")
+    _dump(args, {"value": interval_measure(a)})
     return 0
 
 
 def cmd_integrate(args) -> int:
-    f = _parse_step_file(args.step, "--step")
-    _dump(args, {"value": _fr(step_integral(f))})
+    f = _read_element("step", args.step, "--step")
+    _dump(args, {"value": step_integral(f)})
     return 0
 
 
 def _distance_pair(args):
-    if args.kind == "interval":
-        a = _parse_interval_file(args.a, "--a")
-        b = _parse_interval_file(args.b, "--b")
-        return interval_measure, a, b
-    if args.kind == "step":
-        return step_integral, _parse_step_file(args.a, "--a"), _parse_step_file(args.b, "--b")
-    raise InputError("--kind", f"unknown kind {args.kind!r}")
+    a = _read_element(args.kind, args.a, "--a")
+    b = _read_element(args.kind, args.b, "--b")
+    return _VALUATIONS[args.kind], a, b
 
 
 def cmd_distance(args) -> int:
     phi, a, b = _distance_pair(args)
-    _dump(args, {"distance": _fr(dist(phi, a, b))})
+    _dump(args, {"distance": dist(phi, a, b)})
     return 0
 
 
 def cmd_approx_eq(args) -> int:
     phi, a, b = _distance_pair(args)
     d = dist(phi, a, b)
-    _dump(args, {"equal": d == 0, "distance": _fr(d)})
+    _dump(args, {"equal": d == 0, "distance": d})
     return 0
 
 
@@ -179,41 +198,34 @@ def cmd_quotient(args) -> int:
         {
             "classes": list(qlat.carrier),
             "leq": [[a, b] for a in qlat.carrier for b in qlat.carrier if qlat.leq(a, b)],
-            "phi": {a: _fr(qphi(a)) for a in qlat.carrier},
+            "phi": {a: qphi(a) for a in qlat.carrier},
             "hausdorff": hausdorff,
         },
     )
     return 0
 
 
-def _phi_for(kind: str):
-    if kind == "interval":
-        return interval_measure
-    if kind == "step":
-        return step_integral
-    raise InputError("--seq", f"no valuation for sequence kind {kind!r}")
+def _read_sequence(args):
+    return _load_doc(args.seq, "--seq", "sequence document", seqdsl.producer_from_json)
 
 
 def cmd_converge_trace(args) -> int:
-    doc = _load_json(args.seq, "--seq")
-    try:
-        producer, kind = seqdsl.producer_from_json(doc)
-    except (KeyError, ValueError) as exc:
-        raise InputError("--seq", str(exc))
-    phi = _phi_for(kind)
+    depth = _depth(args)
+    producer, kind = _read_sequence(args)
+    phi = _VALUATIONS[kind]
     lat = phi.domain
     rows = []
     run_meet = run_join = None
-    for n in range(1, args.depth + 1):
+    for n in range(1, depth + 1):
         a = producer(n)
         run_meet = a if run_meet is None else lat.meet(run_meet, a)
         run_join = a if run_join is None else lat.join(run_join, a)
         rows.append(
             {
                 "stage": n,
-                "phi": _fr(phi(a)),
-                "phi_running_meet": _fr(phi(run_meet)),
-                "phi_running_join": _fr(phi(run_join)),
+                "phi": phi(a),
+                "phi_running_meet": phi(run_meet),
+                "phi_running_join": phi(run_join),
             }
         )
     if args.format == "csv":
@@ -230,101 +242,65 @@ def cmd_converge_trace(args) -> int:
 
 
 def cmd_sqrt2_witness(args) -> int:
-    trace = sequences.sqrt2_witness(args.depth)
-    _dump(
-        args,
-        [
-            {
-                "stage": row["stage"],
-                "q": _fr(row["q"]),
-                "r": _fr(row["r"]),
-                "mu_A": _fr(row["mu_A"]),
-                "mu_B": _fr(row["mu_B"]),
-                "mu_union": _fr(row["mu_union"]),
-                "defect": _fr(row["defect"]),
-            }
-            for row in trace
-        ],
-    )
+    _dump(args, sequences.sqrt2_witness(_depth(args)))
     return 0
 
 
+_DENSE_APPROX_KEYS = ("stage", "phi_a", "phi_atilde", "bound")
+
+
 def cmd_dense_approx(args) -> int:
-    doc = _load_json(args.seq, "--seq")
-    try:
-        producer, kind = seqdsl.producer_from_json(doc)
-    except (KeyError, ValueError) as exc:
-        raise InputError("--seq", str(exc))
+    depth = _depth(args)
+    eps_index = _at_least_one(args, "eps_index", "an index of at least 1")
+    producer, kind = _read_sequence(args)
     if kind != "interval":
         raise InputError("--seq", "dense approximation runs on interval sequences")
-    if args.oracle != "dyadic-endpoints":
-        raise InputError("--oracle", f"unknown oracle {args.oracle!r}")
     phi = interval_measure
     seq = sequences.seq_make(
         phi.domain,
         "decreasing",
         producer,
         modulus=lambda eps: max(1, int(1 / eps) + 1),
-        sanity_depth=min(args.depth, 8),
+        sanity_depth=min(depth, 8),
         phi=phi,
     )
     _, trace = uniformity.dense_approximate(
-        phi, uniformity.dyadic_endpoint_oracle(), seq, args.eps_index, args.depth
+        phi, uniformity.dyadic_endpoint_oracle(), seq, eps_index, depth
     )
-    _dump(
-        args,
-        [
-            {
-                "stage": row["stage"],
-                "phi_a": _fr(row["phi_a"]),
-                "phi_atilde": _fr(row["phi_atilde"]),
-                "bound": _fr(row["bound"]),
-            }
-            for row in trace
-        ],
-    )
+    _dump(args, [{key: row[key] for key in _DENSE_APPROX_KEYS} for row in trace])
     return 0
 
 
 def cmd_fubini_check(args) -> int:
-    doc = _load_json(args.terms, "--terms")
-    try:
-        terms = fubini.terms_from_json(doc)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError("--terms", f"bad rectangle terms: {exc}")
+    samples = _samples(args)
+    terms = _load_doc(args.terms, "--terms", "rectangle terms", fubini.terms_from_json)
     f = fubini.step2d_make(terms)
     rng = random.Random(args.seed)
-    ys = fubini.sample_ys(f, rng, args.samples)
+    ys = fubini.sample_ys(f, rng, samples)
     fx = fubini.partial_integrate(f)
     lhs = step_integral(fx)
     rhs = fubini.double_integral(f)
     slices = [
         {
-            "y": _fr(y),
-            "fx": _fr(fx(y)),
-            "slice_integral": _fr(step_integral(fubini.slice_at(f, y))),
+            "y": y,
+            "fx": fx(y),
+            "slice_integral": step_integral(fubini.slice_at(f, y)),
         }
         for y in ys
     ]
     equal = lhs == rhs and all(s["fx"] == s["slice_integral"] for s in slices)
-    _dump(
-        args,
-        {"lhs": _fr(lhs), "rhs": _fr(rhs), "equal": equal, "sampled_slices": slices},
-    )
+    _dump(args, {"lhs": lhs, "rhs": rhs, "equal": equal, "sampled_slices": slices})
     return 0 if equal else 1
 
 
 def cmd_stump_alpha(args) -> int:
-    doc = _load_json(args.tree, "--tree")
-    try:
-        stump = borel.Stump.from_json(doc)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError("--tree", f"bad stump document: {exc}")
+    stump = _load_doc(args.tree, "--tree", "stump document", borel.Stump.from_json)
     _dump(args, {"alpha": borel.stump_alpha(stump)})
     return 0
 
 
 def cmd_borel_decode(args) -> int:
+    code = _at_least_one(args, "code", "a positive code")
     try:
         d_str, m_str = args.space.lower().split("x")
         space = borel.TruncatedBaire(int(d_str), int(m_str))
@@ -337,7 +313,7 @@ def cmd_borel_decode(args) -> int:
     if len(point) != space.depth or any(not 1 <= v <= space.alphabet for v in point):
         raise InputError("--point", "point does not lie in the declared space")
     meta = borel.DecodeMeta()
-    member = borel.decode_set(args.code, args.kind, space, point, meta)
+    member = borel.decode_set(code, args.kind, space, point, meta)
     _dump(args, {"member": member, "meta": meta.to_dict()})
     return 0
 
@@ -390,70 +366,80 @@ def _suite_report(name: str, samples: int, seed: int, depth: int) -> CheckReport
 
 
 def cmd_check(args) -> int:
-    report = _suite_report(args.suite, _samples(args), args.seed, args.depth)
+    report = _suite_report(args.suite, _samples(args), args.seed, _depth(args))
     return _report_exit(args, report, {"suite": args.suite, "seed": args.seed})
+
+
+# Flags that more than one subcommand reads, with their defaults.
+_SHARED_FLAGS = {
+    "--seed": {"type": int, "default": 0},
+    "--samples": {"type": int, "default": 20},
+    "--depth": {"type": int, "default": 12},
+    "--format": {"choices": ["json", "csv"], "default": "json"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="latval", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, fn, help, *shared):
+        p = sub.add_parser(name, help=help)
         p.set_defaults(fn=fn)
         p.add_argument("--out", help="write the document here instead of stdout")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=20)
-        p.add_argument("--depth", type=int, default=12)
-        p.add_argument("--tol", default="1/1000")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+        for flag in shared:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
         return p
 
-    p = add("measure", cmd_measure, help="measure of an interval set")
+    p = add("measure", cmd_measure, "measure of an interval set")
     p.add_argument("--set", required=True)
 
-    p = add("integrate", cmd_integrate, help="integral of a step function")
+    p = add("integrate", cmd_integrate, "integral of a step function")
     p.add_argument("--step", required=True)
 
-    p = add("distance", cmd_distance, help="valuation distance between two elements")
-    p.add_argument("--kind", choices=["interval", "step"], required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
+    for name, fn, help in [
+        ("distance", cmd_distance, "valuation distance between two elements"),
+        ("approx-eq", cmd_approx_eq, "distance-zero equivalence test"),
+    ]:
+        p = add(name, fn, help)
+        p.add_argument("--kind", choices=sorted(_VALUATIONS), required=True)
+        p.add_argument("--a", required=True)
+        p.add_argument("--b", required=True)
 
-    p = add("approx-eq", cmd_approx_eq, help="distance-zero equivalence test")
-    p.add_argument("--kind", choices=["interval", "step"], required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-
-    p = add("quotient", cmd_quotient, help="quotient of a finite valuation system")
+    p = add(
+        "quotient", cmd_quotient, "quotient of a finite valuation system", "--seed", "--samples"
+    )
     p.add_argument("--system", required=True)
 
-    p = add("converge-trace", cmd_converge_trace, help="per-stage valuation trace")
+    p = add(
+        "converge-trace", cmd_converge_trace, "per-stage valuation trace", "--depth", "--format"
+    )
     p.add_argument("--seq", required=True)
 
-    add("sqrt2-witness", cmd_sqrt2_witness, help="increasing unions with irrational supremum")
+    add("sqrt2-witness", cmd_sqrt2_witness, "increasing unions with irrational supremum", "--depth")
 
-    p = add("dense-approx", cmd_dense_approx, help="constructive dense under-approximation")
+    p = add("dense-approx", cmd_dense_approx, "constructive dense under-approximation", "--depth")
     p.add_argument("--seq", required=True)
-    p.add_argument("--oracle", default="dyadic-endpoints")
     p.add_argument("--eps-index", type=int, required=True)
 
-    p = add("fubini-check", cmd_fubini_check, help="double-integral identity check")
+    p = add(
+        "fubini-check", cmd_fubini_check, "double-integral identity check", "--seed", "--samples"
+    )
     p.add_argument("--terms", required=True)
 
-    p = add("stump-alpha", cmd_stump_alpha, help="ordinal rank of a stump")
+    p = add("stump-alpha", cmd_stump_alpha, "ordinal rank of a stump")
     p.add_argument("--tree", required=True)
 
-    p = add("borel-decode", cmd_borel_decode, help="membership of a coded set")
+    p = add("borel-decode", cmd_borel_decode, "membership of a coded set")
     p.add_argument("--code", type=int, required=True)
     p.add_argument("--space", required=True, help="DxM")
     p.add_argument("--point", required=True, help="comma-separated values")
     p.add_argument("--kind", choices=["Sprime", "Scap", "A"], default="A")
 
-    p = add("totient-table", cmd_totient_table, help="totient values up to a bound")
+    p = add("totient-table", cmd_totient_table, "totient values up to a bound")
     p.add_argument("--max", type=int, required=True)
 
-    p = add("check", cmd_check, help="run a named property suite")
+    p = add("check", cmd_check, "run a named property suite", "--seed", "--samples", "--depth")
     p.add_argument("--suite", required=True)
 
     return parser

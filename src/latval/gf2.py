@@ -103,20 +103,6 @@ def gf2_leq(u: GF2Subspace, w: GF2Subspace) -> bool:
     return all(w.contains(r) for r in u.rows)
 
 
-def gf2_op(kind: str, u: GF2Subspace, w: GF2Subspace | None = None):
-    if kind == "dim":
-        return u.dim
-    if w is None:
-        raise ValueError(f"operation {kind!r} needs two subspaces")
-    if kind == "meet":
-        return gf2_meet(u, w)
-    if kind == "join":
-        return gf2_join(u, w)
-    if kind == "leq":
-        return gf2_leq(u, w)
-    raise ValueError(f"unknown GF(2) operation {kind!r}")
-
-
 def span(ambient: int, *vectors: int) -> GF2Subspace:
     return GF2Subspace.from_vectors(ambient, vectors)
 

@@ -229,14 +229,6 @@ def iset_symmdiff(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     return _combine(a, b, lambda x, y: x != y)
 
 
-def iset_op(kind: str, a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    ops = {"meet": iset_meet, "join": iset_join, "diff": iset_diff, "symmdiff": iset_symmdiff}
-    try:
-        return ops[kind](a, b)
-    except KeyError:
-        raise ValueError(f"unknown interval-set operation {kind!r}") from None
-
-
 def iset_make(raw: Iterable) -> IntervalSet:
     """Union of interval descriptors, in canonical form.
 

@@ -44,15 +44,6 @@ class Lattice:
     def fmt(self, a) -> str:
         return str(a)
 
-    def op(self, kind: str, a, b):
-        if kind == "meet":
-            return self.meet(a, b)
-        if kind == "join":
-            return self.join(a, b)
-        if kind == "leq":
-            return self.leq(a, b)
-        raise ValueError(f"unknown lattice operation {kind!r}")
-
 
 class FiniteLattice(Lattice):
     """Explicit lattice on at most 64 labelled elements.

@@ -17,9 +17,6 @@ from typing import Callable, Iterable
 
 from .report import CheckReport
 
-Rat = Fraction
-
-
 class ShapeError(TypeError):
     """Operands of mismatched tag or ambient shape."""
 
@@ -37,10 +34,6 @@ def rat(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value.strip())
     raise ShapeError(f"not a rational: {value!r}")
-
-
-def format_rat(q: Fraction) -> str:
-    return str(q)
 
 
 @dataclass(frozen=True, order=False)
@@ -387,21 +380,6 @@ def group_by_name(name: str) -> Group:
         return _BUILTIN_GROUPS[name]()
     except KeyError:
         raise KeyError(f"unknown group descriptor {name!r}") from None
-
-
-def group_op(group: Group, kind: str, x, y=None):
-    """Single entry point: kind in {add, neg, leq, meet, join}."""
-    if kind == "add":
-        return group.add(x, y)
-    if kind == "neg":
-        return group.neg(x)
-    if kind == "leq":
-        return group.leq(x, y)
-    if kind == "meet":
-        return group.meet(x, y)
-    if kind == "join":
-        return group.join(x, y)
-    raise ValueError(f"unknown group operation {kind!r}")
 
 
 def check_group_axioms(descriptor: str | Group, samples: int, seed: int) -> CheckReport:

@@ -156,18 +156,7 @@ class PiElem:
             raise ValueError("PiElem needs a decreasing sequence")
 
 
-@dataclass(frozen=True)
-class SigmaElem:
-    """The formal supremum of an increasing sequence; dual of PiElem."""
-
-    seq: MonoSeq
-
-    def __post_init__(self):
-        if self.seq.direction != "increasing":
-            raise ValueError("SigmaElem needs an increasing sequence")
-
-
-def pi_value(x: PiElem | SigmaElem, phi: Valuation, eps) -> Any:
+def pi_value(x: PiElem, phi: Valuation, eps) -> Any:
     """phi at the modulus stage: within eps of the limit by contract."""
     n = x.seq.stage_for(eps)
     return phi(x.seq.at(n))

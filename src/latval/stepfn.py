@@ -201,20 +201,6 @@ def step_abs(f: StepFn) -> StepFn:
     )
 
 
-def step_combine(kind: str, f: StepFn, g: StepFn | None = None, lam=None) -> StepFn:
-    if kind == "scale":
-        return step_scale(lam, f)
-    if kind == "abs":
-        return step_abs(f)
-    if g is None:
-        raise ValueError(f"operation {kind!r} needs two step functions")
-    ops = {"meet": step_meet, "join": step_join, "add": step_add, "sub": step_sub}
-    try:
-        return ops[kind](f, g)
-    except KeyError:
-        raise ValueError(f"unknown step operation {kind!r}") from None
-
-
 def step_leq(f: StepFn, g: StepFn) -> bool:
     """Pointwise order, decided on the common refinement."""
     return all(

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .lattice import FiniteLattice, Lattice, OppositeLattice, ProductLattice, finite_lattice_build
+from .lattice import FiniteLattice, Lattice, ProductLattice, finite_lattice_build, opposite
 from .oag import Group, OppositeGroup, ProductGroup
 from .report import CheckReport
 
@@ -265,7 +265,7 @@ def quotient(phi: Valuation) -> tuple[FiniteLattice, Valuation]:
 def transform_opposite(phi: Valuation) -> Valuation:
     """The same map viewed on the opposite lattice into the opposite group."""
     return Valuation(
-        domain=OppositeLattice(phi.domain) if not isinstance(phi.domain, OppositeLattice) else phi.domain.inner,
+        domain=opposite(phi.domain),
         group=OppositeGroup(phi.group),
         fn=phi.fn,
         name=f"op({phi.name})",
@@ -309,14 +309,3 @@ def transform_compose(
         name=name or f"compose({phi.name})",
         sampler=sampler,
     )
-
-
-def transform(phi: Valuation, kind: str, **kwargs) -> Valuation:
-    """Dispatcher over the three valuation transforms."""
-    if kind == "opposite":
-        return transform_opposite(phi)
-    if kind == "product":
-        return transform_product(phi, kwargs["psi"])
-    if kind == "compose":
-        return transform_compose(phi, **kwargs)
-    raise ValueError(f"unknown transform {kind!r}")

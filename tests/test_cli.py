@@ -1,11 +1,13 @@
+import argparse
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from latval.cli import main
+from latval.cli import _dump, build_parser, main
 
 STEP_DOC = {
     "breakpoints": ["0", "1", "2"],
@@ -231,6 +233,80 @@ def test_check_rejects_zero_samples(samples, tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"input error at --samples: need at least one sample, got {samples}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["sqrt2-witness", "--depth", "0"], "--depth"),
+        (["converge-trace", "--seq", "SEQ", "--depth", "0"], "--depth"),
+        (["dense-approx", "--seq", "SEQ", "--eps-index", "4", "--depth", "0"], "--depth"),
+        (["dense-approx", "--seq", "SEQ", "--eps-index", "0"], "--eps-index"),
+        (["check", "--suite", "uniformity-dyadic", "--depth", "0"], "--depth"),
+        (["check", "--suite", "negative-broken-half", "--depth", "0"], "--depth"),
+        (["borel-decode", "--code", "0", "--space", "3x3", "--point", "1,2,3"], "--code"),
+        (["borel-decode", "--code", "-5", "--space", "3x3", "--point", "1,2,3"], "--code"),
+        (["fubini-check", "--terms", "TERMS", "--samples", "0"], "--samples"),
+    ],
+)
+def test_integer_below_one_is_input_error(argv, flag, files, capsys):
+    argv = [{"SEQ": files["seq"], "TERMS": files["terms"]}.get(a, a) for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"input error at {flag}: need ")
+    assert "Traceback" not in err
+
+
+# The exact flags each subcommand accepts (help excluded): the shared
+# --seed, --samples, --depth and --format appear only where they are read.
+FLAGS = {
+    "measure": {"--out", "--set"},
+    "integrate": {"--out", "--step"},
+    "distance": {"--out", "--kind", "--a", "--b"},
+    "approx-eq": {"--out", "--kind", "--a", "--b"},
+    "quotient": {"--out", "--system", "--seed", "--samples"},
+    "converge-trace": {"--out", "--seq", "--depth", "--format"},
+    "sqrt2-witness": {"--out", "--depth"},
+    "dense-approx": {"--out", "--seq", "--eps-index", "--depth"},
+    "fubini-check": {"--out", "--terms", "--seed", "--samples"},
+    "stump-alpha": {"--out", "--tree"},
+    "borel-decode": {"--out", "--code", "--space", "--point", "--kind"},
+    "totient-table": {"--out", "--max"},
+    "check": {"--out", "--suite", "--seed", "--samples", "--depth"},
+}
+
+
+def test_each_subcommand_accepts_exactly_the_flags_it_reads():
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    accepted = {
+        name: {opt for a in p._actions if a.dest != "help" for opt in a.option_strings}
+        for name, p in sub.choices.items()
+    }
+    assert accepted == FLAGS
+    assert sum(len(flags) for flags in accepted.values()) == 44
+
+
+@pytest.mark.parametrize("extra", [["--tol", "1"], ["--format", "csv"]])
+def test_flag_a_command_does_not_read_is_rejected(extra, files, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "--set", files["set"], *extra])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_dump_encodes_fractions_only(tmp_path):
+    args = argparse.Namespace(out=str(tmp_path / "out.json"))
+    _dump(args, {"q": Fraction(-3, 4), "n": 2, "rows": [{"x": Fraction(5)}]})
+    assert json.loads((tmp_path / "out.json").read_text()) == {
+        "q": "-3/4",
+        "n": 2,
+        "rows": [{"x": "5"}],
+    }
+    with pytest.raises(TypeError):
+        _dump(args, {"x": object()})
 
 
 def test_schema_error_points_at_field(files, tmp_path, capsys):

@@ -10,7 +10,6 @@ from latval.gf2 import (
     gf2_join,
     gf2_leq,
     gf2_meet,
-    gf2_op,
     span,
     unit,
 )
@@ -22,7 +21,7 @@ def enumerate_meet(u: GF2Subspace, w: GF2Subspace) -> frozenset:
 
 
 def test_dim_of_unit_span():
-    assert gf2_op("dim", span(3, unit(3, 1))) == 1
+    assert span(3, unit(3, 1)).dim == 1
 
 
 def test_meet_example():

@@ -14,7 +14,6 @@ from latval.stepfn import (
     integral,
     step_abs,
     step_add,
-    step_combine,
     step_from_json,
     step_from_values,
     step_join,
@@ -32,10 +31,11 @@ POINTWISE = {
     "meet": min,
     "join": max,
 }
+FUNCTIONS = {"add": step_add, "sub": step_sub, "meet": step_meet, "join": step_join}
 
 
 def assert_pointwise(kind, f, g):
-    out = step_combine(kind, f, g)
+    out = FUNCTIONS[kind](f, g)
     for x in step_probe_points(f, g, out):
         assert out(x) == POINTWISE[kind](f(x), g(x)), f"{kind} wrong at {x}"
     return out
@@ -229,7 +229,7 @@ def test_ops_with_empty_and_shared_breakpoints():
     f = step_make([((0, 1, False, False), 2)], points=[(1, 5)])
     for g in (ZERO_FN, f, indicator(1, 2), step_make([], points=[(1, -5)])):
         for kind in POINTWISE:
-            out = step_combine(kind, f, g)
+            out = FUNCTIONS[kind](f, g)
             for x in refinement_probes(f, g, out):
                 assert out(x) == POINTWISE[kind](f(x), g(x)), (kind, x)
     assert step_add(f, step_make([], points=[(1, -5)])) == step_make([((0, 1, False, False), 2)])
@@ -250,7 +250,7 @@ def test_sweep_on_thousand_bit_breakpoints():
     )
     for a, b in [(f, g), (g, f), (f, f)]:
         for kind in POINTWISE:
-            out = step_combine(kind, a, b)
+            out = FUNCTIONS[kind](a, b)
             for x in refinement_probes(a, b, out):
                 assert out(x) == POINTWISE[kind](a(x), b(x)), (kind, x)
         assert step_leq(a, b) == all(a(x) <= b(x) for x in refinement_probes(a, b))
