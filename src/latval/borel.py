@@ -89,11 +89,12 @@ class Stump:
     def from_json(doc: str | dict) -> "Stump":
         if isinstance(doc, str):
             doc = json.loads(doc)
-        if doc.get("leaf"):
-            return Stump.leaf()
-        if "node" in doc:
-            return Stump.node(Stump.from_json(c) for c in doc["node"])
-        raise ValueError(f"bad stump document: {doc!r}")
+        if isinstance(doc, dict):
+            if doc.get("leaf"):
+                return Stump.leaf()
+            if "node" in doc:
+                return Stump.node(Stump.from_json(c) for c in doc["node"])
+        raise ValueError(f"not a leaf or a node: {doc!r}")
 
 
 def stump_alpha(s: Stump) -> int:

@@ -34,7 +34,7 @@ from .instances import (
 )
 from .intervals import iset_from_json
 from .lattice import check_distributive, diamond_m3, finite_lattice_build
-from .oag import RATIONALS, check_group_axioms, rat
+from .oag import RATIONALS, check_group_axioms, group_by_name, rat
 from .report import CheckReport
 from .stepfn import step_from_json
 from .valuation import (
@@ -168,6 +168,10 @@ def cmd_quotient(args) -> int:
         if key not in doc:
             raise InputError(f"--system:{key}", "missing field")
     try:
+        frozenset(doc["carrier"])  # labels key the lattice tables
+    except TypeError as exc:
+        raise InputError("--system:carrier", f"labels must be strings or numbers: {exc}")
+    try:
         lat = finite_lattice_build(doc["carrier"], [tuple(p) for p in doc["leq"]])
     except ValueError as exc:
         raise InputError("--system:leq", str(exc))
@@ -175,7 +179,10 @@ def cmd_quotient(args) -> int:
     for label in lat.carrier:
         if str(label) not in doc["phi"]:
             raise InputError(f"--system:phi:{label}", "missing valuation value")
-        values[label] = rat(doc["phi"][str(label)])
+        try:
+            values[label] = rat(doc["phi"][str(label)])
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            raise InputError(f"--system:phi:{label}", f"not a rational: {exc}")
     phi = Valuation(
         domain=lat,
         group=RATIONALS,
@@ -206,7 +213,19 @@ def cmd_quotient(args) -> int:
 
 
 def _read_sequence(args):
-    return _load_doc(args.seq, "--seq", "sequence document", seqdsl.producer_from_json)
+    """The stage producer and kind of the ``--seq`` document; a stage the
+    document cannot produce is an input error at ``--seq``."""
+    producer, kind = _load_doc(
+        args.seq, "--seq", "sequence document", seqdsl.producer_from_json
+    )
+
+    def stage(n: int):
+        try:
+            return producer(n)
+        except (IndexError, ValueError) as exc:
+            raise InputError("--seq", f"bad sequence document: stage {n}: {exc}")
+
+    return stage, kind
 
 
 def cmd_converge_trace(args) -> int:
@@ -256,14 +275,17 @@ def cmd_dense_approx(args) -> int:
     if kind != "interval":
         raise InputError("--seq", "dense approximation runs on interval sequences")
     phi = interval_measure
-    seq = sequences.seq_make(
-        phi.domain,
-        "decreasing",
-        producer,
-        modulus=lambda eps: max(1, int(1 / eps) + 1),
-        sanity_depth=min(depth, 8),
-        phi=phi,
-    )
+    try:
+        seq = sequences.seq_make(
+            phi.domain,
+            "decreasing",
+            producer,
+            modulus=lambda eps: max(1, int(1 / eps) + 1),
+            sanity_depth=min(depth, 8),
+            phi=phi,
+        )
+    except (sequences.ModulusError, sequences.MonotonicityError) as exc:
+        raise InputError("--seq", f"sequence does not fit the modulus 1/eps + 1: {exc}")
     _, trace = uniformity.dense_approximate(
         phi, uniformity.dyadic_endpoint_oracle(), seq, eps_index, depth
     )
@@ -350,7 +372,11 @@ def _suite_report(name: str, samples: int, seed: int, depth: int) -> CheckReport
             check_modular_map_identity(step_integral, samples, seed)
         )
     if name.startswith("group-axioms-"):
-        return check_group_axioms(name.removeprefix("group-axioms-"), samples, seed)
+        try:
+            group = group_by_name(name.removeprefix("group-axioms-"))
+        except KeyError:
+            raise InputError("--suite", f"unknown suite {name!r}")
+        return check_group_axioms(group, samples, seed)
     if name == "uniformity-dyadic":
         return uniformity.uniformity_check(uniformity.DYADIC, samples, seed, depth)
     if name == "negative-broken-half":

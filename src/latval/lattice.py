@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import operator
 from typing import Any, Hashable, Iterable, Sequence
 
 from .oag import rat
@@ -45,15 +47,47 @@ class Lattice:
         return str(a)
 
 
-class FiniteLattice(Lattice):
+class CheckedLattice(Lattice):
+    """A lattice given by a membership test and its three operations.
+
+    ``meet``, ``join`` and ``leq`` first check their operands: the first
+    operand ``x`` with ``member(x)`` false raises ``ForeignElement`` with
+    the message ``"<x!r> is not <what>"``.
+    """
+
+    def __init__(self, name: str, member, what: str, meet, join, leq):
+        self.name = name
+        self._member = member
+        self._what = what
+        self._meet = meet
+        self._join = join
+        self._leq = leq
+
+    def _check(self, a, b) -> None:
+        if not (self._member(a) and self._member(b)):
+            foreign = b if self._member(a) else a
+            raise ForeignElement(f"{foreign!r} is not {self._what}")
+
+    def meet(self, a, b):
+        self._check(a, b)
+        return self._meet(a, b)
+
+    def join(self, a, b):
+        self._check(a, b)
+        return self._join(a, b)
+
+    def leq(self, a, b) -> bool:
+        self._check(a, b)
+        return self._leq(a, b)
+
+
+class FiniteLattice(CheckedLattice):
     """Explicit lattice on at most 64 labelled elements.
 
     Meet and join tables are precomputed at build time; construction fails
     if the relation is not a partial order or some pair lacks a greatest
     lower / least upper bound.
     """
-
-    name = "finite"
 
     def __init__(
         self,
@@ -63,26 +97,14 @@ class FiniteLattice(Lattice):
         join_table: dict[tuple[Hashable, Hashable], Hashable],
     ):
         self.carrier = tuple(carrier)
-        self._index = {x: i for i, x in enumerate(self.carrier)}
-        self._leq = leq_matrix
-        self._meet = meet_table
-        self._join = join_table
-
-    def _check(self, a) -> None:
-        if a not in self._index:
-            raise ForeignElement(f"{a!r} is not in the carrier")
-
-    def meet(self, a, b):
-        self._check(a), self._check(b)
-        return self._meet[(a, b)]
-
-    def join(self, a, b):
-        self._check(a), self._check(b)
-        return self._join[(a, b)]
-
-    def leq(self, a, b) -> bool:
-        self._check(a), self._check(b)
-        return self._leq[(a, b)]
+        super().__init__(
+            "finite",
+            frozenset(self.carrier).__contains__,
+            "in the carrier",
+            lambda a, b: meet_table[a, b],
+            lambda a, b: join_table[a, b],
+            lambda a, b: leq_matrix[a, b],
+        )
 
     def __len__(self) -> int:
         return len(self.carrier)
@@ -198,60 +220,27 @@ class RationalChain(Lattice):
         return rat(a) <= rat(b)
 
 
-class DivisibilityLattice(Lattice):
-    """Positive integers ordered by divisibility."""
-
-    name = "divisibility"
-
-    def __init__(self, limit: int | None = None):
-        self.limit = limit
-
-    def _check(self, a) -> None:
-        if not isinstance(a, int) or a < 1:
-            raise ForeignElement(f"{a!r} is not a positive integer")
-        if self.limit is not None and a > self.limit:
-            raise ForeignElement(f"{a} exceeds the declared limit {self.limit}")
-
-    def meet(self, a, b):
-        import math
-
-        self._check(a), self._check(b)
-        return math.gcd(a, b)
-
-    def join(self, a, b):
-        import math
-
-        self._check(a), self._check(b)
-        return math.lcm(a, b)
-
-    def leq(self, a, b) -> bool:
-        self._check(a), self._check(b)
-        return b % a == 0
+DIVISIBILITY = CheckedLattice(
+    "divisibility",
+    lambda a: isinstance(a, int) and a >= 1,
+    "a positive integer",
+    math.gcd,
+    math.lcm,
+    lambda a, b: b % a == 0,
+)
 
 
-class FiniteSubsetLattice(Lattice):
+def finite_subset_lattice(ground: Iterable[Hashable]) -> CheckedLattice:
     """Finite subsets of a fixed ground set, ordered by inclusion."""
-
-    name = "finite-subsets"
-
-    def __init__(self, ground: Iterable[Hashable]):
-        self.ground = frozenset(ground)
-
-    def _check(self, a) -> None:
-        if not isinstance(a, frozenset) or not a <= self.ground:
-            raise ForeignElement(f"{a!r} is not a subset of the ground set")
-
-    def meet(self, a, b):
-        self._check(a), self._check(b)
-        return a & b
-
-    def join(self, a, b):
-        self._check(a), self._check(b)
-        return a | b
-
-    def leq(self, a, b) -> bool:
-        self._check(a), self._check(b)
-        return a <= b
+    ground = frozenset(ground)
+    return CheckedLattice(
+        "finite-subsets",
+        lambda a: isinstance(a, frozenset) and a <= ground,
+        "a subset of the ground set",
+        operator.and_,
+        operator.or_,
+        operator.le,
+    )
 
 
 class OppositeLattice(Lattice):

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
-from .intervals import IntervalSet, interval, iset_join
+from .instances import INTERVAL_SETS, mu_S
+from .intervals import IntervalSet, interval, iset_join, probe_points
 from .lattice import FiniteLattice, Lattice
 from .oag import rat
 from .report import CheckReport
@@ -243,19 +244,16 @@ def pi_leq_at_depth(
     elif certificate is not None:
         raise ValueError(f"unknown certificate {certificate!r}")
 
-    contains = getattr(lat, "contains_point", None)
     lb = x.seq.lower_bound
-    if contains is not None and lb is not None:
+    if lat is INTERVAL_SETS and isinstance(lb, IntervalSet):
         cand: list = list(probes) if probes is not None else []
-        if not cand and isinstance(lb, IntervalSet):
-            from .intervals import probe_points
-
+        if not cand:
             stage_sets = [y.seq.at(m) for m in range(1, depth + 1)]
             cand = probe_points(lb, *stage_sets)
         for m in range(1, depth + 1):
             ym = y.seq.at(m)
             for p in cand:
-                if contains(lb, p) and not contains(ym, p):
+                if lb.contains(p) and not ym.contains(p):
                     return Verdict.refuted(
                         m, f"probe {p} lies below every x stage but outside y_{m}"
                     )
@@ -459,8 +457,6 @@ def sqrt2_witness(depth: int) -> list[dict]:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    from .instances import mu_S
-
     qs, rs = sqrt2_convergents(depth)
     a_const = interval(0, rs[0])
     trace = []

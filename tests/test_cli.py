@@ -258,6 +258,43 @@ def test_integer_below_one_is_input_error(argv, flag, files, capsys):
     assert "Traceback" not in err
 
 
+BAD_DOCS = {
+    "empty-tree": [],
+    "phi-abc": {"carrier": ["a", "b"], "leq": [["a", "b"]], "phi": {"a": "0", "b": "abc"}},
+    "list-labels": {"carrier": [["x"], ["y"]], "leq": [], "phi": {}},
+    "two-stages": {"kind": "interval-list", "stages": [[["0", "1"]], [["0", "1/2"]]]},
+    "lo-above-hi": {"kind": "interval", "template": "[n, 1]"},
+    "slow-modulus": {"kind": "interval", "template": "[0, 1 + 5/n]"},
+    "increasing": {"kind": "interval", "template": "[0, n]"},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, pointer",
+    [
+        (["stump-alpha", "--tree", "empty-tree"], "--tree"),
+        (["quotient", "--system", "phi-abc"], "--system:phi:b"),
+        (["quotient", "--system", "list-labels"], "--system:carrier"),
+        (["check", "--suite", "group-axioms-foo"], "--suite"),
+        (["converge-trace", "--seq", "two-stages", "--depth", "5"], "--seq"),
+        (["converge-trace", "--seq", "lo-above-hi", "--depth", "3"], "--seq"),
+        (["dense-approx", "--seq", "slow-modulus", "--eps-index", "2"], "--seq"),
+        (["dense-approx", "--seq", "increasing", "--eps-index", "2"], "--seq"),
+    ],
+)
+def test_bad_document_is_input_error(argv, pointer, tmp_path, capsys):
+    paths = {}
+    for name, doc in BAD_DOCS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    assert main([str(paths.get(a, a)) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"input error at {pointer}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # The exact flags each subcommand accepts (help excluded): the shared
 # --seed, --samples, --depth and --format appear only where they are read.
 FLAGS = {

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from latval.gf2 import GF2Subspace
+from latval.instances import INTERVAL_SETS, STEP_FNS, gf2_subspace_lattice
+from latval.intervals import interval
 from latval.lattice import (
-    DivisibilityLattice,
-    FiniteSubsetLattice,
+    DIVISIBILITY,
     ForeignElement,
     NotALattice,
     NotAPartialOrder,
@@ -17,10 +19,12 @@ from latval.lattice import (
     diamond_m3,
     finite_lattice_build,
     finite_lattice_from_json,
+    finite_subset_lattice,
     opposite,
     pentagon_n5,
     powerset_lattice,
 )
+from latval.stepfn import indicator
 
 
 def test_two_chain_tables():
@@ -122,7 +126,7 @@ def test_absorption_on_sampled_pairs():
     rng = random.Random(2)
     for lat, sample in [
         (diamond_m3(), lambda: rng.choice(diamond_m3().carrier)),
-        (DivisibilityLattice(), lambda: rng.randint(1, 400)),
+        (DIVISIBILITY, lambda: rng.randint(1, 400)),
         (RationalChain(), lambda: Fraction(rng.randint(-50, 50), rng.randint(1, 9))),
     ]:
         for _ in range(200):
@@ -132,7 +136,7 @@ def test_absorption_on_sampled_pairs():
 
 
 def test_divisibility_lattice():
-    lat = DivisibilityLattice()
+    lat = DIVISIBILITY
     assert lat.meet(12, 18) == 6
     assert lat.join(4, 6) == 12
     assert lat.leq(3, 12) and not lat.leq(5, 12)
@@ -141,10 +145,37 @@ def test_divisibility_lattice():
 
 
 def test_finite_subsets():
-    lat = FiniteSubsetLattice(range(5))
+    lat = finite_subset_lattice(range(5))
     a, b = frozenset({1, 2}), frozenset({2, 3})
     assert lat.meet(a, b) == {2}
     assert lat.join(a, b) == {1, 2, 3}
+
+
+# Each checked lattice, one of its elements, a foreign operand, and the
+# <what> of the message "<foreign!r> is not <what>" it raises.
+CHECKED = [
+    (INTERVAL_SETS, interval(0, 1), indicator(0, 1), "an IntervalSet"),
+    (STEP_FNS, indicator(0, 1), interval(0, 1), "a StepFn"),
+    (
+        gf2_subspace_lattice(4),
+        GF2Subspace.from_vectors(4, [1]),
+        GF2Subspace.from_vectors(5, [1]),
+        "a subspace of GF(2)^4",
+    ),
+    (DIVISIBILITY, 6, 0, "a positive integer"),
+    (DIVISIBILITY, 6, Fraction(1, 2), "a positive integer"),
+    (finite_subset_lattice(range(5)), frozenset({1}), frozenset({9}), "a subset of the ground set"),
+    (chain_lattice(3), 1, 99, "in the carrier"),
+]
+
+
+@pytest.mark.parametrize("lat, good, foreign, what", CHECKED)
+@pytest.mark.parametrize("op", ["meet", "join", "leq"])
+def test_checked_lattices_reject_foreign_operands(lat, good, foreign, what, op):
+    for a, b in [(good, foreign), (foreign, good)]:
+        with pytest.raises(ForeignElement) as err:
+            getattr(lat, op)(a, b)
+        assert str(err.value) == f"{foreign!r} is not {what}"
 
 
 def test_json_loader():
