@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -73,7 +74,7 @@ def _load_doc(path: str, pointer: str, what: str, parse):
     doc = _load_json(path, pointer)
     try:
         return parse(doc)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(pointer, f"bad {what}: {exc}")
 
 
@@ -173,7 +174,7 @@ def cmd_quotient(args) -> int:
         raise InputError("--system:carrier", f"labels must be strings or numbers: {exc}")
     try:
         lat = finite_lattice_build(doc["carrier"], [tuple(p) for p in doc["leq"]])
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise InputError("--system:leq", str(exc))
     values = {}
     for label in lat.carrier:
@@ -297,22 +298,19 @@ def cmd_fubini_check(args) -> int:
     samples = _samples(args)
     terms = _load_doc(args.terms, "--terms", "rectangle terms", fubini.terms_from_json)
     f = fubini.step2d_make(terms)
-    rng = random.Random(args.seed)
-    ys = fubini.sample_ys(f, rng, samples)
-    fx = fubini.partial_integrate(f)
-    lhs = step_integral(fx)
-    rhs = fubini.double_integral(f)
-    slices = [
+    report = fubini.fubini_check(f, fubini.sample_ys(f, random.Random(args.seed), samples))
+    slices = [{"y": y, "fx": at, "slice_integral": along} for y, at, along in report.slices]
+    _dump(
+        args,
         {
-            "y": y,
-            "fx": fx(y),
-            "slice_integral": step_integral(fubini.slice_at(f, y)),
-        }
-        for y in ys
-    ]
-    equal = lhs == rhs and all(s["fx"] == s["slice_integral"] for s in slices)
-    _dump(args, {"lhs": lhs, "rhs": rhs, "equal": equal, "sampled_slices": slices})
-    return 0 if equal else 1
+            "lhs": report.lhs,
+            "rhs": report.rhs,
+            "lhs_y_first": report.lhs_y_first,
+            "equal": report.ok,
+            "sampled_slices": slices,
+        },
+    )
+    return 0 if report.ok else 1
 
 
 def cmd_stump_alpha(args) -> int:
@@ -405,7 +403,9 @@ _SHARED_FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(prog="latval", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -12,13 +12,18 @@ the point and open-gap atoms its base set contains.  The canonical grid drops
 a grid line where its values equal the cells on both sides; seen along one
 axis, a column is a breakpoint whose values are vectors, so the 1-D
 canonicaliser removes all redundant columns in one pass, and then all rows.
+
+Integrals accumulate in integers: the coordinates of an axis, and the values
+along one strip or grid line, become numerators over their least common
+denominator, so a sum of value times width is a sum of integer products (zero
+values skipped) and builds one ``Fraction`` at the end.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -26,7 +31,7 @@ from .instances import mu_S
 from .intervals import IntervalSet, _breaks, _canonical_breaks, _sweep, iset_from_json, iset_make
 from .oag import rat
 from .report import CheckReport
-from .stepfn import StepFn, ZERO_FN, step_from_values
+from .stepfn import StepFn, ZERO_FN, _dot, _widths, step_from_values
 from .instances import phi_S
 
 ZERO = Fraction(0)
@@ -183,17 +188,11 @@ def partial_integrate(f: StepFn2D) -> StepFn:
     values; on each grid line it has the horizontal-line values.  Point and
     vertical-line values carry no x-measure and drop out.
     """
-    if f.is_zero():
+    if len(f.xs) < 2:  # no x-measure anywhere
         return ZERO_FN
-    widths = [f.xs[i + 1] - f.xs[i] for i in range(len(f.xs) - 1)]
-    ovals = [
-        sum((f.cells[i][j] * widths[i] for i in range(len(widths))), ZERO)
-        for j in range(len(f.ys) - 1)
-    ]
-    pvals = [
-        sum((f.hlines[i][j] * widths[i] for i in range(len(widths))), ZERO)
-        for j in range(len(f.ys))
-    ]
+    widths, xd = _widths(f.xs)
+    ovals = [_dot(strip, widths, xd) for strip in zip(*f.cells)]
+    pvals = [_dot(line, widths, xd) for line in zip(*f.hlines)]
     return step_from_values(f.ys, ovals, pvals)
 
 
@@ -216,12 +215,9 @@ def slice_at(f: StepFn2D, y) -> StepFn:
 
 def double_integral(f: StepFn2D) -> Fraction:
     """Direct cell sum: coefficient times area, lines and points ignored."""
-    total = ZERO
-    for i in range(len(f.xs) - 1):
-        w = f.xs[i + 1] - f.xs[i]
-        for j in range(len(f.ys) - 1):
-            total += f.cells[i][j] * w * (f.ys[j + 1] - f.ys[j])
-    return total
+    widths, xd = _widths(f.xs)
+    heights, yd = _widths(f.ys)
+    return _dot([_dot(strip, heights, yd) for strip in f.cells], widths, xd)
 
 
 def sample_ys(f: StepFn2D, rng: random.Random, count: int) -> list[Fraction]:
@@ -240,7 +236,20 @@ def sample_ys(f: StepFn2D, rng: random.Random, count: int) -> list[Fraction]:
     return cands[:count]
 
 
-def fubini_check(f: StepFn2D, sampled_y: Iterable | None = None) -> CheckReport:
+@dataclass
+class FubiniReport(CheckReport):
+    """The identity check's report with the numbers it compared: ``lhs`` is
+    phi_Y(F_X(f)), ``lhs_y_first`` the same with y integrated out first,
+    ``rhs`` the direct double integral, and ``slices`` holds
+    ``(y, F_X(f)(y), phi_X(slice(f, y)))`` per sampled y."""
+
+    lhs: Fraction = ZERO
+    rhs: Fraction = ZERO
+    lhs_y_first: Fraction = ZERO
+    slices: list[tuple[Fraction, Fraction, Fraction]] = field(default_factory=list)
+
+
+def fubini_check(f: StepFn2D, sampled_y: Iterable | None = None) -> FubiniReport:
     """phi_Y(F_X(f)) against the direct double integral, plus slice checks.
 
     Exact rational equality is asserted for the double integral identity in
@@ -248,18 +257,17 @@ def fubini_check(f: StepFn2D, sampled_y: Iterable | None = None) -> CheckReport:
     at every sampled y (gridlines included).  Failures are reported, not
     raised.
     """
-    report = CheckReport()
     fx = partial_integrate(f)
-    lhs = phi_S(fx)
-    rhs = double_integral(f)
-    report.record("phi_Y o F_X = mu_XY", lhs == rhs, f"lhs={lhs} rhs={rhs}")
-
+    lhs, rhs = phi_S(fx), double_integral(f)
     lhs_y = phi_S(partial_integrate(transpose(f)))
+    report = FubiniReport(lhs=lhs, rhs=rhs, lhs_y_first=lhs_y)
+    report.record("phi_Y o F_X = mu_XY", lhs == rhs, f"lhs={lhs} rhs={rhs}")
     report.record("y-first order agrees", lhs_y == rhs, f"lhs={lhs_y} rhs={rhs}")
 
     for y in sampled_y or ():
         y = rat(y)
         at, along = fx(y), phi_S(slice_at(f, y))
+        report.slices.append((y, at, along))
         report.record(
             "F_X(f)(y) = phi_X(slice)", at == along, f"y={y} fx={at} slice-integral={along}"
         )
@@ -295,13 +303,12 @@ def rectset_measure(rects: Sequence[tuple[IntervalSet, IntervalSet]]) -> Fractio
         return ZERO
     xs, _, x_gap = _axis_atoms(a for a, _ in rects)
     ys, _, y_gap = _axis_atoms(b for _, b in rects)
-    total = ZERO
-    for i in range(len(xs) - 1):
-        height = sum(
-            (ys[j + 1] - ys[j] for j in range(len(ys) - 1) if x_gap[i] & y_gap[j]), ZERO
-        )
-        total += (xs[i + 1] - xs[i]) * height
-    return total
+    widths, xd = _widths(xs)
+    heights, yd = _widths(ys)
+    total = 0
+    for w, xmask in zip(widths, x_gap):
+        total += w * sum(h for h, ymask in zip(heights, y_gap) if xmask & ymask)
+    return Fraction(total, xd * yd)
 
 
 def terms_from_json(doc: str | list) -> list[RectTerm]:

@@ -17,6 +17,7 @@ changes.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -209,12 +210,30 @@ def step_leq(f: StepFn, g: StepFn) -> bool:
     )
 
 
+def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The integer numerators of ``values`` over their least common
+    denominator, and that denominator."""
+    d = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (d // v.denominator) if v else 0 for v in values], d
+
+
+def _widths(points: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The gaps between consecutive ``points`` as integers over one
+    denominator, and that denominator."""
+    nums, d = _over_lcm(points)
+    return [b - a for a, b in zip(nums, nums[1:])], d
+
+
+def _dot(values: Sequence[Fraction], weights: Sequence[int], wd: int) -> Fraction:
+    """``sum(values[k] * weights[k]) / wd``, exact: integer products over the
+    values' common denominator, zero values skipped, one ``Fraction`` built."""
+    nums, d = _over_lcm(values)
+    return Fraction(sum(n * w for n, w in zip(nums, weights) if n), d * wd)
+
+
 def integral(f: StepFn) -> Fraction:
     """Sum of open-interval value times width; point values are ignored."""
-    total = ZERO
-    for i in range(len(f.open_values)):
-        total += f.open_values[i] * (f.breakpoints[i + 1] - f.breakpoints[i])
-    return total
+    return _dot(f.open_values, *_widths(f.breakpoints))
 
 
 def step_from_json(doc: str | dict) -> StepFn:

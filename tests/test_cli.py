@@ -101,6 +101,14 @@ def test_fubini_check(files, tmp_path):
         assert s["fx"] == s["slice_integral"]
 
 
+def test_fubini_check_reports_y_first_order(files, tmp_path):
+    code, text = run_cli(["fubini-check", "--terms", files["terms"]], tmp_path)
+    assert code == 0
+    doc = json.loads(text)
+    assert list(doc) == ["lhs", "rhs", "lhs_y_first", "equal", "sampled_slices"]
+    assert doc["lhs_y_first"] == doc["rhs"] == "6"
+
+
 def test_sqrt2_witness(files, tmp_path):
     code, text = run_cli(["sqrt2-witness", "--depth", "4"], tmp_path)
     assert code == 0
@@ -266,6 +274,15 @@ BAD_DOCS = {
     "lo-above-hi": {"kind": "interval", "template": "[n, 1]"},
     "slow-modulus": {"kind": "interval", "template": "[0, 1 + 5/n]"},
     "increasing": {"kind": "interval", "template": "[0, n]"},
+    "unit-set": [{"lo": "0", "hi": "1"}],
+    "zero-den-set": [{"lo": "0", "hi": "1/0"}],
+    "zero-den-step": {"breakpoints": ["0", "1"], "open_values": ["1/0"], "point_values": ["0", "0"]},
+    "zero-den-terms": [
+        {"coefficient": "2/0", "base_x": [{"lo": "0", "hi": "1"}], "base_y": [{"lo": "0", "hi": "1"}]}
+    ],
+    "zero-den-template": {"kind": "interval", "template": "[0, 1/0]"},
+    "zero-den-stages": {"kind": "interval-list", "stages": [[{"lo": "0", "hi": "1/0"}]]},
+    "leq-not-pairs": {"carrier": ["a", "b"], "leq": [1], "phi": {"a": "0", "b": "1"}},
 }
 
 
@@ -280,6 +297,14 @@ BAD_DOCS = {
         (["converge-trace", "--seq", "lo-above-hi", "--depth", "3"], "--seq"),
         (["dense-approx", "--seq", "slow-modulus", "--eps-index", "2"], "--seq"),
         (["dense-approx", "--seq", "increasing", "--eps-index", "2"], "--seq"),
+        (["measure", "--set", "zero-den-set"], "--set"),
+        (["integrate", "--step", "zero-den-step"], "--step"),
+        (["distance", "--kind", "interval", "--a", "unit-set", "--b", "zero-den-set"], "--b"),
+        (["approx-eq", "--kind", "step", "--a", "zero-den-step", "--b", "zero-den-step"], "--a"),
+        (["fubini-check", "--terms", "zero-den-terms"], "--terms"),
+        (["converge-trace", "--seq", "zero-den-template"], "--seq"),
+        (["dense-approx", "--seq", "zero-den-stages", "--eps-index", "2"], "--seq"),
+        (["quotient", "--system", "leq-not-pairs"], "--system:leq"),
     ],
 )
 def test_bad_document_is_input_error(argv, pointer, tmp_path, capsys):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 from latval.fubini import (
+    _axis_atoms,
     ZERO_2D,
     RectTerm,
     StepFn2D,
@@ -19,8 +20,8 @@ from latval.fubini import (
     transpose,
 )
 from latval.instances import mu_S, phi_S, sample_interval_set
-from latval.intervals import EMPTY, interval, iset_meet, singleton
-from latval.stepfn import ZERO_FN, indicator, step_add
+from latval.intervals import EMPTY, interval, iset_make, iset_meet, singleton
+from latval.stepfn import ZERO_FN, indicator, step_add, step_from_values
 
 
 def test_mu_xy_examples():
@@ -383,3 +384,116 @@ def test_one_pass_canonical_2d_matches_restart_loop():
         assert _canonical_2d(raw) == expected
         dropped += len(xs) + len(ys) - len(expected.xs) - len(expected.ys)
     assert dropped > 1000  # the grids exercise removal, not only the identity
+
+
+# References: the Fraction loops that the integer-numerator kernels replaced,
+# kept as they were.  Every result must be exactly the same rational.
+
+
+def reference_partial_integrate(f: StepFn2D):
+    if f.is_zero():
+        return ZERO_FN
+    widths = [f.xs[i + 1] - f.xs[i] for i in range(len(f.xs) - 1)]
+    ovals = [
+        sum((f.cells[i][j] * widths[i] for i in range(len(widths))), Fraction(0))
+        for j in range(len(f.ys) - 1)
+    ]
+    pvals = [
+        sum((f.hlines[i][j] * widths[i] for i in range(len(widths))), Fraction(0))
+        for j in range(len(f.ys))
+    ]
+    return step_from_values(f.ys, ovals, pvals)
+
+
+def reference_double_integral(f: StepFn2D) -> Fraction:
+    total = Fraction(0)
+    for i in range(len(f.xs) - 1):
+        w = f.xs[i + 1] - f.xs[i]
+        for j in range(len(f.ys) - 1):
+            total += f.cells[i][j] * w * (f.ys[j + 1] - f.ys[j])
+    return total
+
+
+def reference_rectset_measure(rects) -> Fraction:
+    if not rects:
+        return Fraction(0)
+    xs, _, x_gap = _axis_atoms(a for a, _ in rects)
+    ys, _, y_gap = _axis_atoms(b for _, b in rects)
+    total = Fraction(0)
+    for i in range(len(xs) - 1):
+        height = sum(
+            (ys[j + 1] - ys[j] for j in range(len(ys) - 1) if x_gap[i] & y_gap[j]), Fraction(0)
+        )
+        total += (xs[i + 1] - xs[i]) * height
+    return total
+
+
+def random_rational(rng: random.Random, bits: int) -> Fraction:
+    """Zero a quarter of the time, else a signed rational whose numerator and
+    denominator have up to ``bits`` bits."""
+    if rng.random() < 0.25:
+        return Fraction(0)
+    return Fraction(rng.randint(-(1 << bits), 1 << bits), rng.randint(1, 1 << bits))
+
+
+def random_coordinates(rng: random.Random, n: int, bits: int) -> tuple[Fraction, ...]:
+    out: set[Fraction] = set()
+    while len(out) < n:
+        out.add(Fraction(rng.randint(-(1 << bits), 1 << bits), rng.randint(1, 1 << bits)))
+    return tuple(sorted(out))
+
+
+def random_raw_grid(rng: random.Random, coord_bits: int, value_bits: int) -> StepFn2D:
+    """A grid with arbitrary values, not canonical: 1 to 8 lines per axis."""
+    nx, ny = rng.randint(1, 8), rng.randint(1, 8)
+
+    def mat(rows, cols):
+        return tuple(
+            tuple(random_rational(rng, value_bits) for _ in range(cols)) for _ in range(rows)
+        )
+
+    return StepFn2D(
+        random_coordinates(rng, nx, coord_bits),
+        random_coordinates(rng, ny, coord_bits),
+        mat(nx - 1, ny - 1), mat(nx, ny - 1), mat(nx - 1, ny), mat(nx, ny),
+    )
+
+
+def test_integer_kernels_match_fraction_loops():
+    rng = random.Random(5)
+    one_column = StepFn2D(
+        (Fraction(1, 3),), (Fraction(0), Fraction(2)),
+        (), ((Fraction(-5),),), (), ((Fraction(1), Fraction(7, 2)),),
+    )
+    grids = [ZERO_2D, one_column, transpose(one_column)]
+    for k in range(300):
+        grids.append(random_raw_grid(rng, (4, 64, 1000)[k % 3], (3, 64)[k % 2]))
+    for _ in range(100):  # canonical grids of terms with negative and zero coefficients
+        grids.append(sample_step2d(rng))
+    assert sum(len(f.xs) == 1 for f in grids) >= 20
+    assert max(f.xs[0].denominator.bit_length() for f in grids if f.xs) > 990
+    for f in grids:
+        for g in (f, transpose(f)):
+            assert partial_integrate(g) == reference_partial_integrate(g)
+        assert double_integral(f) == reference_double_integral(f)
+    assert double_integral(ZERO_2D) == 0 and partial_integrate(one_column) == ZERO_FN
+
+
+def random_rects(rng: random.Random, bits: int):
+    def base():
+        coords = random_coordinates(rng, 4, bits)
+        pieces = [(coords[0], coords[1], rng.random() < 0.5, rng.random() < 0.5)]
+        if rng.random() < 0.5:
+            pieces.append((coords[2], coords[3]))
+        if rng.random() < 0.2:
+            pieces = [(coords[0], coords[0])]  # a point: measure zero
+        return iset_make(pieces)
+
+    return [(base(), base()) for _ in range(rng.randint(0, 6))]
+
+
+def test_rectset_measure_matches_fraction_loop():
+    rng = random.Random(6)
+    for k in range(300):
+        rects = random_rects(rng, (4, 64, 1000)[k % 3])
+        assert rectset_measure(rects) == reference_rectset_measure(rects)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from latval.stepfn import (
     ConflictingAssignment,
+    StepFn,
     ZERO_FN,
     indicator,
     integral,
@@ -255,3 +256,36 @@ def test_sweep_on_thousand_bit_breakpoints():
                 assert out(x) == POINTWISE[kind](a(x), b(x)), (kind, x)
         assert step_leq(a, b) == all(a(x) <= b(x) for x in refinement_probes(a, b))
         assert step_leq(step_meet(a, b), step_join(a, b))
+
+
+def reference_integral(f: StepFn) -> Fraction:
+    """The Fraction loop that the integer-numerator integral replaced."""
+    total = Fraction(0)
+    for i in range(len(f.open_values)):
+        total += f.open_values[i] * (f.breakpoints[i + 1] - f.breakpoints[i])
+    return total
+
+
+def test_integral_matches_fraction_loop():
+    rng = random.Random(8)
+
+    def rational(bits):  # zero a quarter of the time, signed otherwise
+        if rng.random() < 0.25:
+            return Fraction(0)
+        return Fraction(rng.randint(-(1 << bits), 1 << bits), rng.randint(1, 1 << bits))
+
+    fns = [ZERO_FN, StepFn((Fraction(3),), (), (Fraction(5),))]
+    for k in range(400):
+        coord_bits, value_bits = (4, 64, 1000)[k % 3], (3, 64)[k % 2]
+        n = rng.randint(1, 12)
+        bps: set[Fraction] = set()
+        while len(bps) < n:
+            bps.add(rational(coord_bits))
+        fns.append(StepFn(
+            tuple(sorted(bps)),
+            tuple(rational(value_bits) for _ in range(n - 1)),
+            tuple(rational(value_bits) for _ in range(n)),
+        ))
+    assert max(f.breakpoints[-1].denominator.bit_length() for f in fns if f.breakpoints) > 990
+    for f in fns:
+        assert integral(f) == reference_integral(f)
