@@ -66,6 +66,8 @@ def _load_json(path: str, pointer: str):
         raise InputError(pointer, f"file not found: {path}")
     except json.JSONDecodeError as exc:
         raise InputError(pointer, f"invalid JSON in {path}: {exc}")
+    except RecursionError:
+        raise InputError(pointer, f"document nested too deeply: {path}")
 
 
 def _load_doc(path: str, pointer: str, what: str, parse):
@@ -76,6 +78,8 @@ def _load_doc(path: str, pointer: str, what: str, parse):
         return parse(doc)
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(pointer, f"bad {what}: {exc}")
+    except RecursionError:
+        raise InputError(pointer, f"bad {what}: document nested too deeply")
 
 
 def _emit(args, text: str) -> None:
@@ -172,6 +176,8 @@ def cmd_quotient(args) -> int:
         frozenset(doc["carrier"])  # labels key the lattice tables
     except TypeError as exc:
         raise InputError("--system:carrier", f"labels must be strings or numbers: {exc}")
+    if not doc["carrier"]:
+        raise InputError("--system:carrier", "need at least one element")
     try:
         lat = finite_lattice_build(doc["carrier"], [tuple(p) for p in doc["leq"]])
     except (ValueError, TypeError) as exc:
@@ -339,7 +345,8 @@ def cmd_borel_decode(args) -> int:
 
 
 def cmd_totient_table(args) -> int:
-    rows = [{"n": n, "totient": totient(n)} for n in range(1, args.max + 1)]
+    bound = _at_least_one(args, "max", "a bound of at least 1")
+    rows = [{"n": n, "totient": totient(n)} for n in range(1, bound + 1)]
     _dump(args, rows)
     return 0
 

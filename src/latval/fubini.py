@@ -13,10 +13,13 @@ a grid line where its values equal the cells on both sides; seen along one
 axis, a column is a breakpoint whose values are vectors, so the 1-D
 canonicaliser removes all redundant columns in one pass, and then all rows.
 
-Integrals accumulate in integers: the coordinates of an axis, and the values
-along one strip or grid line, become numerators over their least common
-denominator, so a sum of value times width is a sum of integer products (zero
-values skipped) and builds one ``Fraction`` at the end.
+Sums accumulate in integers: term coefficients, the coordinates of an axis,
+and the values along one strip or grid line become numerators over their
+least common denominator, so an atom's coefficient sum, or a sum of value
+times width, is an integer sum (zero values skipped) that builds one
+``Fraction``.  A grid is checked once, when ``StepFn2D`` is built (matrix
+shapes, strictly increasing coordinates); its sections and partial integrals
+go straight to the 1-D canonicaliser, not parsed or checked again.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .instances import mu_S
 from .intervals import IntervalSet, _breaks, _canonical_breaks, _sweep, iset_from_json, iset_make
 from .oag import rat
 from .report import CheckReport
-from .stepfn import StepFn, ZERO_FN, _dot, _widths, step_from_values
+from .stepfn import StepFn, ZERO_FN, _canonical, _dot, _over_lcm, _widths
 from .instances import phi_S
 
 ZERO = Fraction(0)
@@ -98,6 +101,8 @@ class StepFn2D:
         for name, (mat, rows, cols) in shapes.items():
             if len(mat) != rows or any(len(r) != cols for r in mat):
                 raise ValueError(f"inconsistent {name} shape for a {nx}x{ny} grid")
+        if any(a >= b for c in (self.xs, self.ys) for a, b in zip(c, c[1:])):
+            raise ValueError("grid coordinates must be strictly increasing")
 
     def __call__(self, x, y) -> Fraction:
         x, y = rat(x), rat(y)
@@ -150,6 +155,20 @@ def _canonical_2d(f: StepFn2D) -> StepFn2D:
     return transpose(_drop_columns(transpose(_drop_columns(f))))
 
 
+class _MaskSums(dict):
+    """Atom mask -> sum of the coefficients of the terms in the mask, summed
+    as integer numerators over the coefficients' least common denominator."""
+
+    def __init__(self, coefficients: Sequence[Fraction]):
+        self.nums, self.den = _over_lcm(coefficients)
+
+    def __missing__(self, mask: int) -> Fraction:
+        self[mask] = value = Fraction(
+            sum(n for k, n in enumerate(self.nums) if mask >> k & 1), self.den
+        )
+        return value
+
+
 def step2d_make(terms: Iterable[RectTerm]) -> StepFn2D:
     """Sum of coefficient times rectangle indicators, on the refined grid.
 
@@ -158,21 +177,12 @@ def step2d_make(terms: Iterable[RectTerm]) -> StepFn2D:
     fall out of the canonical minimization.
     """
     terms = list(terms)
-    if not terms:
-        return ZERO_2D
     xs, x_at, x_gap = _axis_atoms(t.base_x for t in terms)
     ys, y_at, y_gap = _axis_atoms(t.base_y for t in terms)
-
-    sums: dict[int, Fraction] = {}
-
-    def value(mask: int) -> Fraction:
-        # atoms covered by the same terms share one sum
-        if mask not in sums:
-            sums[mask] = sum((t.coefficient for k, t in enumerate(terms) if mask >> k & 1), ZERO)
-        return sums[mask]
+    value = _MaskSums([t.coefficient for t in terms]).__getitem__
 
     def grid(x_masks, y_masks):
-        return tuple(tuple(value(mx & my) for my in y_masks) for mx in x_masks)
+        return tuple(tuple(map(value, map(mx.__and__, y_masks))) for mx in x_masks)
 
     x_gap, y_gap = x_gap[:-1], y_gap[:-1]  # nothing is right of the last line
     return _canonical_2d(StepFn2D(
@@ -193,7 +203,7 @@ def partial_integrate(f: StepFn2D) -> StepFn:
     widths, xd = _widths(f.xs)
     ovals = [_dot(strip, widths, xd) for strip in zip(*f.cells)]
     pvals = [_dot(line, widths, xd) for line in zip(*f.hlines)]
-    return step_from_values(f.ys, ovals, pvals)
+    return _canonical(f.ys, ovals, pvals)
 
 
 def slice_at(f: StepFn2D, y) -> StepFn:
@@ -204,13 +214,8 @@ def slice_at(f: StepFn2D, y) -> StepFn:
     from bisect import bisect_right
 
     j = bisect_right(f.ys, y) - 1
-    if f.ys[j] == y:
-        ovals = [f.hlines[i][j] for i in range(len(f.xs) - 1)]
-        pvals = [f.points[i][j] for i in range(len(f.xs))]
-    else:
-        ovals = [f.cells[i][j] for i in range(len(f.xs) - 1)]
-        pvals = [f.vlines[i][j] for i in range(len(f.xs))]
-    return step_from_values(f.xs, ovals, pvals)
+    opens, at = (f.hlines, f.points) if f.ys[j] == y else (f.cells, f.vlines)
+    return _canonical(f.xs, [row[j] for row in opens], [row[j] for row in at])
 
 
 def double_integral(f: StepFn2D) -> Fraction:
@@ -277,18 +282,13 @@ def fubini_check(f: StepFn2D, sampled_y: Iterable | None = None) -> FubiniReport
 def transpose(f: StepFn2D) -> StepFn2D:
     if f.is_zero():
         return ZERO_2D
-    nx, ny = len(f.xs), len(f.ys)
+    ny = len(f.ys)
 
-    def t(mat, rows, cols):
-        return tuple(tuple(mat[r][c] for r in range(rows)) for c in range(cols))
+    def t(mat, cols):  # a matrix with no rows transposes to ``cols`` empty rows
+        return tuple(zip(*mat)) or ((),) * cols
 
     return StepFn2D(
-        f.ys,
-        f.xs,
-        t(f.cells, nx - 1, ny - 1),
-        t(f.hlines, nx - 1, ny),
-        t(f.vlines, nx, ny - 1),
-        t(f.points, nx, ny),
+        f.ys, f.xs, t(f.cells, ny - 1), t(f.hlines, ny), t(f.vlines, ny - 1), t(f.points, ny)
     )
 
 

@@ -255,6 +255,8 @@ def test_check_rejects_zero_samples(samples, tmp_path, capsys):
         (["borel-decode", "--code", "0", "--space", "3x3", "--point", "1,2,3"], "--code"),
         (["borel-decode", "--code", "-5", "--space", "3x3", "--point", "1,2,3"], "--code"),
         (["fubini-check", "--terms", "TERMS", "--samples", "0"], "--samples"),
+        (["totient-table", "--max", "0"], "--max"),
+        (["totient-table", "--max", "-5"], "--max"),
     ],
 )
 def test_integer_below_one_is_input_error(argv, flag, files, capsys):
@@ -283,6 +285,7 @@ BAD_DOCS = {
     "zero-den-template": {"kind": "interval", "template": "[0, 1/0]"},
     "zero-den-stages": {"kind": "interval-list", "stages": [[{"lo": "0", "hi": "1/0"}]]},
     "leq-not-pairs": {"carrier": ["a", "b"], "leq": [1], "phi": {"a": "0", "b": "1"}},
+    "empty-carrier": {"carrier": [], "leq": [], "phi": {}},
 }
 
 
@@ -305,6 +308,7 @@ BAD_DOCS = {
         (["converge-trace", "--seq", "zero-den-template"], "--seq"),
         (["dense-approx", "--seq", "zero-den-stages", "--eps-index", "2"], "--seq"),
         (["quotient", "--system", "leq-not-pairs"], "--system:leq"),
+        (["quotient", "--system", "empty-carrier"], "--system:carrier"),
     ],
 )
 def test_bad_document_is_input_error(argv, pointer, tmp_path, capsys):
@@ -316,6 +320,42 @@ def test_bad_document_is_input_error(argv, pointer, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"input error at {pointer}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def _nested_stump(depth: int) -> str:
+    return '{"node": [' * depth + '{"leaf": true}' + "]}" * depth
+
+
+def _nested_list(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+LIMIT = sys.getrecursionlimit()
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        # deeper than the recursion limit: the JSON reader gives up
+        (["stump-alpha", "--tree"], _nested_stump(LIMIT),
+         "input error at --tree: document nested too deeply: "),
+        (["measure", "--set"], _nested_list(2 * LIMIT),
+         "input error at --set: document nested too deeply: "),
+        # JSON reads it, the recursive stump parser gives up
+        (["stump-alpha", "--tree"], _nested_stump(LIMIT * 2 // 5),
+         "input error at --tree: bad stump document: document nested too deeply"),
+    ],
+    ids=["tree-json", "set-json", "tree-parser"],
+)
+def test_deeply_nested_document_is_input_error(argv, text, message, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main([*argv, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(message)
     assert err.count("\n") == 1
     assert "Traceback" not in err
 

@@ -1,8 +1,12 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction
+
+import pytest
 
 from latval.fubini import (
     _axis_atoms,
+    _drop_columns,
     ZERO_2D,
     RectTerm,
     StepFn2D,
@@ -21,7 +25,7 @@ from latval.fubini import (
 )
 from latval.instances import mu_S, phi_S, sample_interval_set
 from latval.intervals import EMPTY, interval, iset_make, iset_meet, singleton
-from latval.stepfn import ZERO_FN, indicator, step_add, step_from_values
+from latval.stepfn import ZERO_FN, StepFn, indicator, step_add, step_from_values
 
 
 def test_mu_xy_examples():
@@ -497,3 +501,159 @@ def test_rectset_measure_matches_fraction_loop():
     for k in range(300):
         rects = random_rects(rng, (4, 64, 1000)[k % 3])
         assert rectset_measure(rects) == reference_rectset_measure(rects)
+
+
+# References: the builders as they were before grids were checked once at
+# construction, kept as they were.  The Fraction-sum rasteriser and the
+# index-loop transpose share no code with the integer mask sums and the zip
+# transpose they check.
+
+
+def reference_transpose(f: StepFn2D) -> StepFn2D:
+    if f.is_zero():
+        return ZERO_2D
+    nx, ny = len(f.xs), len(f.ys)
+
+    def t(mat, rows, cols):
+        return tuple(tuple(mat[r][c] for r in range(rows)) for c in range(cols))
+
+    return StepFn2D(
+        f.ys, f.xs,
+        t(f.cells, nx - 1, ny - 1), t(f.hlines, nx - 1, ny),
+        t(f.vlines, nx, ny - 1), t(f.points, nx, ny),
+    )
+
+
+def reference_step2d_make(terms) -> StepFn2D:
+    terms = list(terms)
+    if not terms:
+        return ZERO_2D
+    xs, x_at, x_gap = _axis_atoms(t.base_x for t in terms)
+    ys, y_at, y_gap = _axis_atoms(t.base_y for t in terms)
+    sums: dict[int, Fraction] = {}
+
+    def value(mask: int) -> Fraction:
+        if mask not in sums:
+            sums[mask] = sum(
+                (t.coefficient for k, t in enumerate(terms) if mask >> k & 1), Fraction(0)
+            )
+        return sums[mask]
+
+    def grid(x_masks, y_masks):
+        return tuple(tuple(value(mx & my) for my in y_masks) for mx in x_masks)
+
+    x_gap, y_gap = x_gap[:-1], y_gap[:-1]
+    raw = StepFn2D(
+        tuple(xs), tuple(ys),
+        grid(x_gap, y_gap), grid(x_at, y_gap), grid(x_gap, y_at), grid(x_at, y_at),
+    )
+    return reference_transpose(_drop_columns(reference_transpose(_drop_columns(raw))))
+
+
+def reference_slice_at(f: StepFn2D, y) -> StepFn:
+    y = Fraction(y)
+    if f.is_zero() or y < f.ys[0] or y > f.ys[-1]:
+        return ZERO_FN
+    j = bisect_right(f.ys, y) - 1
+    if f.ys[j] == y:
+        ovals = [f.hlines[i][j] for i in range(len(f.xs) - 1)]
+        pvals = [f.points[i][j] for i in range(len(f.xs))]
+    else:
+        ovals = [f.cells[i][j] for i in range(len(f.xs) - 1)]
+        pvals = [f.vlines[i][j] for i in range(len(f.xs))]
+    return step_from_values(f.xs, ovals, pvals)
+
+
+def random_terms(rng: random.Random, bits: int, count: int) -> list[RectTerm]:
+    """``count`` terms with signed, zero and ``bits``-bit coefficients; a
+    fifth of them is followed by its negation, so some atoms sum to zero."""
+    terms = []
+    while len(terms) < count:
+        a, b = sample_interval_set(rng, 2), sample_interval_set(rng, 2)
+        if a.is_empty() or b.is_empty():
+            continue
+        c = random_rational(rng, bits)
+        terms.append(RectTerm(c, a, b))
+        if rng.random() < 0.2:
+            terms.append(RectTerm(-c, a, b))
+    return terms
+
+
+def test_step2d_make_matches_fraction_sums():
+    rng = random.Random(8)
+    cancelled = 0
+    for k in range(330):
+        count, bits = rng.randint(1, 8), (3, 64, 1000)[k % 3]
+        if k % 50 == 1:  # masks past 64 bits, with coefficients the reference sums quickly
+            count, bits = 70, 64
+        terms = random_terms(rng, bits, count)
+        f = step2d_make(terms)
+        assert f == reference_step2d_make(terms)
+        cancelled += f.is_zero()
+    assert cancelled > 0
+    assert step2d_make([]) == reference_step2d_make([]) == ZERO_2D
+
+
+def test_slice_at_matches_step_from_values():
+    # partial_integrate's step_from_values reference is
+    # reference_partial_integrate in test_integer_kernels_match_fraction_loops
+    rng = random.Random(9)
+    grids = [random_raw_grid(rng, (4, 64, 1000)[k % 3], (3, 64)[k % 2]) for k in range(150)]
+    grids += [sample_step2d(rng) for _ in range(100)]
+    checked = 0
+    for f in grids:
+        ys = list(f.ys) + [(a + b) / 2 for a, b in zip(f.ys, f.ys[1:])]
+        ys += [f.ys[0] - 1, f.ys[-1] + 1] if f.ys else [Fraction(0)]
+        for y in ys:
+            assert slice_at(f, y) == reference_slice_at(f, y)
+            checked += 1
+    assert checked > 2000
+
+
+def _zeros(rows: int, cols: int):
+    return ((Fraction(0),) * cols,) * rows
+
+
+def _grid(xs, ys) -> StepFn2D:
+    nx, ny = len(xs), len(ys)
+    return StepFn2D(
+        tuple(map(Fraction, xs)), tuple(map(Fraction, ys)),
+        _zeros(nx - 1, ny - 1), _zeros(nx, ny - 1), _zeros(nx - 1, ny), _zeros(nx, ny),
+    )
+
+
+@pytest.mark.parametrize(
+    "xs, ys",
+    [
+        ((0, 0), (0, 1)),
+        ((1, 0), (0, 1)),
+        ((0, 1), (2, 2)),
+        ((0, 1), (3, 2)),
+        ((0, 1, 1), (5,)),
+        ((7,), (0, 2, 1)),
+    ],
+)
+def test_grid_coordinates_must_strictly_increase(xs, ys):
+    with pytest.raises(ValueError, match="must be strictly increasing"):
+        _grid(xs, ys)
+    _grid(sorted(set(xs)), sorted(set(ys)))  # the same shape in order is accepted
+
+
+def test_transpose_matches_index_loop_on_thin_grids():
+    rng = random.Random(10)
+
+    def values(rows, cols):
+        return tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(cols)) for _ in range(rows))
+
+    def raw(nx, ny):
+        return StepFn2D(
+            tuple(map(Fraction, range(nx))), tuple(map(Fraction, range(ny))),
+            values(nx - 1, ny - 1), values(nx, ny - 1), values(nx - 1, ny), values(nx, ny),
+        )
+
+    grids = [raw(1, 1), raw(1, 2), raw(1, 6), raw(2, 1), raw(6, 1), ZERO_2D]
+    grids += [random_raw_grid(rng, 4, 3) for _ in range(100)]
+    for f in grids:
+        t = transpose(f)
+        assert t == reference_transpose(f)
+        assert transpose(t) == f
