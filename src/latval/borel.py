@@ -87,28 +87,61 @@ class Stump:
 
     @staticmethod
     def from_json(doc: str | dict) -> "Stump":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        if isinstance(doc, dict):
-            if doc.get("leaf"):
-                return Stump.leaf()
-            if "node" in doc:
-                return Stump.node(Stump.from_json(c) for c in doc["node"])
-        raise ValueError(f"not a leaf or a node: {doc!r}")
+        """Parse depth-first with an explicit stack, so a stump of any
+        depth the JSON reader accepts is parsed."""
+        kids = _stump_children(doc)
+        if kids is None:
+            return Stump.leaf()
+        stack = [(kids, [])]  # per open node: children left, children built
+        while True:
+            kids, built = stack[-1]
+            for c in kids:
+                grandkids = _stump_children(c)
+                if grandkids is not None:
+                    stack.append((grandkids, []))
+                    break
+                built.append(Stump.leaf())
+            else:
+                stack.pop()
+                node = Stump.node(built)
+                if not stack:
+                    return node
+                stack[-1][1].append(node)
+
+
+def _stump_children(doc):
+    """``None`` for a leaf document, else an iterator over its children."""
+    if isinstance(doc, str):
+        doc = json.loads(doc)
+    if isinstance(doc, dict):
+        if doc.get("leaf"):
+            return None
+        if "node" in doc:
+            return iter(doc["node"])
+    raise ValueError(f"not a leaf or a node: {doc!r}")
 
 
 def stump_alpha(s: Stump) -> int:
     """Ordinal rank: 0 on leaves, else sup over all children of rank + 1.
 
     Unlisted children are leaves and contribute 1, so a node is never
-    ranked below 1; finite stumps get exact finite ordinals.
+    ranked below 1; finite stumps get exact finite ordinals.  Ranked
+    with an explicit stack, so any depth is ranked.
     """
     if s.is_leaf:
         return 0
-    best = 1  # the implicit leaf children
-    for c in s.children:
-        best = max(best, stump_alpha(c) + 1)
-    return best
+    stack = [[iter(s.children), 1]]  # per open node: children left, best rank
+    while True:
+        top = stack[-1]
+        for c in top[0]:
+            if not c.is_leaf:  # a listed leaf adds 1, as an implicit one does
+                stack.append([iter(c.children), 1])
+                break
+        else:
+            stack.pop()
+            if not stack:
+                return top[1]
+            stack[-1][1] = max(stack[-1][1], top[1] + 1)
 
 
 @dataclass(frozen=True)

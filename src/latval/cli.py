@@ -1,8 +1,8 @@
 """Batch command-line front end.
 
 Every subcommand reads JSON, runs one operation or one named property
-suite, and emits a JSON document (``converge-trace`` can emit CSV).
-Output is deterministic for fixed inputs and flags.  Exit codes: 0
+suite, and emits a JSON document on one line (``converge-trace`` can emit
+CSV).  Output is deterministic for fixed inputs and flags.  Exit codes: 0
 success, 1 property failure (report still emitted), 2 input error.
 
 Every subcommand takes ``--out``.  The other shared flags go only where
@@ -60,10 +60,14 @@ class InputError(Exception):
 
 def _load_json(path: str, pointer: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(pointer, f"file not found: {path}")
+    except OSError as exc:
+        raise InputError(pointer, f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise InputError(pointer, f"not UTF-8 text: {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(pointer, f"invalid JSON in {path}: {exc}")
     except RecursionError:
@@ -84,8 +88,11 @@ def _load_doc(path: str, pointer: str, what: str, parse):
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError("--out", f"cannot write {args.out}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -98,7 +105,9 @@ def _encode(obj) -> str:
 
 
 def _dump(args, obj) -> None:
-    _emit(args, json.dumps(obj, indent=2, default=_encode) + "\n")
+    """One line of compact JSON: without ``indent``, ``json`` runs its C
+    encoder, and ``_encode`` is its only hook."""
+    _emit(args, json.dumps(obj, separators=(",", ":"), default=_encode) + "\n")
 
 
 def _report_exit(args, report: CheckReport, extra: dict | None = None) -> int:
@@ -479,13 +488,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Rationals are exact at any size: lift Python's limit on converting
+    # long integers to and from strings for this run only, so in-process
+    # callers keep their own setting.
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except InputError as exc:
         sys.stderr.write(f"input error at {exc.pointer}: {exc}\n")
         return 2
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

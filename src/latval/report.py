@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -53,9 +52,6 @@ class CheckReport:
             }
             for name, r in self.results.items()
         }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     def merged_with(self, other: "CheckReport") -> "CheckReport":
         out = CheckReport()

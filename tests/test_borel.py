@@ -3,6 +3,7 @@ oracle that builds whole subsets of the truncated space with frozenset
 operations instead of pointwise recursion."""
 
 import random
+import sys
 
 import pytest
 
@@ -193,6 +194,15 @@ def test_stump_json_roundtrip():
     s = Stump.node([leaf(), Stump.node([leaf()])])
     assert Stump.from_json(s.to_json_obj()) == s
     assert Stump.from_json('{"node": [{"leaf": true}]}') == Stump.node([leaf()])
+
+
+def test_stump_deeper_than_the_recursion_limit():
+    depth = 3 * sys.getrecursionlimit()
+    doc = {"leaf": True}
+    for _ in range(depth):
+        doc = {"node": [{"leaf": True}, doc]}
+    # a chain of nodes has the rank of its length
+    assert stump_alpha(Stump.from_json(doc)) == depth
 
 
 def test_decode_stratified_leaf_sigma_single_code():

@@ -309,13 +309,19 @@ BAD_DOCS = {
         (["dense-approx", "--seq", "zero-den-stages", "--eps-index", "2"], "--seq"),
         (["quotient", "--system", "leq-not-pairs"], "--system:leq"),
         (["quotient", "--system", "empty-carrier"], "--system:carrier"),
+        (["measure", "--set", "not-utf8"], "--set"),
+        (["stump-alpha", "--tree", "a-directory"], "--tree"),
+        (["measure", "--set", "unit-set", "--out", "missing-dir/out.json"], "--out"),
+        (["measure", "--set", "unit-set", "--out", "a-directory"], "--out"),
     ],
 )
 def test_bad_document_is_input_error(argv, pointer, tmp_path, capsys):
-    paths = {}
+    paths = {"a-directory": tmp_path, "missing-dir/out.json": tmp_path / "missing" / "out.json"}
     for name, doc in BAD_DOCS.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(doc))
+    paths["not-utf8"] = tmp_path / "not-utf8.json"
+    paths["not-utf8"].write_bytes(b'[{"lo": "0", "hi": "1\xff"}]')
     assert main([str(paths.get(a, a)) for a in argv]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -343,17 +349,23 @@ LIMIT = sys.getrecursionlimit()
          "input error at --tree: document nested too deeply: "),
         (["measure", "--set"], _nested_list(2 * LIMIT),
          "input error at --set: document nested too deeply: "),
-        # JSON reads it, the recursive stump parser gives up
+        # JSON reads it, so the stump is parsed and ranked: a chain of
+        # nodes has the rank of its length
         (["stump-alpha", "--tree"], _nested_stump(LIMIT * 2 // 5),
-         "input error at --tree: bad stump document: document nested too deeply"),
+         {"alpha": LIMIT * 2 // 5}),
     ],
     ids=["tree-json", "set-json", "tree-parser"],
 )
 def test_deeply_nested_document_is_input_error(argv, text, message, tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text(text)
-    assert main([*argv, str(path)]) == 2
+    code = main([*argv, str(path)])
     out, err = capsys.readouterr()
+    if isinstance(message, dict):
+        assert code == 0 and err == ""
+        assert json.loads(out) == message
+        return
+    assert code == 2
     assert out == ""
     assert err.startswith(message)
     assert err.count("\n") == 1
@@ -409,6 +421,107 @@ def test_dump_encodes_fractions_only(tmp_path):
     }
     with pytest.raises(TypeError):
         _dump(args, {"x": object()})
+
+
+# A 10,000-digit numerator, past Python's default limit of 4,300 digits
+# on converting integers to and from strings; it is not a multiple of 3.
+BIG = "7" * 10_000
+BIG_Q = f"{BIG}/3"
+BIG_SET = [{"lo": "0", "hi": BIG_Q}]
+
+
+@pytest.mark.parametrize(
+    "argv, docs, value",
+    [
+        (["measure", "--set", "A"], {"A": BIG_SET}, BIG_Q),
+        (
+            ["integrate", "--step", "A"],
+            {"A": {"breakpoints": ["0", "1"], "open_values": [BIG_Q], "point_values": ["0", "0"]}},
+            BIG_Q,
+        ),
+        (
+            ["distance", "--kind", "interval", "--a", "A", "--b", "B"],
+            {"A": BIG_SET, "B": [{"lo": "0", "hi": "1"}]},
+            "7" * 9_999 + "4/3",  # BIG/3 - 1
+        ),
+        (
+            ["fubini-check", "--terms", "A", "--samples", "2"],
+            {"A": [{"coefficient": BIG_Q, "base_x": [{"lo": "0", "hi": "1"}],
+                    "base_y": [{"lo": "0", "hi": "1"}]}]},
+            BIG_Q,
+        ),
+        (
+            ["converge-trace", "--seq", "A", "--depth", "1"],
+            {"A": {"kind": "interval", "template": f"[0, {BIG_Q} + 1/n]"}},
+            "7" * 9_998 + "80/3",  # BIG/3 + 1
+        ),
+        (
+            ["quotient", "--system", "A", "--samples", "5"],
+            {"A": {"carrier": ["bot", "top"], "leq": [["bot", "top"]],
+                   "phi": {"bot": "0", "top": BIG_Q}}},
+            BIG_Q,
+        ),
+    ],
+    ids=["set", "step", "a-b", "terms", "seq", "system"],
+)
+def test_rationals_of_any_size_are_read_and_written(argv, docs, value, tmp_path, capsys):
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    assert main([str(tmp_path / a) if a in docs else a for a in argv]) == 0
+    assert f'"{value}"' in capsys.readouterr().out
+
+
+def test_long_integer_literal_is_read(tmp_path, capsys):
+    path = tmp_path / "leaf.json"
+    path.write_text('{"leaf": ' + "1" * 5_000 + "}")
+    assert main(["stump-alpha", "--tree", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"alpha": 0}
+
+
+def test_int_digit_limit_is_restored(files, capsys):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5_000)
+    try:
+        assert main(["measure", "--set", files["set"]]) == 0
+        assert sys.get_int_max_str_digits() == 5_000
+        assert main(["measure", "--set", "/nonexistent.json"]) == 2
+        assert sys.get_int_max_str_digits() == 5_000
+        with pytest.raises(SystemExit):
+            main(["measure"])
+        assert sys.get_int_max_str_digits() == 5_000
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "--set", "SET"],
+        ["integrate", "--step", "STEP"],
+        ["distance", "--kind", "interval", "--a", "SET", "--b", "SET"],
+        ["approx-eq", "--kind", "step", "--a", "STEP", "--b", "STEP"],
+        ["quotient", "--system", "SYSTEM"],
+        ["converge-trace", "--seq", "SEQ", "--depth", "3"],
+        ["sqrt2-witness", "--depth", "3"],
+        ["dense-approx", "--seq", "SEQ", "--eps-index", "2", "--depth", "3"],
+        ["fubini-check", "--terms", "TERMS", "--samples", "3"],
+        ["stump-alpha", "--tree", "STUMP"],
+        ["borel-decode", "--code", "9", "--space", "3x3", "--point", "1,2,3"],
+        ["totient-table", "--max", "5"],
+        ["check", "--suite", "modularity-mu", "--samples", "5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_document_is_one_compact_line(argv, files, tmp_path, capsys):
+    placeholders = {name.upper(): path for name, path in files.items()}
+    argv = [placeholders.get(a, a) for a in argv]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), separators=(",", ":")) + "\n"
+    path = tmp_path / "out.json"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode()
 
 
 def test_schema_error_points_at_field(files, tmp_path, capsys):
