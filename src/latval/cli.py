@@ -35,7 +35,7 @@ from .instances import (
 )
 from .intervals import iset_from_json
 from .lattice import check_distributive, diamond_m3, finite_lattice_build
-from .oag import RATIONALS, check_group_axioms, group_by_name, rat
+from .oag import GROUPS, RATIONALS, check_group_axioms, rat
 from .report import CheckReport
 from .stepfn import step_from_json
 from .valuation import (
@@ -178,6 +178,8 @@ def cmd_approx_eq(args) -> int:
 
 def cmd_quotient(args) -> int:
     doc = _load_json(args.system, "--system")
+    if not isinstance(doc, dict):
+        raise InputError("--system", "expected a JSON object")
     for key in ("carrier", "leq", "phi"):
         if key not in doc:
             raise InputError(f"--system:{key}", "missing field")
@@ -191,6 +193,8 @@ def cmd_quotient(args) -> int:
         lat = finite_lattice_build(doc["carrier"], [tuple(p) for p in doc["leq"]])
     except (ValueError, TypeError) as exc:
         raise InputError("--system:leq", str(exc))
+    if not isinstance(doc["phi"], dict):
+        raise InputError("--system:phi", "expected a JSON object")
     values = {}
     for label in lat.carrier:
         if str(label) not in doc["phi"]:
@@ -360,53 +364,55 @@ def cmd_totient_table(args) -> int:
     return 0
 
 
-def _suite_report(name: str, samples: int, seed: int, depth: int) -> CheckReport:
-    if name == "pseudometric":
-        return check_pseudometric(interval_measure, samples, seed).merged_with(
-            check_pseudometric(step_integral, samples, seed)
+def _negative_distributive_m3(samples: int, seed: int, depth: int) -> CheckReport:
+    report = CheckReport()
+    ok, triple = check_distributive(diamond_m3())
+    report.record("distributive law holds", ok, f"witness triple {triple}")
+    return report
+
+
+# Suite name -> report builder, called with (samples, seed, depth).  The
+# builders look the checkers up by name when called, not when defined, so a
+# wrapper installed on a checker later (the benchmark's traced run) is used.
+_SUITES = {
+    "pseudometric": lambda n, seed, depth: check_pseudometric(
+        interval_measure, n, seed
+    ).merged_with(check_pseudometric(step_integral, n, seed)),
+    "modularity-mu": lambda n, seed, depth: check_valuation(interval_measure, n, seed),
+    "modularity-phi": lambda n, seed, depth: check_valuation(step_integral, n, seed),
+    "modularity-counting": lambda n, seed, depth: check_valuation(counting_valuation(), n, seed),
+    "modularity-totient": lambda n, seed, depth: check_valuation(totient_valuation(), n, seed),
+    "modularity-dim": lambda n, seed, depth: check_valuation(dimension_valuation(), n, seed),
+    "modularity-product": lambda n, seed, depth: check_valuation(
+        transform_product(interval_measure, step_integral), n, seed
+    ),
+    "congruence": lambda n, seed, depth: check_congruence(
+        interval_measure, n, seed, pad_with_nulls
+    ),
+    "modular-map": lambda n, seed, depth: check_modular_map_identity(
+        interval_measure, n, seed
+    ).merged_with(check_modular_map_identity(step_integral, n, seed)),
+    **{
+        f"group-axioms-{name}": (
+            lambda n, seed, depth, group=group: check_group_axioms(group, n, seed)
         )
-    if name == "modularity-mu":
-        return check_valuation(interval_measure, samples, seed)
-    if name == "modularity-phi":
-        return check_valuation(step_integral, samples, seed)
-    if name == "modularity-counting":
-        return check_valuation(counting_valuation(), samples, seed)
-    if name == "modularity-totient":
-        return check_valuation(totient_valuation(), samples, seed)
-    if name == "modularity-dim":
-        return check_valuation(dimension_valuation(), samples, seed)
-    if name == "modularity-product":
-        return check_valuation(
-            transform_product(interval_measure, step_integral), samples, seed
-        )
-    if name == "congruence":
-        return check_congruence(interval_measure, samples, seed, pad_with_nulls)
-    if name == "modular-map":
-        return check_modular_map_identity(interval_measure, samples, seed).merged_with(
-            check_modular_map_identity(step_integral, samples, seed)
-        )
-    if name.startswith("group-axioms-"):
-        try:
-            group = group_by_name(name.removeprefix("group-axioms-"))
-        except KeyError:
-            raise InputError("--suite", f"unknown suite {name!r}")
-        return check_group_axioms(group, samples, seed)
-    if name == "uniformity-dyadic":
-        return uniformity.uniformity_check(uniformity.DYADIC, samples, seed, depth)
-    if name == "negative-broken-half":
-        return uniformity.uniformity_check(
-            uniformity.broken_half_uniformity(), samples, seed, depth
-        )
-    if name == "negative-distributive-m3":
-        report = CheckReport()
-        ok, triple = check_distributive(diamond_m3())
-        report.record("distributive law holds", ok, f"witness triple {triple}")
-        return report
-    raise InputError("--suite", f"unknown suite {name!r}")
+        for name, group in GROUPS.items()
+    },
+    "uniformity-dyadic": lambda n, seed, depth: uniformity.uniformity_check(
+        uniformity.DYADIC, n, seed, depth
+    ),
+    "negative-broken-half": lambda n, seed, depth: uniformity.uniformity_check(
+        uniformity.broken_half_uniformity(), n, seed, depth
+    ),
+    "negative-distributive-m3": _negative_distributive_m3,
+}
 
 
 def cmd_check(args) -> int:
-    report = _suite_report(args.suite, _samples(args), args.seed, _depth(args))
+    samples, depth = _samples(args), _depth(args)
+    if args.suite not in _SUITES:
+        raise InputError("--suite", f"unknown suite {args.suite!r}")
+    report = _SUITES[args.suite](samples, args.seed, depth)
     return _report_exit(args, report, {"suite": args.suite, "seed": args.seed})
 
 

@@ -315,6 +315,8 @@ def terms_from_json(doc: str | list) -> list[RectTerm]:
     """Load ``[{"coefficient": "2", "base_x": [...], "base_y": [...]}, ...]``."""
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, list):
+        raise TypeError(f"expected a list of rectangle terms, got {type(doc).__name__}")
     return [
         RectTerm(rat(t["coefficient"]), iset_from_json(t["base_x"]), iset_from_json(t["base_y"]))
         for t in doc

@@ -264,6 +264,8 @@ def iset_make(raw: Iterable) -> IntervalSet:
 def iset_from_json(doc: str | list) -> IntervalSet:
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, list):
+        raise TypeError(f"expected a list of intervals, got {type(doc).__name__}")
     return iset_make(doc)
 
 

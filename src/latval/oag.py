@@ -1,15 +1,18 @@
 """Exact ordered Abelian groups and their elements.
 
 Everything is built on ``fractions.Fraction`` so all comparisons and
-identities below are exact.  Three concrete groups are provided besides the
-rationals: the lexicographic plane, the strictly positive rationals under
-multiplication ordered by divisibility, and finite products.  Orders may be
-partial (products, divisibility); ``meet``/``join`` are only available on
-lattice-ordered groups.
+identities below are exact.  Three concrete groups are provided: the
+rationals, the lexicographic plane and the strictly positive rationals under
+multiplication ordered by divisibility; ``product_group`` and
+``opposite_group`` build finite products and order reversals of groups.
+Orders may be partial (products, divisibility), but every group here is
+lattice ordered, so ``meet`` and ``join`` are always defined.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,10 +22,6 @@ from .report import CheckReport
 
 class ShapeError(TypeError):
     """Operands of mismatched tag or ambient shape."""
-
-
-class UnsupportedOperation(ValueError):
-    """Requested meet/join on a group that is not lattice ordered."""
 
 
 def rat(value) -> Fraction:
@@ -108,276 +107,192 @@ def _factorize(n: int) -> dict[int, int]:
 
 
 class Group:
-    """An ordered Abelian group of exact elements.
+    """A lattice-ordered Abelian group of exact elements, given by a table.
 
-    Subclasses fix the element representation and supply ``add``, ``neg``,
-    ``leq`` and a seeded ``sample``.  ``meet``/``join`` exist only when
-    ``is_lattice`` holds.
+    ``check`` raises ``ShapeError`` on anything that is not an element.  The
+    table functions ``add``, ``neg``, ``leq``, ``meet`` and ``join`` assume
+    elements; the methods of the same names check their operands and then
+    call them.  ``zero`` is the identity, ``sample`` draws an element from a
+    ``random.Random`` and ``fmt`` renders one.
     """
 
-    name = "group"
-    is_lattice = False
-    totally_ordered = False
+    def __init__(self, name: str, check, add, neg, zero, leq, meet, join, sample, fmt=str):
+        self.name = name
+        self.check_element = check
+        self._add, self._neg, self._zero = add, neg, zero
+        self._leq, self._meet, self._join = leq, meet, join
+        self.sample = sample
+        self.fmt = fmt
 
     def add(self, x, y):
-        raise NotImplementedError
+        self.check_element(x), self.check_element(y)
+        return self._add(x, y)
 
     def neg(self, x):
-        raise NotImplementedError
+        self.check_element(x)
+        return self._neg(x)
 
     def zero(self):
-        raise NotImplementedError
+        return self._zero
 
     def leq(self, x, y) -> bool:
-        raise NotImplementedError
+        self.check_element(x), self.check_element(y)
+        return self._leq(x, y)
+
+    def meet(self, x, y):
+        self.check_element(x), self.check_element(y)
+        return self._meet(x, y)
+
+    def join(self, x, y):
+        self.check_element(x), self.check_element(y)
+        return self._join(x, y)
 
     def sub(self, x, y):
-        return self.add(x, self.neg(y))
+        self.check_element(x), self.check_element(y)
+        return self._add(x, self._neg(y))
 
     def equal(self, x, y) -> bool:
-        return self.leq(x, y) and self.leq(y, x)
+        self.check_element(x), self.check_element(y)
+        return self._leq(x, y) and self._leq(y, x)
 
     def is_zero(self, x) -> bool:
-        return self.equal(x, self.zero())
-
-    def meet(self, x, y):
-        raise UnsupportedOperation(f"{self.name} is not lattice ordered")
-
-    def join(self, x, y):
-        raise UnsupportedOperation(f"{self.name} is not lattice ordered")
-
-    def fmt(self, x) -> str:
-        return str(x)
-
-    def sample(self, rng: random.Random):
-        raise NotImplementedError
-
-    def check_element(self, x) -> None:
-        raise NotImplementedError
+        return self.equal(x, self._zero)
 
 
-class RationalGroup(Group):
-    name = "rational"
-    is_lattice = True
-    totally_ordered = True
+def _instances_of(cls) -> Callable[[object], None]:
+    """The element check of a group whose elements are the ``cls`` values."""
 
-    def add(self, x, y):
-        self.check_element(x), self.check_element(y)
-        return x + y
+    def check(x) -> None:
+        if not isinstance(x, cls):
+            raise ShapeError(f"expected a {cls.__name__}, got {x!r}")
 
-    def neg(self, x):
-        self.check_element(x)
-        return -x
-
-    def zero(self):
-        return Fraction(0)
-
-    def leq(self, x, y) -> bool:
-        self.check_element(x), self.check_element(y)
-        return x <= y
-
-    def meet(self, x, y):
-        return min(x, y)
-
-    def join(self, x, y):
-        return max(x, y)
-
-    def sample(self, rng: random.Random):
-        return Fraction(rng.randint(-400, 400), rng.randint(1, 40))
-
-    def check_element(self, x) -> None:
-        if not isinstance(x, Fraction):
-            raise ShapeError(f"expected a Fraction, got {x!r}")
+    return check
 
 
-class LexPlaneGroup(Group):
-    """Rational plane under componentwise addition, lexicographic order."""
-
-    name = "lex-plane"
-    is_lattice = True  # totally ordered, so min/max exist
-    totally_ordered = True
-
-    def add(self, x, y):
-        self.check_element(x), self.check_element(y)
-        return LexPair(x.first + y.first, x.second + y.second)
-
-    def neg(self, x):
-        self.check_element(x)
-        return LexPair(-x.first, -x.second)
-
-    def zero(self):
-        return LexPair(Fraction(0), Fraction(0))
-
-    def leq(self, x, y) -> bool:
-        self.check_element(x), self.check_element(y)
-        return x.first < y.first or (x.first == y.first and x.second <= y.second)
-
-    def meet(self, x, y):
-        return x if self.leq(x, y) else y
-
-    def join(self, x, y):
-        return y if self.leq(x, y) else x
-
-    def sample(self, rng: random.Random):
-        return LexPair(
-            Fraction(rng.randint(-20, 20), rng.randint(1, 8)),
-            Fraction(rng.randint(-400, 400), rng.randint(1, 40)),
-        )
-
-    def check_element(self, x) -> None:
-        if not isinstance(x, LexPair):
-            raise ShapeError(f"expected a LexPair, got {x!r}")
+RATIONALS = Group(
+    "rational",
+    check=_instances_of(Fraction),
+    add=operator.add, neg=operator.neg, zero=Fraction(0),
+    leq=operator.le, meet=min, join=max,
+    sample=lambda rng: Fraction(rng.randint(-400, 400), rng.randint(1, 40)),
+)
 
 
-class DivPosGroup(Group):
-    """Strictly positive rationals, multiplication as the group operation.
+def _lex_leq(x: LexPair, y: LexPair) -> bool:
+    return x.first < y.first or (x.first == y.first and x.second <= y.second)
 
-    q precedes r when r/q is a positive integer, so meet and join are the
-    divisibility gcd and lcm (componentwise min/max of prime exponents).
+
+# The rational plane under componentwise addition, ordered lexicographically.
+LEX_PLANE = Group(
+    "lex-plane",
+    check=_instances_of(LexPair),
+    add=lambda x, y: LexPair(x.first + y.first, x.second + y.second),
+    neg=lambda x: LexPair(-x.first, -x.second),
+    zero=LexPair(Fraction(0), Fraction(0)),
+    leq=_lex_leq,
+    meet=lambda x, y: x if _lex_leq(x, y) else y,
+    join=lambda x, y: y if _lex_leq(x, y) else x,
+    sample=lambda rng: LexPair(
+        Fraction(rng.randint(-20, 20), rng.randint(1, 8)),
+        Fraction(rng.randint(-400, 400), rng.randint(1, 40)),
+    ),
+)
+
+
+def _div_add(x: DivPos, y: DivPos) -> DivPos:
+    exps = dict(x.exponents)
+    for p, e in y.exponents:
+        exps[p] = exps.get(p, 0) + e
+    return DivPos.from_exponents(exps)
+
+
+def _div_leq(x: DivPos, y: DivPos) -> bool:
+    ex, ey = dict(x.exponents), dict(y.exponents)
+    return all(ex.get(p, 0) <= ey.get(p, 0) for p in set(ex) | set(ey))
+
+
+def _div_meet(x: DivPos, y: DivPos) -> DivPos:
+    ex, ey = dict(x.exponents), dict(y.exponents)
+    return DivPos.from_exponents({p: min(ex.get(p, 0), ey.get(p, 0)) for p in set(ex) | set(ey)})
+
+
+def _div_join(x: DivPos, y: DivPos) -> DivPos:
+    ex, ey = dict(x.exponents), dict(y.exponents)
+    return DivPos.from_exponents({p: max(ex.get(p, 0), ey.get(p, 0)) for p in set(ex) | set(ey)})
+
+
+# The strictly positive rationals with multiplication as the group operation:
+# q precedes r when r/q is a positive integer, so meet and join are the
+# divisibility gcd and lcm (componentwise min/max of prime exponents).
+DIV_POS = Group(
+    "div-pos",
+    check=_instances_of(DivPos),
+    add=_div_add,
+    neg=lambda x: DivPos.from_exponents({p: -e for p, e in x.exponents}),
+    zero=DivPos(()),
+    leq=_div_leq, meet=_div_meet, join=_div_join,
+    sample=lambda rng: DivPos.from_int(rng.randint(1, 500)),
+)
+
+
+def _componentwise(fns):
+    return lambda x, y: tuple(f(a, b) for f, a, b in zip(fns, x, y))
+
+
+def product_group(factors: Iterable[Group]) -> Group:
+    """Finite product with componentwise operations and order.
+
+    Its table composes the factors' table functions, so each operand is
+    checked once, by the product's check, which runs the factors' checks.
     """
+    factors = tuple(factors)
+    checks = [g.check_element for g in factors]
+    negs = [g._neg for g in factors]
+    leqs = [g._leq for g in factors]
 
-    name = "div-pos"
-    is_lattice = True
-    totally_ordered = False
+    def check(x) -> None:
+        if not isinstance(x, tuple) or len(x) != len(factors):
+            raise ShapeError(f"expected a {len(factors)}-tuple, got {x!r}")
+        for c, a in zip(checks, x):
+            c(a)
 
-    def add(self, x, y):
-        self.check_element(x), self.check_element(y)
-        exps = dict(x.exponents)
-        for p, e in y.exponents:
-            exps[p] = exps.get(p, 0) + e
-        return DivPos.from_exponents(exps)
-
-    def neg(self, x):
-        self.check_element(x)
-        return DivPos.from_exponents({p: -e for p, e in x.exponents})
-
-    def zero(self):
-        return DivPos(())
-
-    def leq(self, x, y) -> bool:
-        self.check_element(x), self.check_element(y)
-        ex, ey = dict(x.exponents), dict(y.exponents)
-        return all(ex.get(p, 0) <= ey.get(p, 0) for p in set(ex) | set(ey))
-
-    def meet(self, x, y):
-        ex, ey = dict(x.exponents), dict(y.exponents)
-        return DivPos.from_exponents(
-            {p: min(ex.get(p, 0), ey.get(p, 0)) for p in set(ex) | set(ey)}
-        )
-
-    def join(self, x, y):
-        ex, ey = dict(x.exponents), dict(y.exponents)
-        return DivPos.from_exponents(
-            {p: max(ex.get(p, 0), ey.get(p, 0)) for p in set(ex) | set(ey)}
-        )
-
-    def sample(self, rng: random.Random):
-        return DivPos.from_int(rng.randint(1, 500))
-
-    def check_element(self, x) -> None:
-        if not isinstance(x, DivPos):
-            raise ShapeError(f"expected a DivPos, got {x!r}")
+    return Group(
+        "product(" + ", ".join(g.name for g in factors) + ")",
+        check=check,
+        add=_componentwise([g._add for g in factors]),
+        neg=lambda x: tuple(f(a) for f, a in zip(negs, x)),
+        zero=tuple(g._zero for g in factors),
+        leq=lambda x, y: all(f(a, b) for f, a, b in zip(leqs, x, y)),
+        meet=_componentwise([g._meet for g in factors]),
+        join=_componentwise([g._join for g in factors]),
+        sample=lambda rng: tuple(g.sample(rng) for g in factors),
+        fmt=lambda x: "(" + ", ".join(g.fmt(a) for g, a in zip(factors, x)) + ")",
+    )
 
 
-class ProductGroup(Group):
-    """Finite product with componentwise operations and order."""
-
-    def __init__(self, factors: Iterable[Group]):
-        self.factors = tuple(factors)
-        self.name = "product(" + ", ".join(g.name for g in self.factors) + ")"
-        self.is_lattice = all(g.is_lattice for g in self.factors)
-        self.totally_ordered = False
-
-    def add(self, x, y):
-        self.check_element(x), self.check_element(y)
-        return tuple(g.add(a, b) for g, a, b in zip(self.factors, x, y))
-
-    def neg(self, x):
-        self.check_element(x)
-        return tuple(g.neg(a) for g, a in zip(self.factors, x))
-
-    def zero(self):
-        return tuple(g.zero() for g in self.factors)
-
-    def leq(self, x, y) -> bool:
-        self.check_element(x), self.check_element(y)
-        return all(g.leq(a, b) for g, a, b in zip(self.factors, x, y))
-
-    def meet(self, x, y):
-        if not self.is_lattice:
-            raise UnsupportedOperation(f"{self.name} is not lattice ordered")
-        return tuple(g.meet(a, b) for g, a, b in zip(self.factors, x, y))
-
-    def join(self, x, y):
-        if not self.is_lattice:
-            raise UnsupportedOperation(f"{self.name} is not lattice ordered")
-        return tuple(g.join(a, b) for g, a, b in zip(self.factors, x, y))
-
-    def fmt(self, x) -> str:
-        return "(" + ", ".join(g.fmt(a) for g, a in zip(self.factors, x)) + ")"
-
-    def sample(self, rng: random.Random):
-        return tuple(g.sample(rng) for g in self.factors)
-
-    def check_element(self, x) -> None:
-        if not isinstance(x, tuple) or len(x) != len(self.factors):
-            raise ShapeError(f"expected a {len(self.factors)}-tuple, got {x!r}")
-        for g, a in zip(self.factors, x):
-            g.check_element(a)
+def opposite_group(inner: Group) -> Group:
+    """The same group with its order reversed, so meet and join trade places."""
+    inner_leq = inner._leq
+    return Group(
+        f"opposite({inner.name})",
+        check=inner.check_element,
+        add=inner._add, neg=inner._neg, zero=inner._zero,
+        leq=lambda x, y: inner_leq(y, x), meet=inner._join, join=inner._meet,
+        sample=inner.sample, fmt=inner.fmt,
+    )
 
 
-class OppositeGroup(Group):
-    """Same group structure, reversed order."""
-
-    def __init__(self, inner: Group):
-        self.inner = inner
-        self.name = f"opposite({inner.name})"
-        self.is_lattice = inner.is_lattice
-        self.totally_ordered = inner.totally_ordered
-
-    def add(self, x, y):
-        return self.inner.add(x, y)
-
-    def neg(self, x):
-        return self.inner.neg(x)
-
-    def zero(self):
-        return self.inner.zero()
-
-    def leq(self, x, y) -> bool:
-        return self.inner.leq(y, x)
-
-    def meet(self, x, y):
-        return self.inner.join(x, y)
-
-    def join(self, x, y):
-        return self.inner.meet(x, y)
-
-    def fmt(self, x) -> str:
-        return self.inner.fmt(x)
-
-    def sample(self, rng: random.Random):
-        return self.inner.sample(rng)
-
-    def check_element(self, x) -> None:
-        self.inner.check_element(x)
-
-
-RATIONALS = RationalGroup()
-LEX_PLANE = LexPlaneGroup()
-DIV_POS = DivPosGroup()
-
-_BUILTIN_GROUPS: dict[str, Callable[[], Group]] = {
-    "rational": lambda: RATIONALS,
-    "lex-plane": lambda: LEX_PLANE,
-    "div-pos": lambda: DIV_POS,
-    "rational-pair": lambda: ProductGroup([RATIONALS, RATIONALS]),
+GROUPS: dict[str, Group] = {
+    "rational": RATIONALS,
+    "lex-plane": LEX_PLANE,
+    "div-pos": DIV_POS,
+    "rational-pair": product_group([RATIONALS, RATIONALS]),
 }
 
 
 def group_by_name(name: str) -> Group:
     try:
-        return _BUILTIN_GROUPS[name]()
+        return GROUPS[name]
     except KeyError:
         raise KeyError(f"unknown group descriptor {name!r}") from None
 
@@ -386,8 +301,8 @@ def check_group_axioms(descriptor: str | Group, samples: int, seed: int) -> Chec
     """Sampled checks of the ordered-group laws on one of the built-in groups.
 
     Covers commutativity/associativity/inverses, translation invariance of
-    the order in both directions, order reversal under negation, and (on
-    lattice-ordered groups) the meet+join identity a∧b + a∨b = a + b.
+    the order in both directions, order reversal under negation, and the
+    meet+join identity a∧b + a∨b = a + b.
     On the divisibility group the meet+join identity is additionally checked
     against integer gcd/lcm on integer samples.
     """
@@ -419,15 +334,10 @@ def check_group_axioms(descriptor: str | Group, samples: int, seed: int) -> Chec
             wit,
         )
 
-        if group.is_lattice:
-            lhs = group.add(group.meet(x, y), group.join(x, y))
-            report.record(
-                "meet+join = x+y", group.equal(lhs, group.add(x, y)), wit
-            )
+        lhs = group.add(group.meet(x, y), group.join(x, y))
+        report.record("meet+join = x+y", group.equal(lhs, group.add(x, y)), wit)
 
-    if isinstance(group, DivPosGroup):
-        import math
-
+    if group is DIV_POS:
         for _ in range(samples):
             m, n = rng.randint(1, 500), rng.randint(1, 500)
             dm, dn = DivPos.from_int(m), DivPos.from_int(n)
@@ -438,7 +348,7 @@ def check_group_axioms(descriptor: str | Group, samples: int, seed: int) -> Chec
             )
             report.record("divisibility gcd/lcm oracle", ok, f"m={m} n={n}")
 
-    if isinstance(group, LexPlaneGroup):
+    if group is LEX_PLANE:
         # The chain (0,1) <= (0,2) <= ... is bounded above by (1,0), yet any
         # upper bound (x,y) with x > 0 admits the strictly smaller upper
         # bound (x, y-1), so no sampled candidate is a least upper bound.

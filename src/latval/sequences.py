@@ -321,10 +321,10 @@ def phi_limits_at_depth(
 
     pulim = sup_vals[0]
     for v in sup_vals[1:]:
-        pulim = g.meet(pulim, v) if g.is_lattice else min(pulim, v)
+        pulim = g.meet(pulim, v)
     pllim = inf_vals[0]
     for v in inf_vals[1:]:
-        pllim = g.join(pllim, v) if g.is_lattice else max(pllim, v)
+        pllim = g.join(pllim, v)
     return pulim, pllim, trace
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .lattice import FiniteLattice, Lattice, ProductLattice, finite_lattice_build, opposite
-from .oag import Group, OppositeGroup, ProductGroup
+from .oag import Group, opposite_group, product_group
 from .report import CheckReport
 
 
@@ -264,7 +264,7 @@ def transform_opposite(phi: Valuation) -> Valuation:
     """The same map viewed on the opposite lattice into the opposite group."""
     return Valuation(
         domain=opposite(phi.domain),
-        group=OppositeGroup(phi.group),
+        group=opposite_group(phi.group),
         fn=phi.fn,
         name=f"op({phi.name})",
         sampler=phi.sampler,
@@ -282,7 +282,7 @@ def transform_product(phi: Valuation, psi: Valuation) -> Valuation:
         sampler = lambda rng: (phi.sample(rng), psi.sample(rng))
     return Valuation(
         domain=ProductLattice(phi.domain, psi.domain),
-        group=ProductGroup([phi.group, psi.group]),
+        group=product_group([phi.group, psi.group]),
         fn=fn,
         name=f"{phi.name} x {psi.name}",
         sampler=sampler,

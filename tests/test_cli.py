@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from latval.cli import _dump, build_parser, main
+from latval.cli import _SUITES, _dump, build_parser, main
 
 STEP_DOC = {
     "breakpoints": ["0", "1", "2"],
@@ -195,6 +195,14 @@ def test_check_suite_negative_control(files, tmp_path):
     assert doc["report"]["(iii) halving composes"]["counterexample"]
 
 
+@pytest.mark.parametrize("suite", sorted(_SUITES))
+def test_every_suite_runs(suite, tmp_path):
+    code, text = run_cli(["check", "--suite", suite, "--samples", "5"], tmp_path)
+    negative = suite.startswith("negative-")
+    assert code == (1 if negative else 0)
+    assert json.loads(text)["ok"] is not negative
+
+
 def test_input_error_exit_code(files, tmp_path, capsys):
     assert main(["measure", "--set", "/nonexistent.json"]) == 2
     err = capsys.readouterr().err
@@ -286,6 +294,17 @@ BAD_DOCS = {
     "zero-den-stages": {"kind": "interval-list", "stages": [[{"lo": "0", "hi": "1/0"}]]},
     "leq-not-pairs": {"carrier": ["a", "b"], "leq": [1], "phi": {"a": "0", "b": "1"}},
     "empty-carrier": {"carrier": [], "leq": [], "phi": {}},
+    "number": 5,
+    "null": None,
+    "string": "carrier",
+    "phi-number": {"carrier": ["a"], "leq": [], "phi": 5},
+    "phi-string": {"carrier": ["a"], "leq": [], "phi": "a"},
+    "empty-object": {},
+    # iterated as its keys, this object would read as the interval [0, 1]
+    "keys-01": {"01": True},
+    "object-base-terms": [
+        {"coefficient": "1", "base_x": {"01": True}, "base_y": [{"lo": "0", "hi": "1"}]}
+    ],
 }
 
 
@@ -313,6 +332,17 @@ BAD_DOCS = {
         (["stump-alpha", "--tree", "a-directory"], "--tree"),
         (["measure", "--set", "unit-set", "--out", "missing-dir/out.json"], "--out"),
         (["measure", "--set", "unit-set", "--out", "a-directory"], "--out"),
+        (["quotient", "--system", "number"], "--system"),
+        (["quotient", "--system", "null"], "--system"),
+        (["quotient", "--system", "empty-tree"], "--system"),
+        (["quotient", "--system", "string"], "--system"),
+        (["quotient", "--system", "phi-number"], "--system:phi"),
+        (["quotient", "--system", "phi-string"], "--system:phi"),
+        (["measure", "--set", "empty-object"], "--set"),
+        (["measure", "--set", "keys-01"], "--set"),
+        (["distance", "--kind", "interval", "--a", "empty-object", "--b", "unit-set"], "--a"),
+        (["fubini-check", "--terms", "empty-object"], "--terms"),
+        (["fubini-check", "--terms", "object-base-terms"], "--terms"),
     ],
 )
 def test_bad_document_is_input_error(argv, pointer, tmp_path, capsys):

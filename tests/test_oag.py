@@ -9,8 +9,8 @@ from latval.oag import (
     RATIONALS,
     DivPos,
     LexPair,
-    OppositeGroup,
-    ProductGroup,
+    opposite_group,
+    product_group,
     ShapeError,
     check_group_axioms,
     group_by_name,
@@ -66,10 +66,44 @@ def test_serialization_forms():
     assert LEX_PLANE.fmt(LexPair(Fraction(1, 2), Fraction(-2))) == "(1/2, -2)"
 
 
-@pytest.mark.parametrize("name", ["rational", "lex-plane", "div-pos", "rational-pair"])
-def test_group_axioms_all_pass(name):
-    report = check_group_axioms(name, samples=300, seed=7)
+LEX_BY_OPP_DIV = product_group([LEX_PLANE, opposite_group(DIV_POS)])
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    ["rational", "lex-plane", "div-pos", "rational-pair"]
+    + [pytest.param(g, id=g.name) for g in (opposite_group(LEX_PLANE), LEX_BY_OPP_DIV)],
+)
+def test_group_axioms_all_pass(descriptor):
+    report = check_group_axioms(descriptor, samples=300, seed=7)
     assert report.ok, report.failing()
+
+
+ORIGIN = LexPair(Fraction(0), Fraction(0))
+# (group, an element, an operand foreign to it, the message it is rejected with)
+FOREIGN = [
+    (RATIONALS, Fraction(1), ORIGIN,
+     "expected a Fraction, got LexPair(first=Fraction(0, 1), second=Fraction(0, 1))"),
+    (LEX_PLANE, ORIGIN, Fraction(1), "expected a LexPair, got Fraction(1, 1)"),
+    (DIV_POS, DivPos.from_int(6), 6, "expected a DivPos, got 6"),
+    (group_by_name("rational-pair"), (Fraction(1), Fraction(2)), (Fraction(1),),
+     "expected a 2-tuple, got (Fraction(1, 1),)"),
+    (opposite_group(LEX_PLANE), ORIGIN, Fraction(1), "expected a LexPair, got Fraction(1, 1)"),
+    (LEX_BY_OPP_DIV, (ORIGIN, DivPos.from_int(2)), (ORIGIN, Fraction(2)),
+     "expected a DivPos, got Fraction(2, 1)"),
+]
+
+
+@pytest.mark.parametrize("op", ["add", "neg", "leq", "meet", "join", "sub", "equal"])
+@pytest.mark.parametrize(
+    "group, element, foreign, message", FOREIGN, ids=[case[0].name for case in FOREIGN]
+)
+def test_foreign_operand_rejected(group, element, foreign, message, op):
+    calls = [(foreign,)] if op == "neg" else [(element, foreign), (foreign, element)]
+    for operands in calls:
+        with pytest.raises(ShapeError) as exc:
+            getattr(group, op)(*operands)
+        assert str(exc.value) == message
 
 
 def test_group_axioms_unknown_descriptor():
@@ -78,7 +112,7 @@ def test_group_axioms_unknown_descriptor():
 
 
 def test_opposite_group_reverses_order():
-    opp = OppositeGroup(RATIONALS)
+    opp = opposite_group(RATIONALS)
     assert opp.leq(Fraction(2), Fraction(1))
     assert opp.meet(Fraction(1), Fraction(2)) == 2
     report = check_group_axioms(opp, samples=200, seed=3)
@@ -86,7 +120,7 @@ def test_opposite_group_reverses_order():
 
 
 def test_product_group_componentwise():
-    prod = ProductGroup([RATIONALS, RATIONALS])
+    prod = product_group([RATIONALS, RATIONALS])
     x, y = (Fraction(1), Fraction(5)), (Fraction(2), Fraction(3))
     assert prod.add(x, y) == (Fraction(3), Fraction(8))
     assert not prod.leq(x, y) and not prod.leq(y, x)  # incomparable

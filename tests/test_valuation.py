@@ -12,7 +12,7 @@ from latval.instances import (
 )
 from latval.intervals import interval, iset_join, singleton
 from latval.lattice import chain_lattice, diamond_m3, finite_lattice_build
-from latval.oag import OppositeGroup, RATIONALS
+from latval.oag import opposite_group, RATIONALS
 from latval.stepfn import indicator, step_add, step_make
 from latval.valuation import (
     QuotientIllDefined,
@@ -210,7 +210,7 @@ def test_transform_product_is_valuation():
 
 def test_transform_compose_negate_into_opposite():
     # g = negate is a positive homomorphism into the opposite group
-    neg_group = OppositeGroup(RATIONALS)
+    neg_group = opposite_group(RATIONALS)
     composed = transform_compose(
         interval_measure,
         f_lathom=lambda a: a,
