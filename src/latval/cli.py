@@ -183,6 +183,8 @@ def cmd_quotient(args) -> int:
     for key in ("carrier", "leq", "phi"):
         if key not in doc:
             raise InputError(f"--system:{key}", "missing field")
+    if not isinstance(doc["carrier"], list):
+        raise InputError("--system:carrier", "expected a JSON list")
     try:
         frozenset(doc["carrier"])  # labels key the lattice tables
     except TypeError as exc:

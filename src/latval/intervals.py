@@ -15,6 +15,13 @@ the Boolean operation is applied to both values, ``_canonical_breaks`` drops
 the breakpoints where nothing changes, and what is left reassembles into
 canonical pieces.  ``stepfn`` and ``fubini`` use the same two functions for
 step functions and for the lines of 2-D grids.
+
+The sweep sorts its events by the integer key ``floor(2**64 * x)``, which is
+exact and monotone in ``x`` and about 64 bits past ``x``'s integer part
+however large the endpoint's numerator and denominator are.  Distinct keys
+order events with no ``Fraction`` call; equal keys fall through to ``x``
+itself, compared exactly, and then to the operand index.  The builders trust
+the sweep: pieces and sets made from its output skip ``__post_init__``.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .oag import rat
@@ -121,6 +127,14 @@ def interval(lo, hi, lo_closed: bool = True, hi_closed: bool = True) -> Interval
     return IntervalSet((Piece(lo, lo_closed, hi, hi_closed),))
 
 
+def _trusted(cls, **fields):
+    """``cls(**fields)`` without ``__post_init__``, for fields already checked
+    or built sorted and disjoint by the sweep."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def singleton(x) -> IntervalSet:
     x = rat(x)
     return IntervalSet((Piece(x, True, x, True),))
@@ -136,20 +150,21 @@ def _sweep(operands: Sequence[Sequence[tuple]], zero) -> Iterator[tuple]:
     right of it.  Both lists are reused: read them before advancing.
     """
     events = sorted(
-        ((b[0], i, b[1], b[2]) for i, op in enumerate(operands) for b in op),
-        key=itemgetter(0),
+        ((b[0].numerator << 64) // b[0].denominator, b[0], i, b[1], b[2])
+        for i, op in enumerate(operands)
+        for b in op
     )
     at = [zero] * len(operands)
     after = [zero] * len(operands)
     touched: list[int] = []
-    x = None
-    for ex, i, v_at, v_after in events:
-        if touched and ex != x:
+    k = x = None
+    for ek, ex, i, v_at, v_after in events:
+        if touched and (ek != k or (ex is not x and ex != x)):
             yield x, at, after
             for j in touched:
                 at[j] = after[j]
             touched.clear()
-        x = ex
+        k, x = ek, ex
         at[i] = v_at
         after[i] = v_after
         touched.append(i)
@@ -196,14 +211,14 @@ def _from_breaks(breaks: Iterable[tuple]) -> IntervalSet:
     inside = False
     for x, at, after in _canonical_breaks(breaks, False):
         if inside:  # a piece runs up to x; at and after are not both in
-            pieces.append(Piece(lo, lo_closed, x, at))
+            pieces.append(_trusted(Piece, lo=lo, lo_closed=lo_closed, hi=x, hi_closed=at))
             lo, lo_closed = x, False
         elif after:
             lo, lo_closed = x, at
         else:  # kept, out on both sides: an isolated point
-            pieces.append(Piece(x, True, x, True))
+            pieces.append(_trusted(Piece, lo=x, lo_closed=True, hi=x, hi_closed=True))
         inside = after
-    return IntervalSet(tuple(pieces))
+    return _trusted(IntervalSet, pieces=tuple(pieces))
 
 
 def _combine(a: IntervalSet, b: IntervalSet, keep) -> IntervalSet:
@@ -233,8 +248,8 @@ def iset_make(raw: Iterable) -> IntervalSet:
     """Union of interval descriptors, in canonical form.
 
     Descriptors are ``(lo, hi)``, ``(lo, hi, lo_closed, hi_closed)``, dicts
-    with those keys, or ``IntervalSet``/``Piece`` values.  Overlapping and
-    adjacent pieces are merged.
+    with those keys (their flags must be booleans), or ``IntervalSet``/``Piece``
+    values.  Overlapping and adjacent pieces are merged.
     """
     parts = []
     for d in raw:
@@ -243,12 +258,10 @@ def iset_make(raw: Iterable) -> IntervalSet:
         elif isinstance(d, Piece):
             part = IntervalSet((d,))
         elif isinstance(d, dict):
-            part = interval(
-                rat(d["lo"]),
-                rat(d["hi"]),
-                bool(d.get("lo_closed", True)),
-                bool(d.get("hi_closed", True)),
-            )
+            flags = d.get("lo_closed", True), d.get("hi_closed", True)
+            if not all(isinstance(f, bool) for f in flags):
+                raise ValueError(f"lo_closed and hi_closed must be booleans: {d!r}")
+            part = interval(rat(d["lo"]), rat(d["hi"]), *flags)
         else:
             seq = tuple(d)
             if len(seq) == 2:

@@ -28,6 +28,8 @@ def rat(value) -> Fraction:
     """Parse ``p/q`` strings, ints, or pass Fractions through."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):  # an int subclass, but never a number here
+        raise ShapeError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):

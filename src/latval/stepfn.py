@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .intervals import _breaks as _set_breaks
-from .intervals import _canonical_breaks, _sweep, iset_make
+from .intervals import _canonical_breaks, _sweep, _trusted, iset_make
 from .oag import rat
 
 ZERO = Fraction(0)
@@ -97,11 +97,13 @@ def _breaks(f: StepFn) -> list[tuple[Fraction, Fraction, Fraction]]:
 def _canonical(
     bps: Sequence[Fraction], ovals: Sequence[Fraction], pvals: Sequence[Fraction]
 ) -> StepFn:
+    """The canonical ``StepFn``, unchecked: ``bps`` must already be strictly
+    increasing, with one fewer open value than point values."""
     kept = _canonical_breaks(zip(bps, pvals, [*ovals, ZERO]), ZERO)
     if not kept:
         return ZERO_FN
     bps, pvals, ovals = zip(*kept)
-    return StepFn(bps, ovals[:-1], pvals)
+    return _trusted(StepFn, breakpoints=bps, open_values=ovals[:-1], point_values=pvals)
 
 
 def step_from_values(

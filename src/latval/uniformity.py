@@ -100,6 +100,14 @@ def uniformity_check(
         k = rng.choice([0, 1, 2])
         return Fraction(1, 2 ** (i + k))
 
+    def composes(i: int, h: int, s, step1, step2) -> tuple[bool, str | None]:
+        """Whether two half-index steps from ``s`` compose to an index-i step
+        (vacuously when they are not both half-index steps), and a witness."""
+        mid, far = g.add(s, step1), g.add(s, g.add(step1, step2))
+        if not (u.holds(h, s, mid) and u.holds(h, mid, far)):
+            return True, None
+        return u.holds(i, s, far), f"i={i} half={h} r={g.fmt(s)} s={g.fmt(mid)} t={g.fmt(far)}"
+
     for _ in range(samples):
         s = sample_elem()
         i = rng.randint(1, depth)
@@ -124,16 +132,12 @@ def uniformity_check(
             report.record("(ii) meet index implies both", True, wit)
 
         h = u.half_index(i)
-        step1, step2 = dyadic_increment(h), dyadic_increment(h)
-        mid, far = g.add(s, step1), g.add(s, g.add(step1, step2))
-        if u.holds(h, s, mid) and u.holds(h, mid, far):
-            report.record(
-                "(iii) halving composes",
-                u.holds(i, s, far),
-                f"i={i} half={h} r={g.fmt(s)} s={g.fmt(mid)} t={g.fmt(far)}",
-            )
-        else:
-            report.record("(iii) halving composes", True, wit)
+        edge = Fraction(1, 2**h)  # the largest step the half index tolerates
+        edge_ok, edge_wit = composes(i, h, s, edge, edge)
+        ok, sampled_wit = composes(i, h, s, dyadic_increment(h), dyadic_increment(h))
+        report.record(
+            "(iii) halving composes", edge_ok and ok, (sampled_wit if edge_ok else edge_wit) or wit
+        )
 
         lo, hi = (s, t) if g.leq(s, t) else (t, s)
         if isinstance(lo, Fraction) and isinstance(hi, Fraction):

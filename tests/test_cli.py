@@ -195,6 +195,15 @@ def test_check_suite_negative_control(files, tmp_path):
     assert doc["report"]["(iii) halving composes"]["counterexample"]
 
 
+def test_negative_broken_half_fails_on_every_sample(tmp_path):
+    # each sample also checks composition at the boundary step of the half index
+    for seed in range(60):
+        argv = ["check", "--suite", "negative-broken-half", "--samples", "1", "--seed", str(seed)]
+        code, text = run_cli(argv, tmp_path)
+        assert code == 1, seed
+        assert json.loads(text)["report"]["(iii) halving composes"]["fail"] == 1, seed
+
+
 @pytest.mark.parametrize("suite", sorted(_SUITES))
 def test_every_suite_runs(suite, tmp_path):
     code, text = run_cli(["check", "--suite", suite, "--samples", "5"], tmp_path)
@@ -305,6 +314,12 @@ BAD_DOCS = {
     "object-base-terms": [
         {"coefficient": "1", "base_x": {"01": True}, "base_y": [{"lo": "0", "hi": "1"}]}
     ],
+    # JSON booleans are not numbers, and a piece's flags are not strings or numbers
+    "bool-endpoint-set": [{"lo": True, "hi": 2}],
+    "string-flag-set": [{"lo": "0", "hi": "1", "lo_closed": "false", "hi_closed": 0}],
+    "bool-phi": {"carrier": ["a"], "leq": [], "phi": {"a": False}},
+    # iterated as its characters, this string would read as the carrier {a, b}
+    "string-carrier": {"carrier": "ab", "leq": [["a", "b"]], "phi": {"a": "0", "b": "1"}},
 }
 
 
@@ -343,6 +358,10 @@ BAD_DOCS = {
         (["distance", "--kind", "interval", "--a", "empty-object", "--b", "unit-set"], "--a"),
         (["fubini-check", "--terms", "empty-object"], "--terms"),
         (["fubini-check", "--terms", "object-base-terms"], "--terms"),
+        (["measure", "--set", "bool-endpoint-set"], "--set"),
+        (["measure", "--set", "string-flag-set"], "--set"),
+        (["quotient", "--system", "bool-phi"], "--system:phi:a"),
+        (["quotient", "--system", "string-carrier"], "--system:carrier"),
     ],
 )
 def test_bad_document_is_input_error(argv, pointer, tmp_path, capsys):

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from latval.intervals import (
     EMPTY,
     IntervalSet,
+    Piece,
+    _sweep,
     interval,
     iset_diff,
     iset_join,
@@ -237,3 +239,73 @@ def test_sweep_on_thousand_bit_endpoints():
         for kind in OPS:
             assert_atoms_match(kind, a, b)
         assert measure(iset_meet(a, b)) + measure(iset_join(a, b)) == measure(a) + measure(b)
+
+
+def reference_sweep(operands, zero):
+    """``_sweep``'s stream from a plain merge: the distinct ``x`` sorted as
+    ``Fraction``s, and each operand's value at and right of each one read
+    straight from its own breakpoint list."""
+    out = []
+    for x in sorted({b[0] for op in operands for b in op}):
+        at, after = [], []
+        for op in operands:
+            here = [b for b in op if b[0] == x]
+            left = [b for b in op if b[0] < x]
+            carry = left[-1][2] if left else zero
+            at.append(here[0][1] if here else carry)
+            after.append(here[0][2] if here else carry)
+        out.append((x, at, after))
+    return out
+
+
+# Endpoints that share a 64-bit sort key: each center, alone and shifted by
+# less than 2^-64, negatives, and a center whose denominator has 1,100 bits.
+SWEEP_CENTERS = [Fraction(0), Fraction(-5, 3), Fraction(7, 2), Fraction(3**700 + 1, 2**1100 + 7)]
+SWEEP_CENTERS += [-c for c in SWEEP_CENTERS[1:]]
+
+
+@st.composite
+def sweep_operands(draw):
+    near = st.integers(0, 3).map(lambda k: Fraction(1, 2**70 + k))
+    offsets = st.one_of(st.just(Fraction(0)), near, near.map(lambda e: -e), st.just(Fraction(1, 2**64)))
+    points = st.builds(lambda c, e: c + e, st.sampled_from(SWEEP_CENTERS), offsets)
+    operands = []
+    for xs in draw(st.lists(st.lists(points, max_size=6), min_size=1, max_size=4)):
+        # equal endpoints of different operands are distinct Fraction objects
+        operands.append([
+            (Fraction(2 * x.numerator, 2 * x.denominator), draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+            for x in sorted(set(xs))
+        ])
+    return operands
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_operands())
+def test_sweep_matches_plain_fraction_merge(operands):
+    got = [(x, list(at), list(after)) for x, at, after in _sweep(operands, 0)]
+    assert got == reference_sweep(operands, 0)
+
+
+def assert_rebuilds_checked(s: IntervalSet) -> None:
+    """The unchecked builders' output passes the checked constructors and is
+    canonical: rebuilding it, checked or through ``iset_make``, is a no-op."""
+    pieces = tuple(Piece(p.lo, p.lo_closed, p.hi, p.hi_closed) for p in s.pieces)
+    assert IntervalSet(pieces) == s
+    assert iset_make(pieces) == s
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_sets(), interval_sets())
+def test_builder_output_passes_checked_constructors(a, b):
+    for s in (a, b, *(f(a, b) for f in FUNCTIONS.values())):
+        assert_rebuilds_checked(s)
+
+
+def test_dict_descriptor_flags_must_be_booleans():
+    with pytest.raises(ValueError, match="booleans"):
+        iset_make([{"lo": 0, "hi": 1, "lo_closed": "false"}])
+    with pytest.raises(ValueError, match="booleans"):
+        iset_make([{"lo": 0, "hi": 1, "hi_closed": 0}])
+    assert iset_make([{"lo": 0, "hi": 1, "lo_closed": False}]) == interval(0, 1, False, True)
+    # tuple descriptors from library callers keep their coercion
+    assert iset_make([(0, 1, 0, 1)]) == interval(0, 1, False, True)

@@ -289,3 +289,28 @@ def test_integral_matches_fraction_loop():
     assert max(f.breakpoints[-1].denominator.bit_length() for f in fns if f.breakpoints) > 990
     for f in fns:
         assert integral(f) == reference_integral(f)
+
+
+@st.composite
+def disjoint_parts(draw):
+    """``step_make`` input with no conflicting assignment: pieces over
+    disjoint intervals, each with its own boundary kinds and value."""
+    xs = sorted(draw(st.sets(rationals, max_size=8)))
+    return [
+        ((lo, hi, draw(st.booleans()), draw(st.booleans())), draw(st.integers(-3, 3)))
+        for lo, hi in zip(xs[::2], xs[1::2])
+    ]
+
+
+def assert_rebuilds_checked(f: StepFn) -> None:
+    """The unchecked builder's output passes the checked constructor and is
+    canonical: rebuilding it, checked or through ``step_from_values``, is a no-op."""
+    assert StepFn(f.breakpoints, f.open_values, f.point_values) == f
+    assert step_from_values(f.breakpoints, f.open_values, f.point_values) == f
+
+
+@settings(max_examples=200, deadline=None)
+@given(step_fns(), step_fns(), disjoint_parts())
+def test_builder_output_passes_checked_constructor(f, g, parts):
+    for h in (f, g, step_abs(f), step_make(parts), *(op(f, g) for op in FUNCTIONS.values())):
+        assert_rebuilds_checked(h)
