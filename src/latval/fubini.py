@@ -13,31 +13,43 @@ a grid line where its values equal the cells on both sides; seen along one
 axis, a column is a breakpoint whose values are vectors, so the 1-D
 canonicaliser removes all redundant columns in one pass, and then all rows.
 
-Sums accumulate in integers: term coefficients, the coordinates of an axis,
-and the values along one strip or grid line become numerators over their
-least common denominator, so an atom's coefficient sum, or a sum of value
-times width, is an integer sum (zero values skipped) that builds one
-``Fraction``.  A grid is checked once, when ``StepFn2D`` is built (matrix
-shapes, strictly increasing coordinates); its sections and partial integrals
-go straight to the 1-D canonicaliser, not parsed or checked again.
+Values are compared and summed as integers.  Every grid also holds its four
+value matrices as integer numerators over one denominator: ``step2d_make``
+sums the terms' coefficients over their least common denominator and makes
+a ``Fraction`` only for the values of the minimal grid, and a grid built from
+``Fraction`` matrices computes its numerators on first use.  The
+canonicaliser compares tuples of integers; sections and partial integrals
+(integer dot products) build a ``Fraction`` only for the breakpoints they
+keep.  A grid is checked once, when ``StepFn2D`` is built (matrix shapes,
+strictly increasing coordinates); what is made from it is not checked again.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
+from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import count
+from operator import mul
 from typing import Iterable, Sequence
 
 from .instances import mu_S
-from .intervals import IntervalSet, _breaks, _canonical_breaks, _sweep, iset_from_json, iset_make
+from .intervals import (
+    IntervalSet, _breaks, _canonical_breaks, _sweep, _trusted, iset_from_json, iset_make
+)
 from .oag import rat
 from .report import CheckReport
-from .stepfn import StepFn, ZERO_FN, _canonical, _dot, _over_lcm, _widths
+from .stepfn import StepFn, ZERO_FN, _over_lcm, _widths
 from .instances import phi_S
 
 ZERO = Fraction(0)
+
+Matrix = tuple[tuple, ...]
 
 
 def mu_XY(a: IntervalSet, b: IntervalSet) -> Fraction:
@@ -73,6 +85,25 @@ def _axis_atoms(sets: Iterable[IntervalSet]) -> tuple[list[Fraction], list[int],
     return grid, at_masks, gap_masks
 
 
+class _Memo(dict):
+    """``fn`` with its results kept: a missing key is computed once."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        self[key] = value = self.fn(key)
+        return value
+
+
+# A grid's value matrices as integer numerators over ``den > 0``.
+_Ints = namedtuple("_Ints", "den cells vlines hlines points")
+
+
+def _values(f: StepFn2D) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+    return f.cells, f.vlines, f.hlines, f.points
+
+
 @dataclass(frozen=True)
 class StepFn2D:
     """Grid-canonical 2-D step function.
@@ -81,6 +112,8 @@ class StepFn2D:
     the open cell, ``vlines[i][j]`` on {xs[i]} x (ys[j], ys[j+1]),
     ``hlines[i][j]`` on (xs[i], xs[i+1]) x {ys[j]}, ``points[i][j]`` at the
     grid point.  Zero outside the bounding box; the grid is minimal.
+    ``_ints`` holds the same values as integers over one denominator; it is
+    not a field, so it takes no part in ``==`` or ``hash``.
     """
 
     xs: tuple[Fraction, ...]
@@ -104,13 +137,23 @@ class StepFn2D:
         if any(a >= b for c in (self.xs, self.ys) for a, b in zip(c, c[1:])):
             raise ValueError("grid coordinates must be strictly increasing")
 
+    @cached_property
+    def _ints(self) -> _Ints:
+        """The values over their least common denominator, computed on first
+        use; the builders below set it from the grid they start from."""
+        mats = _values(self)
+        den = math.lcm(*{v.denominator for m in mats for row in m for v in row})
+        num = _Memo(lambda v: v[0] * (den // v[1])).__getitem__  # Fraction hashes are slow
+        return _Ints(den, *(
+            tuple(tuple(num((v.numerator, v.denominator)) for v in row) for row in m)
+            for m in mats
+        ))
+
     def __call__(self, x, y) -> Fraction:
         x, y = rat(x), rat(y)
         xs, ys = self.xs, self.ys
         if not xs or x < xs[0] or x > xs[-1] or y < ys[0] or y > ys[-1]:
             return ZERO
-        from bisect import bisect_right
-
         i = bisect_right(xs, x) - 1
         j = bisect_right(ys, y) - 1
         on_x = xs[i] == x
@@ -130,43 +173,87 @@ class StepFn2D:
 ZERO_2D = StepFn2D((), (), (), (), (), ())
 
 
-def _drop_columns(f: StepFn2D) -> StepFn2D:
-    """Remove every grid column whose vertical line equals the cells, and
-    whose points equal the horizontal lines, on both sides.  Along x a column
+def _grid(xs: tuple, ys: tuple, values: Sequence[Matrix], ints: _Ints) -> StepFn2D:
+    """A ``StepFn2D`` made from a checked grid, not checked again."""
+    cells, vlines, hlines, points = values
+    fields = dict(cells=cells, vlines=vlines, hlines=hlines, points=points, _ints=ints)
+    return _trusted(StepFn2D, xs=xs, ys=ys, **fields)
+
+
+def _pick(seq: Sequence, indices: Iterable[int]) -> tuple:
+    """``seq`` at ``indices``.  The tuple is made from a list: one made from
+    an iterator of unknown length is resized as it fills, and small ones made
+    so pile up in the interpreter's free lists once freed, a few MB of peak
+    memory over many calls."""
+    return tuple([seq[i] for i in indices])
+
+
+def _kept(at: Iterable, right: Iterable, zero) -> list[int]:
+    """The indices of the breakpoints ``_canonical_breaks`` keeps, from the
+    values at each and right of each but the last (``zero`` follows it)."""
+    return [k for k, _, _ in _canonical_breaks(zip(count(), at, [*right, zero]), zero)]
+
+
+def _kept_columns(ints: Sequence[Matrix], ny: int) -> list[int]:
+    """The indices of the columns that are not redundant.  Along x a column
     is a breakpoint with vector values: its line and points at x, its cells
     and horizontal lines right of x."""
-    if not (f.xs and f.ys):
-        return ZERO_2D
-    zero = ((ZERO,) * (len(f.ys) - 1), (ZERO,) * len(f.ys))
-    right = [*zip(f.cells, f.hlines), zero]
-    kept = _canonical_breaks(zip(f.xs, zip(f.vlines, f.points), right), zero)
+    cells, vlines, hlines, points = ints
+    return _kept(zip(vlines, points), zip(cells, hlines), ((0,) * (ny - 1), (0,) * ny))
+
+
+def _columns(mats: Sequence[Matrix], kept: list[int]) -> tuple[Matrix, ...]:
+    """The four matrices on the ``kept`` columns.  A dropped column repeats
+    the cells left of it, so a kept column's cells and horizontal lines reach
+    to the next kept column, and none follow the last."""
+    cells, vlines, hlines, points = mats
+    cut = kept[:-1]
+    return _pick(cells, cut), _pick(vlines, kept), _pick(hlines, cut), _pick(points, kept)
+
+
+def _transposed(mats: Sequence[Matrix], ny: int) -> tuple[Matrix, ...]:
+    """The four matrices of the transposed grid, for a grid of ``ny`` rows."""
+    cells, vlines, hlines, points = mats
+
+    def t(mat, cols):  # a matrix with no rows transposes to ``cols`` empty rows
+        return tuple(zip(*mat)) or ((),) * cols
+
+    return t(cells, ny - 1), t(hlines, ny), t(vlines, ny - 1), t(points, ny)
+
+
+def _drop_columns(f: StepFn2D) -> StepFn2D:
+    """Remove every grid column whose vertical line equals the cells, and
+    whose points equal the horizontal lines, on both sides."""
+    ints = f._ints
+    kept = _kept_columns(ints[1:], len(f.ys)) if f.xs and f.ys else []
     if not kept:
         return ZERO_2D
-    xs, at, right = zip(*kept)
-    vlines, points = zip(*at)
-    cells, hlines = zip(*right[:-1]) if len(right) > 1 else ((), ())
-    return StepFn2D(xs, f.ys, cells, vlines, hlines, points)
+    xs = _pick(f.xs, kept)
+    return _grid(xs, f.ys, _columns(_values(f), kept), _Ints(ints.den, *_columns(ints[1:], kept)))
+
+
+def _minimal(xs: tuple, ys: tuple, mats: list) -> tuple | None:
+    """The minimal grid: redundant columns go, then redundant rows (the
+    columns of the transpose).  ``mats[0]`` holds the integer values that
+    decide, and every matrix set in ``mats`` loses the same lines.  Dropping
+    a line leaves every other line's test as it was, so neither pass needs to
+    look again.  ``(xs, ys, mats)``, or ``None`` when nothing is left."""
+    for _ in "xy":
+        kept = _kept_columns(mats[0], len(ys)) if xs and ys else []
+        if not kept:
+            return None
+        mats = [_transposed(_columns(m, kept), len(ys)) for m in mats]
+        xs, ys = ys, _pick(xs, kept)
+    return xs, ys, mats
 
 
 def _canonical_2d(f: StepFn2D) -> StepFn2D:
-    """The minimal grid: redundant columns go, then redundant rows (the
-    columns of the transpose).  Dropping a line leaves every other line's
-    test as it was, so neither pass needs to look again."""
-    return transpose(_drop_columns(transpose(_drop_columns(f))))
-
-
-class _MaskSums(dict):
-    """Atom mask -> sum of the coefficients of the terms in the mask, summed
-    as integer numerators over the coefficients' least common denominator."""
-
-    def __init__(self, coefficients: Sequence[Fraction]):
-        self.nums, self.den = _over_lcm(coefficients)
-
-    def __missing__(self, mask: int) -> Fraction:
-        self[mask] = value = Fraction(
-            sum(n for k, n in enumerate(self.nums) if mask >> k & 1), self.den
-        )
-        return value
+    """The minimal grid of ``f``, decided on its integer view."""
+    minimal = _minimal(f.xs, f.ys, [f._ints[1:], _values(f)])
+    if minimal is None:
+        return ZERO_2D
+    xs, ys, (ints, values) = minimal
+    return _grid(xs, ys, values, _Ints(f._ints.den, *ints))
 
 
 def step2d_make(terms: Iterable[RectTerm]) -> StepFn2D:
@@ -179,16 +266,59 @@ def step2d_make(terms: Iterable[RectTerm]) -> StepFn2D:
     terms = list(terms)
     xs, x_at, x_gap = _axis_atoms(t.base_x for t in terms)
     ys, y_at, y_gap = _axis_atoms(t.base_y for t in terms)
-    value = _MaskSums([t.coefficient for t in terms]).__getitem__
+    nums, den = _over_lcm([t.coefficient for t in terms])
+
+    def mask_sum(mask: int) -> int:
+        total = 0
+        while mask:
+            low = mask & -mask
+            total += nums[low.bit_length() - 1]
+            mask ^= low
+        return total
+
+    value = _Memo(mask_sum).__getitem__
 
     def grid(x_masks, y_masks):
         return tuple(tuple(map(value, map(mx.__and__, y_masks))) for mx in x_masks)
 
     x_gap, y_gap = x_gap[:-1], y_gap[:-1]  # nothing is right of the last line
-    return _canonical_2d(StepFn2D(
-        tuple(xs), tuple(ys),
-        grid(x_gap, y_gap), grid(x_at, y_gap), grid(x_gap, y_at), grid(x_at, y_at),
-    ))
+    ints = grid(x_gap, y_gap), grid(x_at, y_gap), grid(x_gap, y_at), grid(x_at, y_at)
+    minimal = _minimal(tuple(xs), tuple(ys), [ints])
+    if minimal is None:
+        return ZERO_2D
+    xs, ys, (ints,) = minimal
+    frac = _Memo(lambda n: Fraction(n, den)).__getitem__
+    values = [tuple([tuple([frac(n) for n in row]) for row in m]) for m in ints]  # see _pick
+    return _grid(xs, ys, values, _Ints(den, *ints))
+
+
+def _section(bps: Sequence[Fraction], kept: list[int], open_value, point_value) -> StepFn:
+    """The unchecked step function on ``bps[k]`` for ``k`` in ``kept``, with
+    ``point_value(k)`` at and ``open_value(k)`` right of each but the last."""
+    if not kept:
+        return ZERO_FN
+    return _trusted(
+        StepFn,
+        breakpoints=_pick(bps, kept),  # tuples from lists, as in _pick
+        open_values=tuple([open_value(k) for k in kept[:-1]]),
+        point_values=tuple([point_value(k) for k in kept]),
+    )
+
+
+def _integrate_across(
+    across: Sequence[Fraction], along: tuple, strips: Iterable, lines: Iterable, den: int
+) -> StepFn:
+    """The step function on ``along`` whose value on each open strip and at
+    each line is the integral across ``across`` of its integer values over
+    ``den``: integer dot products with the widths, and a ``Fraction`` for each
+    breakpoint kept."""
+    if len(across) < 2:  # no measure anywhere
+        return ZERO_FN
+    widths, wd = _widths(across)
+    ovals = [sum(map(mul, strip, widths)) for strip in strips]
+    pvals = [sum(map(mul, line, widths)) for line in lines]
+    d, kept = den * wd, _kept(pvals, ovals, 0)
+    return _section(along, kept, lambda k: Fraction(ovals[k], d), lambda k: Fraction(pvals[k], d))
 
 
 def partial_integrate(f: StepFn2D) -> StepFn:
@@ -198,12 +328,8 @@ def partial_integrate(f: StepFn2D) -> StepFn:
     values; on each grid line it has the horizontal-line values.  Point and
     vertical-line values carry no x-measure and drop out.
     """
-    if len(f.xs) < 2:  # no x-measure anywhere
-        return ZERO_FN
-    widths, xd = _widths(f.xs)
-    ovals = [_dot(strip, widths, xd) for strip in zip(*f.cells)]
-    pvals = [_dot(line, widths, xd) for line in zip(*f.hlines)]
-    return _canonical(f.ys, ovals, pvals)
+    ints = f._ints
+    return _integrate_across(f.xs, f.ys, zip(*ints.cells), zip(*ints.hlines), ints.den)
 
 
 def slice_at(f: StepFn2D, y) -> StepFn:
@@ -211,18 +337,21 @@ def slice_at(f: StepFn2D, y) -> StepFn:
     y = rat(y)
     if f.is_zero() or y < f.ys[0] or y > f.ys[-1]:
         return ZERO_FN
-    from bisect import bisect_right
-
     j = bisect_right(f.ys, y) - 1
-    opens, at = (f.hlines, f.points) if f.ys[j] == y else (f.cells, f.vlines)
-    return _canonical(f.xs, [row[j] for row in opens], [row[j] for row in at])
+    on_line, ints = f.ys[j] == y, f._ints
+    opens, at = (f.hlines, f.points) if on_line else (f.cells, f.vlines)
+    int_opens, int_at = (ints.hlines, ints.points) if on_line else (ints.cells, ints.vlines)
+    kept = _kept([row[j] for row in int_at], [row[j] for row in int_opens], 0)
+    return _section(f.xs, kept, lambda k: opens[k][j], lambda k: at[k][j])
 
 
 def double_integral(f: StepFn2D) -> Fraction:
     """Direct cell sum: coefficient times area, lines and points ignored."""
     widths, xd = _widths(f.xs)
     heights, yd = _widths(f.ys)
-    return _dot([_dot(strip, heights, yd) for strip in f.cells], widths, xd)
+    ints = f._ints
+    total = sum(w * sum(map(mul, row, heights)) for w, row in zip(widths, ints.cells))
+    return Fraction(total, ints.den * xd * yd)
 
 
 def sample_ys(f: StepFn2D, rng: random.Random, count: int) -> list[Fraction]:
@@ -264,31 +393,29 @@ def fubini_check(f: StepFn2D, sampled_y: Iterable | None = None) -> FubiniReport
     """
     fx = partial_integrate(f)
     lhs, rhs = phi_S(fx), double_integral(f)
-    lhs_y = phi_S(partial_integrate(transpose(f)))
+    ints = f._ints  # partial_integrate(transpose(f)), without the transposed matrices
+    lhs_y = phi_S(_integrate_across(f.ys, f.xs, ints.cells, ints.vlines, ints.den))
     report = FubiniReport(lhs=lhs, rhs=rhs, lhs_y_first=lhs_y)
-    report.record("phi_Y o F_X = mu_XY", lhs == rhs, f"lhs={lhs} rhs={rhs}")
-    report.record("y-first order agrees", lhs_y == rhs, f"lhs={lhs_y} rhs={rhs}")
+    # A witness is formatted only for a failure: str() of a passing integral
+    # may be past the interpreter's limit on integer digits.
+    for name, left in (("phi_Y o F_X = mu_XY", lhs), ("y-first order agrees", lhs_y)):
+        report.record(name, left == rhs, "" if left == rhs else f"lhs={left} rhs={rhs}")
 
     for y in sampled_y or ():
         y = rat(y)
         at, along = fx(y), phi_S(slice_at(f, y))
         report.slices.append((y, at, along))
-        report.record(
-            "F_X(f)(y) = phi_X(slice)", at == along, f"y={y} fx={at} slice-integral={along}"
-        )
+        witness = "" if at == along else f"y={y} fx={at} slice-integral={along}"
+        report.record("F_X(f)(y) = phi_X(slice)", at == along, witness)
     return report
 
 
 def transpose(f: StepFn2D) -> StepFn2D:
     if f.is_zero():
         return ZERO_2D
-    ny = len(f.ys)
-
-    def t(mat, cols):  # a matrix with no rows transposes to ``cols`` empty rows
-        return tuple(zip(*mat)) or ((),) * cols
-
-    return StepFn2D(
-        f.ys, f.xs, t(f.cells, ny - 1), t(f.hlines, ny), t(f.vlines, ny - 1), t(f.points, ny)
+    ny, ints = len(f.ys), f._ints
+    return _grid(
+        f.ys, f.xs, _transposed(_values(f), ny), _Ints(ints.den, *_transposed(ints[1:], ny))
     )
 
 

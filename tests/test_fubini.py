@@ -1,11 +1,14 @@
 import random
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
 
+from latval import fubini
 from latval.fubini import (
     _axis_atoms,
+    _canonical_2d,
     _drop_columns,
     ZERO_2D,
     RectTerm,
@@ -657,3 +660,87 @@ def test_transpose_matches_index_loop_on_thin_grids():
         t = transpose(f)
         assert t == reference_transpose(f)
         assert transpose(t) == f
+
+
+# The integer view: every grid also holds its values as integer numerators
+# over one denominator, and the kernels compute on those.
+
+
+def assert_integer_view(f: StepFn2D) -> None:
+    ints = f._ints
+    assert type(ints.den) is int and ints.den > 0
+    for name in ("cells", "vlines", "hlines", "points"):
+        values, nums = getattr(f, name), getattr(ints, name)
+        assert len(nums) == len(values), name
+        for value_row, num_row in zip(values, nums):
+            assert len(num_row) == len(value_row), name
+            for n, v in zip(num_row, value_row):
+                assert type(n) is int and Fraction(n, ints.den) == v, name
+
+
+def test_integer_view_holds_the_values():
+    rng = random.Random(12)
+    big = Fraction(3**630 + 1, 2**999 + 7)  # 1,000-bit numerator and denominator
+    one_line = StepFn2D(  # one grid line along y: no cells, no vertical lines
+        (Fraction(0), Fraction(1)), (Fraction(5, 7),),
+        ((),), ((), ()), ((big,),), ((-big,), (big / 3,)),
+    )
+    column = step2d_make([rect_term(big, [(2, 2)], [(0, 1)])])
+    grids = [ZERO_2D, one_line, transpose(one_line), column, transpose(column)]
+    for k in range(90):
+        f = step2d_make(random_terms(rng, (3, 64, 1000)[k % 3], rng.randint(1, 8)))
+        grids += [f, transpose(f)]
+    for k in range(60):
+        raw = random_raw_grid(rng, (4, 64, 1000)[k % 3], (3, 64)[k % 2])
+        grids += [raw, transpose(raw), _drop_columns(raw), _canonical_2d(raw)]
+    assert len(column.xs) == 1 and sum(len(f.ys) == 1 for f in grids) >= 10
+    assert max(abs(v.numerator).bit_length() for f in grids for r in f.cells for v in r) > 990
+    for f in grids:
+        assert_integer_view(f)
+
+
+def test_grids_over_different_denominators_are_equal():
+    thirds = [
+        rect_term(Fraction(1, 3), [(0, 1)], [(0, 2)]),
+        rect_term(Fraction(2, 3), [(0, 1)], [(0, 2)]),
+        rect_term(Fraction(5, 6), [(1, 3)], [(1, 2, False, True)]),
+        rect_term(Fraction(1, 6), [(1, 3)], [(1, 2, False, True)]),
+    ]
+    f, g = step2d_make(thirds), reference_step2d_make(thirds)
+    assert (f._ints.den, g._ints.den) == (6, 1)
+    assert f == g and hash(f) == hash(g) and {f: 1}[g] == 1
+    rng = random.Random(13)
+    for k in range(30):
+        terms = random_terms(rng, (3, 64, 1000)[k % 3], rng.randint(1, 6))
+        f, g = step2d_make(terms), reference_step2d_make(terms)
+        assert f == g and hash(f) == hash(g)
+        assert transpose(f) == transpose(g) and hash(transpose(f)) == hash(transpose(g))
+
+
+def test_fubini_check_passes_past_the_integer_digit_limit():
+    # the passing integrals have 4,401 digits, past the interpreter's default
+    # limit of 4,300 for converting an int to a string
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        f = step2d_make([rect_term(Fraction(10**4400 + 1, 3), [(0, 1)], [(0, 2)])])
+        report = fubini_check(f, [1])
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert report.ok
+    assert report.lhs == report.rhs == report.lhs_y_first == Fraction(2 * (10**4400 + 1), 3)
+    assert report.slices == [(1, Fraction(10**4400 + 1, 3), Fraction(10**4400 + 1, 3))]
+
+
+def test_fubini_check_witnesses_of_failures(monkeypatch):
+    f = step2d_make([rect_term(2, [(0, 3)], [(1, 2)])])
+    monkeypatch.setattr(fubini, "double_integral", lambda f: Fraction(7))
+    monkeypatch.setattr(fubini, "slice_at", lambda f, y: ZERO_FN)
+    report = fubini_check(f, sampled_y=[Fraction(3, 2), 5])
+    assert report.to_dict() == {
+        "phi_Y o F_X = mu_XY": {"pass": 0, "fail": 1, "counterexample": "lhs=6 rhs=7"},
+        "y-first order agrees": {"pass": 0, "fail": 1, "counterexample": "lhs=6 rhs=7"},
+        "F_X(f)(y) = phi_X(slice)": {
+            "pass": 1, "fail": 1, "counterexample": "y=3/2 fx=6 slice-integral=0"
+        },
+    }
