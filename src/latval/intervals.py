@@ -54,9 +54,6 @@ class Piece:
             return self.hi_closed
         return self.lo < x < self.hi
 
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def __str__(self) -> str:
         if self.lo == self.hi:
             return f"{{{self.lo}}}"
@@ -124,7 +121,8 @@ def interval(lo, hi, lo_closed: bool = True, hi_closed: bool = True) -> Interval
         raise ValueError(f"interval with lo={lo} > hi={hi}")
     if lo == hi and not (lo_closed and hi_closed):
         return EMPTY
-    return IntervalSet((Piece(lo, lo_closed, hi, hi_closed),))
+    piece = _trusted(Piece, lo=lo, lo_closed=lo_closed, hi=hi, hi_closed=hi_closed)
+    return _trusted(IntervalSet, pieces=(piece,))
 
 
 def _trusted(cls, **fields):
@@ -284,7 +282,10 @@ def iset_from_json(doc: str | list) -> IntervalSet:
 
 def measure(a: IntervalSet) -> Fraction:
     """Total length: sum of hi - lo over pieces; boundary kinds are irrelevant."""
-    return sum((p.width() for p in a.pieces), Fraction(0))
+    if not a.pieces:
+        return Fraction(0)
+    first, *rest = a.pieces
+    return sum((p.hi - p.lo for p in rest), first.hi - first.lo)
 
 
 def probe_points(*sets: IntervalSet, offset: Fraction = Fraction(1, 1000)) -> list[Fraction]:

@@ -33,7 +33,13 @@ def rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        # plain ASCII ``[-]digits[/digits]`` skips Fraction's regex; ``isdigit``
+        # alone would also pass digits like '²' that ``int`` rejects
+        value = value.strip()
+        num, slash, den = value.partition("/")
+        if value.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
+            return Fraction(int(num), int(den) if slash else 1)
+        return Fraction(value)
     raise ShapeError(f"not a rational: {value!r}")
 
 

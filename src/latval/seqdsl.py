@@ -100,10 +100,12 @@ def producer_from_json(doc: str | dict):
     if isinstance(doc, str):
         doc = json.loads(doc)
     kind = doc["kind"]
-    if kind == "interval":
-        return parse_interval_template(doc["template"]), "interval"
-    if kind == "step":
-        return parse_step_template(doc["template"]), "step"
+    if kind in ("interval", "step"):
+        template = doc["template"]
+        if not isinstance(template, str):
+            raise TypeError(f"template is {type(template).__name__}, not a string")
+        parse = parse_interval_template if kind == "interval" else parse_step_template
+        return parse(template), kind
     if kind == "interval-list":
         stages = [iset_make(s) for s in doc["stages"]]
 

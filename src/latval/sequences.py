@@ -430,20 +430,18 @@ def convergence_theorem_check(
 def sqrt2_convergents(depth: int) -> tuple[list[Fraction], list[Fraction]]:
     """(q_n increasing toward sqrt(2), r_n decreasing toward sqrt(2) - 1).
 
-    Both come from the continued-fraction convergents of sqrt(2): the lower
-    ones solve p^2 - 2s^2 = -1, the upper ones p^2 - 2s^2 = +1, and
-    (p, s) -> (3p + 4s, 2p + 3s) steps within each family.
+    Both come from the continued-fraction convergents p/s of sqrt(2), which
+    (p, s) -> (p + 2s, p + s) steps through: they alternate between the lower
+    ones, solving p^2 - 2s^2 = -1, and the upper ones, solving p^2 - 2s^2 = +1.
     """
     qs: list[Fraction] = []
     rs: list[Fraction] = []
     p, s = 1, 1
     for _ in range(depth):
         qs.append(Fraction(p, s))
-        p, s = 3 * p + 4 * s, 2 * p + 3 * s
-    p, s = 3, 2
-    for _ in range(depth):
-        rs.append(Fraction(p, s) - 1)
-        p, s = 3 * p + 4 * s, 2 * p + 3 * s
+        p, s = p + 2 * s, p + s
+        rs.append(Fraction(p - s, s))
+        p, s = p + 2 * s, p + s
     return qs, rs
 
 
@@ -459,6 +457,7 @@ def sqrt2_witness(depth: int) -> list[dict]:
         raise ValueError("depth must be >= 1")
     qs, rs = sqrt2_convergents(depth)
     a_const = interval(0, rs[0])
+    mu_a = mu_S(a_const)
     trace = []
     prev_defect = None
     for n in range(depth):
@@ -473,7 +472,7 @@ def sqrt2_witness(depth: int) -> list[dict]:
                 "stage": n + 1,
                 "q": qs[n],
                 "r": rs[n],
-                "mu_A": mu_S(a_const),
+                "mu_A": mu_a,
                 "mu_B": mu_S(b),
                 "mu_union": mu_S(union),
                 "defect": defect,

@@ -320,6 +320,8 @@ BAD_DOCS = {
     "bool-phi": {"carrier": ["a"], "leq": [], "phi": {"a": False}},
     # iterated as its characters, this string would read as the carrier {a, b}
     "string-carrier": {"carrier": "ab", "leq": [["a", "b"]], "phi": {"a": "0", "b": "1"}},
+    "number-interval-template": {"kind": "interval", "template": 5},
+    "list-step-template": {"kind": "step", "template": ["(1)*1_[0, 1]"]},
 }
 
 
@@ -362,6 +364,10 @@ BAD_DOCS = {
         (["measure", "--set", "string-flag-set"], "--set"),
         (["quotient", "--system", "bool-phi"], "--system:phi:a"),
         (["quotient", "--system", "string-carrier"], "--system:carrier"),
+        (["converge-trace", "--seq", "number-interval-template"], "--seq"),
+        (["dense-approx", "--seq", "number-interval-template", "--eps-index", "2"], "--seq"),
+        (["converge-trace", "--seq", "list-step-template"], "--seq"),
+        (["dense-approx", "--seq", "list-step-template", "--eps-index", "2"], "--seq"),
     ],
 )
 def test_bad_document_is_input_error(argv, pointer, tmp_path, capsys):

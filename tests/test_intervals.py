@@ -106,6 +106,34 @@ def test_measure_examples():
     assert measure(singleton(2)) == 0
 
 
+@pytest.mark.parametrize("lo_closed", [True, False])
+@pytest.mark.parametrize("hi_closed", [True, False])
+def test_interval_equals_the_checked_piece(lo_closed, hi_closed):
+    lo, hi = Fraction(-1, 3), Fraction(5, 2)
+    got = interval(str(lo), hi, lo_closed, hi_closed)
+    want = IntervalSet((Piece(lo, lo_closed, hi, hi_closed),))
+    assert got == want and hash(got) == hash(want)
+    assert got.pieces[0].lo_closed is lo_closed and got.pieces[0].hi_closed is hi_closed
+
+
+def test_interval_still_checks_its_endpoints():
+    with pytest.raises(ValueError, match="lo=1 > hi=0"):
+        interval(1, 0)
+    for lo_closed, hi_closed in [(True, False), (False, True), (False, False)]:
+        assert interval(2, 2, lo_closed, hi_closed) is EMPTY
+    assert interval(2, 2) == singleton(2)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 40])
+def test_measure_is_the_sum_of_widths(n):
+    rng = random.Random(n)
+    xs = sorted({Fraction(rng.randrange(10**6), rng.randrange(1, 10**6)) for _ in range(2 * n)})
+    s = iset_make([(xs[i], xs[i + 1], True, False) for i in range(0, len(xs) - 1, 2)])
+    got = measure(s)
+    assert type(got) is Fraction
+    assert got == sum((p.hi - p.lo for p in s.pieces), Fraction(0))
+
+
 def test_half_open_pieces_arise_from_difference():
     # the ring closure of closed+open intervals forces half-open pieces
     out = iset_diff(interval(0, 2), interval(1, 2))

@@ -14,6 +14,7 @@ from latval.oag import (
     ShapeError,
     check_group_axioms,
     group_by_name,
+    rat,
 )
 
 
@@ -143,3 +144,26 @@ def test_lex_chain_has_no_sampled_supremum():
         smaller = LexPair(cand.first, cand.second - 1)
         assert g.leq(smaller, cand) and not g.equal(smaller, cand)
         assert all(g.leq(LexPair(Fraction(0), Fraction(k)), smaller) for k in range(1, 100))
+
+
+BIG = str(3**631)  # 1,001 bits
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3/4", " 3/4\n", "\t-5 ", "+3/4", "-0", "-5/3", "007/010", "1_000/3", "0.5", "1e3",
+        "١٢/٣", "²", "²/3", "1/-2", "1/0", "-1/0", "", " ", "/", "3/", "/3", "-", "--1", "3 / 4",
+        "3/4/5", BIG, f"-{BIG}/{BIG}7", f"{BIG}/0",
+    ],
+)
+def test_rat_parses_strings_as_fraction_does(text):
+    try:
+        want = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)) as got:
+            rat(text)
+        assert str(got.value) == str(exc)
+    else:
+        got = rat(text)
+        assert type(got) is Fraction and got == want

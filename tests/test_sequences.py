@@ -343,6 +343,21 @@ def test_sqrt2_convergent_families():
         assert (rs[i] + 1) ** 2 > 2
 
 
+def test_sqrt2_convergents_match_the_two_family_recurrence():
+    qs, rs = sqrt2_convergents(60)
+    want_qs, want_rs = [], []
+    for family, (p, s) in ((want_qs, (1, 1)), (want_rs, (3, 2))):
+        for _ in range(60):
+            family.append((p, s))
+            p, s = 3 * p + 4 * s, 2 * p + 3 * s
+    got_qs = [(q.numerator, q.denominator) for q in qs]
+    got_rs = [(r.numerator + r.denominator, r.denominator) for r in rs]  # r_n + 1
+    assert got_qs == want_qs and got_rs == want_rs
+    for pairs, sign in ((got_qs, -1), (got_rs, 1)):
+        for p, s in pairs:
+            assert p * p - 2 * s * s == sign and math.gcd(p, s) == 1
+
+
 def test_sqrt2_witness_trace():
     trace = sqrt2_witness(8)
     for row in trace:
