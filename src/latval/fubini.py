@@ -13,15 +13,11 @@ a grid line where its values equal the cells on both sides; seen along one
 axis, a column is a breakpoint whose values are vectors, so the 1-D
 canonicaliser removes all redundant columns in one pass, and then all rows.
 
-Values are compared and summed as integers.  Every grid also holds its four
-value matrices as integer numerators over one denominator: ``step2d_make``
-sums the terms' coefficients over their least common denominator and makes
-a ``Fraction`` only for the values of the minimal grid, and a grid built from
-``Fraction`` matrices computes its numerators on first use.  The
-canonicaliser compares tuples of integers; sections and partial integrals
-(integer dot products) build a ``Fraction`` only for the breakpoints they
-keep.  A grid is checked once, when ``StepFn2D`` is built (matrix shapes,
-strictly increasing coordinates); what is made from it is not checked again.
+A grid stores its values once, as integer numerators over one denominator
+whose gcd with all of them is 1, so equal grids have equal state.
+The kernels sum, compare and dot integers and make a ``Fraction`` only for
+what they return.  A grid is checked once, when ``StepFn2D`` is built from
+``Fraction`` matrices; what is made from it is not checked again.
 """
 
 from __future__ import annotations
@@ -38,14 +34,11 @@ from itertools import count
 from operator import mul
 from typing import Iterable, Sequence
 
-from .instances import mu_S
-from .intervals import (
-    IntervalSet, _breaks, _canonical_breaks, _sweep, _trusted, iset_from_json, iset_make
-)
+from .instances import mu_S, phi_S, sample_interval_set
+from .intervals import IntervalSet, _breaks, _canonical_breaks, _sweep, _trusted, iset_make
 from .oag import rat
 from .report import CheckReport
 from .stepfn import StepFn, ZERO_FN, _over_lcm, _widths
-from .instances import phi_S
 
 ZERO = Fraction(0)
 
@@ -100,71 +93,68 @@ class _Memo(dict):
 _Ints = namedtuple("_Ints", "den cells vlines hlines points")
 
 
-def _values(f: StepFn2D) -> tuple[Matrix, Matrix, Matrix, Matrix]:
-    return f.cells, f.vlines, f.hlines, f.points
+def _map(fn, mat: Matrix) -> Matrix:
+    """``fn`` of every value of ``mat``, in tuples made from lists (see ``_pick``)."""
+    return tuple([tuple([fn(v) for v in row]) for row in mat])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StepFn2D:
     """Grid-canonical 2-D step function.
 
     ``xs``/``ys`` are the grid coordinates.  ``cells[i][j]`` is the value on
     the open cell, ``vlines[i][j]`` on {xs[i]} x (ys[j], ys[j+1]),
     ``hlines[i][j]`` on (xs[i], xs[i+1]) x {ys[j]}, ``points[i][j]`` at the
-    grid point.  Zero outside the bounding box; the grid is minimal.
-    ``_ints`` holds the same values as integers over one denominator; it is
-    not a field, so it takes no part in ``==`` or ``hash``.
+    grid point.  Zero outside the bounding box; the grid is minimal.  Only
+    ``_ints`` holds the values, so ``==`` and ``hash`` compare integers; the
+    four ``Fraction`` matrices are read-only views made on first use.
     """
 
     xs: tuple[Fraction, ...]
     ys: tuple[Fraction, ...]
-    cells: tuple[tuple[Fraction, ...], ...]
-    vlines: tuple[tuple[Fraction, ...], ...]
-    hlines: tuple[tuple[Fraction, ...], ...]
-    points: tuple[tuple[Fraction, ...], ...]
+    _ints: _Ints
 
-    def __post_init__(self):
-        nx, ny = len(self.xs), len(self.ys)
-        shapes = {
-            "cells": (self.cells, max(0, nx - 1), max(0, ny - 1)),
-            "vlines": (self.vlines, nx, max(0, ny - 1)),
-            "hlines": (self.hlines, max(0, nx - 1), ny),
-            "points": (self.points, nx, ny),
-        }
-        for name, (mat, rows, cols) in shapes.items():
+    cells, vlines, hlines, points = (
+        cached_property(lambda f, k=k: _map(f._frac.__getitem__, f._ints[k])) for k in range(1, 5)
+    )
+
+    def __init__(self, xs, ys, cells: Matrix, vlines: Matrix, hlines: Matrix, points: Matrix):
+        """The checked entry point, from ``Fraction`` matrices."""
+        nx, ny = len(xs), len(ys)
+        if (nx == 0) != (ny == 0):
+            raise ValueError(f"a {nx}x{ny} grid needs lines on both axes or on neither")
+        mats = cells, vlines, hlines, points
+        cx, cy = max(0, nx - 1), max(0, ny - 1)
+        shapes = zip(_Ints._fields[1:], mats, (cx, nx, cx, nx), (cy, cy, ny, ny))
+        for name, mat, rows, cols in shapes:
             if len(mat) != rows or any(len(r) != cols for r in mat):
                 raise ValueError(f"inconsistent {name} shape for a {nx}x{ny} grid")
-        if any(a >= b for c in (self.xs, self.ys) for a, b in zip(c, c[1:])):
+        if any(a >= b for c in (xs, ys) for a, b in zip(c, c[1:])):
             raise ValueError("grid coordinates must be strictly increasing")
-
-    @cached_property
-    def _ints(self) -> _Ints:
-        """The values over their least common denominator, computed on first
-        use; the builders below set it from the grid they start from."""
-        mats = _values(self)
+        # An lcm of reduced denominators is already canonical.
         den = math.lcm(*{v.denominator for m in mats for row in m for v in row})
         num = _Memo(lambda v: v[0] * (den // v[1])).__getitem__  # Fraction hashes are slow
-        return _Ints(den, *(
-            tuple(tuple(num((v.numerator, v.denominator)) for v in row) for row in m)
-            for m in mats
-        ))
+        ints = [_map(lambda v: num((v.numerator, v.denominator)), m) for m in mats]
+        self.__dict__.update(xs=xs, ys=ys, _ints=_Ints(den, *ints))
+
+    @cached_property
+    def _frac(self) -> _Memo:
+        """``n -> Fraction(n, den)``, each numerator converted once."""
+        den = self._ints.den
+        return _Memo(lambda n: Fraction(n, den))
 
     def __call__(self, x, y) -> Fraction:
         x, y = rat(x), rat(y)
-        xs, ys = self.xs, self.ys
+        xs, ys, ints = self.xs, self.ys, self._ints
         if not xs or x < xs[0] or x > xs[-1] or y < ys[0] or y > ys[-1]:
             return ZERO
         i = bisect_right(xs, x) - 1
         j = bisect_right(ys, y) - 1
-        on_x = xs[i] == x
-        on_y = ys[j] == y
-        if on_x and on_y:
-            return self.points[i][j]
-        if on_x:
-            return self.vlines[i][j]
-        if on_y:
-            return self.hlines[i][j]
-        return self.cells[i][j]
+        if xs[i] == x:
+            mat = ints.points if ys[j] == y else ints.vlines
+        else:
+            mat = ints.hlines if ys[j] == y else ints.cells
+        return self._frac[mat[i][j]]
 
     def is_zero(self) -> bool:
         return not self.xs
@@ -173,11 +163,21 @@ class StepFn2D:
 ZERO_2D = StepFn2D((), (), (), (), (), ())
 
 
-def _grid(xs: tuple, ys: tuple, values: Sequence[Matrix], ints: _Ints) -> StepFn2D:
-    """A ``StepFn2D`` made from a checked grid, not checked again."""
-    cells, vlines, hlines, points = values
-    fields = dict(cells=cells, vlines=vlines, hlines=hlines, points=points, _ints=ints)
-    return _trusted(StepFn2D, xs=xs, ys=ys, **fields)
+def _grid(xs: tuple, ys: tuple, den: int, mats: Sequence[Matrix]) -> StepFn2D:
+    """A ``StepFn2D`` made from a checked grid, not checked again, with the
+    common factor of ``den`` and the numerators divided out.  The factor is
+    a running gcd over the distinct numerators that stops at 1, and each
+    distinct numerator is divided once."""
+    g = den
+    if den > 1:
+        for n in {n for m in mats for row in m for n in row}:
+            g = math.gcd(g, n)
+            if g == 1:
+                break
+    if g > 1:
+        div = _Memo(lambda n: n // g).__getitem__
+        mats = [_map(div, m) for m in mats]
+    return _trusted(StepFn2D, xs=xs, ys=ys, _ints=_Ints(den // g, *mats))
 
 
 def _pick(seq: Sequence, indices: Iterable[int]) -> tuple:
@@ -194,11 +194,11 @@ def _kept(at: Iterable, right: Iterable, zero) -> list[int]:
     return [k for k, _, _ in _canonical_breaks(zip(count(), at, [*right, zero]), zero)]
 
 
-def _kept_columns(ints: Sequence[Matrix], ny: int) -> list[int]:
+def _kept_columns(mats: Sequence[Matrix], ny: int) -> list[int]:
     """The indices of the columns that are not redundant.  Along x a column
     is a breakpoint with vector values: its line and points at x, its cells
     and horizontal lines right of x."""
-    cells, vlines, hlines, points = ints
+    cells, vlines, hlines, points = mats
     return _kept(zip(vlines, points), zip(cells, hlines), ((0,) * (ny - 1), (0,) * ny))
 
 
@@ -224,36 +224,25 @@ def _transposed(mats: Sequence[Matrix], ny: int) -> tuple[Matrix, ...]:
 def _drop_columns(f: StepFn2D) -> StepFn2D:
     """Remove every grid column whose vertical line equals the cells, and
     whose points equal the horizontal lines, on both sides."""
-    ints = f._ints
-    kept = _kept_columns(ints[1:], len(f.ys)) if f.xs and f.ys else []
+    mats = f._ints[1:]
+    kept = _kept_columns(mats, len(f.ys))
     if not kept:
         return ZERO_2D
-    xs = _pick(f.xs, kept)
-    return _grid(xs, f.ys, _columns(_values(f), kept), _Ints(ints.den, *_columns(ints[1:], kept)))
-
-
-def _minimal(xs: tuple, ys: tuple, mats: list) -> tuple | None:
-    """The minimal grid: redundant columns go, then redundant rows (the
-    columns of the transpose).  ``mats[0]`` holds the integer values that
-    decide, and every matrix set in ``mats`` loses the same lines.  Dropping
-    a line leaves every other line's test as it was, so neither pass needs to
-    look again.  ``(xs, ys, mats)``, or ``None`` when nothing is left."""
-    for _ in "xy":
-        kept = _kept_columns(mats[0], len(ys)) if xs and ys else []
-        if not kept:
-            return None
-        mats = [_transposed(_columns(m, kept), len(ys)) for m in mats]
-        xs, ys = ys, _pick(xs, kept)
-    return xs, ys, mats
+    return _grid(_pick(f.xs, kept), f.ys, f._ints.den, _columns(mats, kept))
 
 
 def _canonical_2d(f: StepFn2D) -> StepFn2D:
-    """The minimal grid of ``f``, decided on its integer view."""
-    minimal = _minimal(f.xs, f.ys, [f._ints[1:], _values(f)])
-    if minimal is None:
-        return ZERO_2D
-    xs, ys, (ints, values) = minimal
-    return _grid(xs, ys, values, _Ints(f._ints.den, *ints))
+    """The minimal grid of ``f``: redundant columns go, then redundant rows
+    (the columns of the transpose).  Dropping a line leaves every other
+    line's test as it was, so neither pass needs to look again."""
+    xs, ys, mats = f.xs, f.ys, f._ints[1:]
+    for _ in "xy":
+        kept = _kept_columns(mats, len(ys))
+        if not kept:
+            return ZERO_2D
+        mats = _transposed(_columns(mats, kept), len(ys))
+        xs, ys = ys, _pick(xs, kept)
+    return _grid(xs, ys, f._ints.den, mats)
 
 
 def step2d_make(terms: Iterable[RectTerm]) -> StepFn2D:
@@ -282,14 +271,8 @@ def step2d_make(terms: Iterable[RectTerm]) -> StepFn2D:
         return tuple(tuple(map(value, map(mx.__and__, y_masks))) for mx in x_masks)
 
     x_gap, y_gap = x_gap[:-1], y_gap[:-1]  # nothing is right of the last line
-    ints = grid(x_gap, y_gap), grid(x_at, y_gap), grid(x_gap, y_at), grid(x_at, y_at)
-    minimal = _minimal(tuple(xs), tuple(ys), [ints])
-    if minimal is None:
-        return ZERO_2D
-    xs, ys, (ints,) = minimal
-    frac = _Memo(lambda n: Fraction(n, den)).__getitem__
-    values = [tuple([tuple([frac(n) for n in row]) for row in m]) for m in ints]  # see _pick
-    return _grid(xs, ys, values, _Ints(den, *ints))
+    ints = _Ints(den, grid(x_gap, y_gap), grid(x_at, y_gap), grid(x_gap, y_at), grid(x_at, y_at))
+    return _canonical_2d(_trusted(StepFn2D, xs=tuple(xs), ys=tuple(ys), _ints=ints))
 
 
 def _section(bps: Sequence[Fraction], kept: list[int], open_value, point_value) -> StepFn:
@@ -338,11 +321,11 @@ def slice_at(f: StepFn2D, y) -> StepFn:
     if f.is_zero() or y < f.ys[0] or y > f.ys[-1]:
         return ZERO_FN
     j = bisect_right(f.ys, y) - 1
-    on_line, ints = f.ys[j] == y, f._ints
-    opens, at = (f.hlines, f.points) if on_line else (f.cells, f.vlines)
-    int_opens, int_at = (ints.hlines, ints.points) if on_line else (ints.cells, ints.vlines)
-    kept = _kept([row[j] for row in int_at], [row[j] for row in int_opens], 0)
-    return _section(f.xs, kept, lambda k: opens[k][j], lambda k: at[k][j])
+    ints, frac = f._ints, f._frac
+    opens, at = (ints.hlines, ints.points) if f.ys[j] == y else (ints.cells, ints.vlines)
+    opens, at = [row[j] for row in opens], [row[j] for row in at]
+    kept = _kept(at, opens, 0)
+    return _section(f.xs, kept, lambda k: frac[opens[k]], lambda k: frac[at[k]])
 
 
 def double_integral(f: StepFn2D) -> Fraction:
@@ -411,12 +394,7 @@ def fubini_check(f: StepFn2D, sampled_y: Iterable | None = None) -> FubiniReport
 
 
 def transpose(f: StepFn2D) -> StepFn2D:
-    if f.is_zero():
-        return ZERO_2D
-    ny, ints = len(f.ys), f._ints
-    return _grid(
-        f.ys, f.xs, _transposed(_values(f), ny), _Ints(ints.den, *_transposed(ints[1:], ny))
-    )
+    return _grid(f.ys, f.xs, f._ints.den, _transposed(f._ints[1:], len(f.ys)))
 
 
 def rectset_measure(rects: Sequence[tuple[IntervalSet, IntervalSet]]) -> Fraction:
@@ -444,17 +422,19 @@ def terms_from_json(doc: str | list) -> list[RectTerm]:
         doc = json.loads(doc)
     if not isinstance(doc, list):
         raise TypeError(f"expected a list of rectangle terms, got {type(doc).__name__}")
-    return [
-        RectTerm(rat(t["coefficient"]), iset_from_json(t["base_x"]), iset_from_json(t["base_y"]))
-        for t in doc
-    ]
+    return [RectTerm(rat(t["coefficient"]), _base(t["base_x"]), _base(t["base_y"])) for t in doc]
+
+
+def _base(doc) -> IntervalSet:
+    """A term's base set: a JSON list, not a string to be parsed again."""
+    if not isinstance(doc, list):
+        raise TypeError(f"expected a list of intervals, got {type(doc).__name__}")
+    return iset_make(doc)
 
 
 def sample_step2d(
     rng: random.Random, max_terms: int = 10, max_breaks_per_axis: int = 16
 ) -> StepFn2D:
-    from .instances import sample_interval_set
-
     terms = []
     for _ in range(rng.randint(1, max_terms)):
         a = sample_interval_set(rng, max_pieces=2)

@@ -314,6 +314,8 @@ BAD_DOCS = {
     "object-base-terms": [
         {"coefficient": "1", "base_x": {"01": True}, "base_y": [{"lo": "0", "hi": "1"}]}
     ],
+    # a base set is a JSON list, not a string to be parsed again
+    "string-base-terms": [{"coefficient": "2", "base_x": "[[0,1]]", "base_y": "[[0,3]]"}],
     # JSON booleans are not numbers, and a piece's flags are not strings or numbers
     "bool-endpoint-set": [{"lo": True, "hi": 2}],
     "string-flag-set": [{"lo": "0", "hi": "1", "lo_closed": "false", "hi_closed": 0}],
@@ -368,6 +370,7 @@ BAD_DOCS = {
         (["dense-approx", "--seq", "number-interval-template", "--eps-index", "2"], "--seq"),
         (["converge-trace", "--seq", "list-step-template"], "--seq"),
         (["dense-approx", "--seq", "list-step-template", "--eps-index", "2"], "--seq"),
+        (["fubini-check", "--terms", "string-base-terms"], "--terms"),
     ],
 )
 def test_bad_document_is_input_error(argv, pointer, tmp_path, capsys):

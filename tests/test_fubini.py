@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from bisect import bisect_right
@@ -642,6 +643,12 @@ def test_grid_coordinates_must_strictly_increase(xs, ys):
     _grid(sorted(set(xs)), sorted(set(ys)))  # the same shape in order is accepted
 
 
+@pytest.mark.parametrize("xs, ys", [((0,), ()), ((), (0,))], ids=["x-only", "y-only"])
+def test_grid_needs_lines_on_both_axes_or_neither(xs, ys):
+    with pytest.raises(ValueError, match="lines on both axes or on neither"):
+        _grid(xs, ys)
+
+
 def test_transpose_matches_index_loop_on_thin_grids():
     rng = random.Random(10)
 
@@ -676,6 +683,8 @@ def assert_integer_view(f: StepFn2D) -> None:
             assert len(num_row) == len(value_row), name
             for n, v in zip(num_row, value_row):
                 assert type(n) is int and Fraction(n, ints.den) == v, name
+    numerators = [n for m in ints[1:] for row in m for n in row]
+    assert math.gcd(ints.den, *numerators) == 1
 
 
 def test_integer_view_holds_the_values():
@@ -707,7 +716,7 @@ def test_grids_over_different_denominators_are_equal():
         rect_term(Fraction(1, 6), [(1, 3)], [(1, 2, False, True)]),
     ]
     f, g = step2d_make(thirds), reference_step2d_make(thirds)
-    assert (f._ints.den, g._ints.den) == (6, 1)
+    assert (f._ints.den, g._ints.den) == (1, 1) and f._ints == g._ints
     assert f == g and hash(f) == hash(g) and {f: 1}[g] == 1
     rng = random.Random(13)
     for k in range(30):
@@ -715,6 +724,16 @@ def test_grids_over_different_denominators_are_equal():
         f, g = step2d_make(terms), reference_step2d_make(terms)
         assert f == g and hash(f) == hash(g)
         assert transpose(f) == transpose(g) and hash(transpose(f)) == hash(transpose(g))
+
+
+def test_fraction_matrices_are_read_only_views_made_on_demand():
+    rng = random.Random(14)
+    f = step2d_make(random_terms(rng, 64, 6))
+    assert not f.is_zero() and fubini_check(f, sample_ys(f, rng, 20)).ok
+    assert not {"cells", "vlines", "hlines", "points"} & set(vars(f))
+    assert f.cells is f.cells
+    with pytest.raises(AttributeError):
+        f.cells = ()
 
 
 def test_fubini_check_passes_past_the_integer_digit_limit():
