@@ -118,12 +118,22 @@ def _report_exit(args, report: CheckReport, extra: dict | None = None) -> int:
     return 0 if report.ok else 1
 
 
+# The largest value each flag that sets the amount of work accepts, so that
+# every run ends.  On a 2-CPU VM, check --suite pseudometric at the samples
+# ceiling took 24 s, a step-function converge-trace at the depth ceiling 9 s,
+# and totient-table at its ceiling 1 s.
+_CEILINGS = {"samples": 10_000, "depth": 1_000, "eps_index": 1_000, "max": 100_000}
+
+
 def _at_least_one(args, dest: str, need: str) -> int:
-    """An integer flag that must be at least 1: zero samples would check
-    nothing, and depths, indices and codes count from 1."""
-    value = getattr(args, dest)
+    """An integer flag that must be at least 1, and at most its ceiling if it
+    has one: zero samples would check nothing, and depths, indices and codes
+    count from 1."""
+    value, flag = getattr(args, dest), "--" + dest.replace("_", "-")
     if value < 1:
-        raise InputError("--" + dest.replace("_", "-"), f"need {need}, got {value}")
+        raise InputError(flag, f"need {need}, got {value}")
+    if value > _CEILINGS.get(dest, value):
+        raise InputError(flag, f"need at most {_CEILINGS[dest]}, got {value}")
     return value
 
 
@@ -177,6 +187,7 @@ def cmd_approx_eq(args) -> int:
 
 
 def cmd_quotient(args) -> int:
+    samples = _samples(args)
     doc = _load_json(args.system, "--system")
     if not isinstance(doc, dict):
         raise InputError("--system", "expected a JSON object")
@@ -212,7 +223,7 @@ def cmd_quotient(args) -> int:
         name="phi",
         sampler=lambda rng: rng.choice(lat.carrier),
     )
-    vrep = check_valuation(phi, _samples(args), args.seed)
+    vrep = check_valuation(phi, samples, args.seed)
     if not vrep.ok:
         return _report_exit(args, vrep, {"error": "input is not a valuation"})
     qlat, qphi = quotient(phi)

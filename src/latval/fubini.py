@@ -16,8 +16,9 @@ canonicaliser removes all redundant columns in one pass, and then all rows.
 A grid stores its values once, as integer numerators over one denominator
 whose gcd with all of them is 1, so equal grids have equal state.
 The kernels sum, compare and dot integers and make a ``Fraction`` only for
-what they return.  A grid is checked once, when ``StepFn2D`` is built from
-``Fraction`` matrices; what is made from it is not checked again.
+what they return; a sampled section is located and integrated on the
+integer coordinates too.  A grid is checked once, when ``StepFn2D`` is
+built from ``Fraction`` matrices; what is made from it is not checked again.
 """
 
 from __future__ import annotations
@@ -142,6 +143,11 @@ class StepFn2D:
         """``n -> Fraction(n, den)``, each numerator converted once."""
         den = self._ints.den
         return _Memo(lambda n: Fraction(n, den))
+
+    @cached_property
+    def _axes(self) -> tuple:
+        """``(xn, xd, yn, yd)``: each axis as integer numerators over one denominator."""
+        return (*_over_lcm(self.xs), *_over_lcm(self.ys))
 
     def __call__(self, x, y) -> Fraction:
         x, y = rat(x), rat(y)
@@ -315,17 +321,26 @@ def partial_integrate(f: StepFn2D) -> StepFn:
     return _integrate_across(f.xs, f.ys, zip(*ints.cells), zip(*ints.hlines), ints.den)
 
 
+def _section_row(f: StepFn2D, y: Fraction) -> tuple[list[int], list[int], list[int]]:
+    """The section x -> f(x, y) on the grid's integers: the columns ``_kept``
+    keeps, and the numerators right of and at each column.  With ``y * yd =
+    q + r / y.denominator``, y is on line ``j`` if ``r == 0 and yn[j] == q``."""
+    _, _, yn, yd = f._axes
+    q, r = divmod(y.numerator * yd, y.denominator)
+    j = bisect_right(yn, q) - 1
+    on_line = r == 0 and j >= 0 and yn[j] == q
+    if j < 0 or (j == len(yn) - 1 and not on_line):  # outside the grid, or no grid
+        return [], [], []
+    ints = f._ints
+    opens, at = (ints.hlines, ints.points) if on_line else (ints.cells, ints.vlines)
+    opens, at = [row[j] for row in opens], [row[j] for row in at]
+    return _kept(at, opens, 0), opens, at
+
+
 def slice_at(f: StepFn2D, y) -> StepFn:
     """The exact section x -> f(x, y)."""
-    y = rat(y)
-    if f.is_zero() or y < f.ys[0] or y > f.ys[-1]:
-        return ZERO_FN
-    j = bisect_right(f.ys, y) - 1
-    ints, frac = f._ints, f._frac
-    opens, at = (ints.hlines, ints.points) if f.ys[j] == y else (ints.cells, ints.vlines)
-    opens, at = [row[j] for row in opens], [row[j] for row in at]
-    kept = _kept(at, opens, 0)
-    return _section(f.xs, kept, lambda k: frac[opens[k]], lambda k: frac[at[k]])
+    kept, opens, at = _section_row(f, rat(y))
+    return _section(f.xs, kept, lambda k: f._frac[opens[k]], lambda k: f._frac[at[k]])
 
 
 def double_integral(f: StepFn2D) -> Fraction:
@@ -384,9 +399,13 @@ def fubini_check(f: StepFn2D, sampled_y: Iterable | None = None) -> FubiniReport
     for name, left in (("phi_Y o F_X = mu_XY", lhs), ("y-first order agrees", lhs_y)):
         report.record(name, left == rhs, "" if left == rhs else f"lhs={left} rhs={rhs}")
 
+    # phi_X(slice): kept columns times merged widths, not partial_integrate's sums
+    xn, xd, _, _ = f._axes
     for y in sampled_y or ():
         y = rat(y)
-        at, along = fx(y), phi_S(slice_at(f, y))
+        kept, opens, _ = _section_row(f, y)
+        merged = sum(opens[a] * (xn[b] - xn[a]) for a, b in zip(kept, kept[1:]))
+        at, along = fx(y), Fraction(merged, ints.den * xd)
         report.slices.append((y, at, along))
         witness = "" if at == along else f"y={y} fx={at} slice-integral={along}"
         report.record("F_X(f)(y) = phi_X(slice)", at == along, witness)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from latval import cli
 from latval.cli import _SUITES, _dump, build_parser, main
 
 STEP_DOC = {
@@ -283,6 +284,37 @@ def test_integer_below_one_is_input_error(argv, flag, files, capsys):
     assert out == ""
     assert err.startswith(f"input error at {flag}: need ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag, ceiling",
+    [
+        (["sqrt2-witness", "--depth", "1001"], "--depth", 1000),
+        (["converge-trace", "--seq", "SEQ", "--depth", "1001"], "--depth", 1000),
+        (["dense-approx", "--seq", "SEQ", "--eps-index", "4", "--depth", "1001"], "--depth", 1000),
+        (["dense-approx", "--seq", "SEQ", "--eps-index", "1001"], "--eps-index", 1000),
+        (["check", "--suite", "uniformity-dyadic", "--depth", "1001"], "--depth", 1000),
+        (["check", "--suite", "pseudometric", "--samples", "10001"], "--samples", 10000),
+        (["quotient", "--system", "SYSTEM", "--samples", "10001"], "--samples", 10000),
+        (["fubini-check", "--terms", "TERMS", "--samples", "10001"], "--samples", 10000),
+        (["totient-table", "--max", "100001"], "--max", 100000),
+    ],
+)
+def test_integer_above_its_ceiling_is_input_error(argv, flag, ceiling, files, capsys, monkeypatch):
+    # one past the ceiling exits 2 before any work: every worker refuses to start
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    for name in ("_load_doc", "_load_json", "totient"):
+        monkeypatch.setattr(cli, name, work)
+    monkeypatch.setattr(cli.sequences, "sqrt2_witness", work)
+    monkeypatch.setattr(cli, "_SUITES", dict.fromkeys(_SUITES, work))
+    argv = [{"SEQ": files["seq"], "TERMS": files["terms"], "SYSTEM": files["system"]}.get(a, a)
+            for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"input error at {flag}: need at most {ceiling}, got {ceiling + 1}\n"
 
 
 BAD_DOCS = {

@@ -614,6 +614,69 @@ def test_slice_at_matches_step_from_values():
     assert checked > 2000
 
 
+def test_slice_integrals_match_phi_of_slice_at():
+    # fubini_check locates and integrates each section on the grid's
+    # integers; phi_S(slice_at(f, y)) is the path through StepFn, and
+    # reference_slice_at locates y by Fraction comparisons
+    rng = random.Random(15)
+    grids = [sample_step2d(rng) for _ in range(60)]
+    grids += [random_raw_grid(rng, 1000, (1000, 64)[k % 2]) for k in range(20)]
+    grids.append(ZERO_2D)
+    tiny = Fraction(1, 10**300)
+    checked = 0
+    for f in grids:
+        ys = [Fraction(0), Fraction(-7, 3), Fraction(-(10**40), 10**40 + 1)]
+        if f.ys:
+            lo, hi = f.ys[0], f.ys[-1]
+            ys += list(f.ys) + [(a + b) / 2 for a, b in zip(f.ys, f.ys[1:])]
+            ys += [lo - tiny, hi + tiny, lo + tiny, hi - tiny, -abs(lo), -abs(hi)]
+            ys += [lo + (hi - lo) * Fraction(rng.randrange(1, 2**200), 2**200 + 1) for _ in range(4)]
+        report = fubini_check(f, ys)
+        assert report.ok and [s[0] for s in report.slices] == ys
+        for y, _, along in report.slices:
+            assert along == phi_S(slice_at(f, y))
+            assert slice_at(f, y) == reference_slice_at(f, y)
+            checked += 1
+    assert checked > 1500
+
+
+def test_slice_check_catches_a_wrong_partial_integral(monkeypatch):
+    # F_X(f)(y) = phi_X(slice) stays a check: the slice integral does not
+    # reuse partial_integrate, so a wrong F_X fails exactly where it is wrong
+    true_fx = partial_integrate
+
+    def lines_and_strips_swapped(f):
+        fx = true_fx(f)
+        if not fx.breakpoints:
+            return fx
+        bps = fx.breakpoints
+        return step_from_values(bps, fx.point_values[:-1], [*fx.open_values, fx.point_values[-1]])
+
+    def one_value_changed(f):
+        fx = true_fx(f)
+        if not fx.open_values:
+            return fx
+        opens = list(fx.open_values)
+        opens[len(opens) // 2] += 1
+        return step_from_values(fx.breakpoints, opens, fx.point_values)
+
+    rng = random.Random(16)
+    for wrong in (lines_and_strips_swapped, one_value_changed):
+        monkeypatch.setattr(fubini, "partial_integrate", wrong)
+        caught = 0
+        for _ in range(40):
+            f = sample_step2d(rng)
+            ys = sample_ys(f, rng, 30)
+            report = fubini_check(f, ys)
+            bad = [y for y in ys if wrong(f)(y) != true_fx(f)(y)]
+            record = report.to_dict()["F_X(f)(y) = phi_X(slice)"]
+            assert record["fail"] == len(bad)
+            if bad:
+                assert record["counterexample"].startswith(f"y={bad[0]} ")
+                caught += 1
+        assert caught > 10
+
+
 def _zeros(rows: int, cols: int):
     return ((Fraction(0),) * cols,) * rows
 
@@ -754,7 +817,7 @@ def test_fubini_check_passes_past_the_integer_digit_limit():
 def test_fubini_check_witnesses_of_failures(monkeypatch):
     f = step2d_make([rect_term(2, [(0, 3)], [(1, 2)])])
     monkeypatch.setattr(fubini, "double_integral", lambda f: Fraction(7))
-    monkeypatch.setattr(fubini, "slice_at", lambda f, y: ZERO_FN)
+    monkeypatch.setattr(fubini, "_section_row", lambda f, y: ([], [], []))  # a zero section
     report = fubini_check(f, sampled_y=[Fraction(3, 2), 5])
     assert report.to_dict() == {
         "phi_Y o F_X = mu_XY": {"pass": 0, "fail": 1, "counterexample": "lhs=6 rhs=7"},
