@@ -14,7 +14,6 @@ recorded in the decode metadata.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import product
@@ -86,7 +85,7 @@ class Stump:
         return {"node": [c.to_json_obj() for c in self.children]}
 
     @staticmethod
-    def from_json(doc: str | dict) -> "Stump":
+    def from_json(doc: dict) -> "Stump":
         """Parse depth-first with an explicit stack, so a stump of any
         depth the JSON reader accepts is parsed."""
         kids = _stump_children(doc)
@@ -111,12 +110,10 @@ class Stump:
 
 def _stump_children(doc):
     """``None`` for a leaf document, else an iterator over its children."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
     if isinstance(doc, dict):
         if doc.get("leaf"):
             return None
-        if "node" in doc:
+        if isinstance(doc.get("node"), list):
             return iter(doc["node"])
     raise ValueError(f"not a leaf or a node: {doc!r}")
 
@@ -261,18 +258,23 @@ class MissingCode(ValueError):
     pass
 
 
-def code_assign_from_json(doc: str | dict) -> CodeAssign:
-    if isinstance(doc, str):
-        doc = json.loads(doc)
+def code_assign_from_json(doc: dict) -> CodeAssign:
     if "codes" in doc:
-        return CodeLeaf(tuple(int(c) for c in doc["codes"]))
+        return _code_leaf(doc)
     if "children" in doc:
         default = doc.get("default")
         return CodeNode(
             tuple(code_assign_from_json(c) for c in doc["children"]),
-            CodeLeaf(tuple(int(c) for c in default["codes"])) if default else None,
+            _code_leaf(default) if default else None,
         )
     raise ValueError(f"bad code assignment document: {doc!r}")
+
+
+def _code_leaf(doc: dict) -> CodeLeaf:
+    codes = doc["codes"]
+    if not isinstance(codes, list) or not all(type(c) is int for c in codes):
+        raise TypeError(f"codes must be a list of integers: {doc!r}")
+    return CodeLeaf(tuple(codes))
 
 
 def decode_stratified(

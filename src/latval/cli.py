@@ -34,7 +34,7 @@ from .instances import (
     totient_valuation,
 )
 from .intervals import iset_from_json
-from .lattice import check_distributive, diamond_m3, finite_lattice_build
+from .lattice import check_distributive, diamond_m3, finite_lattice_from_json
 from .oag import GROUPS, RATIONALS, check_group_axioms, rat
 from .report import CheckReport
 from .stepfn import step_from_json
@@ -194,16 +194,17 @@ def cmd_quotient(args) -> int:
     for key in ("carrier", "leq", "phi"):
         if key not in doc:
             raise InputError(f"--system:{key}", "missing field")
-    if not isinstance(doc["carrier"], list):
-        raise InputError("--system:carrier", "expected a JSON list")
-    try:
-        frozenset(doc["carrier"])  # labels key the lattice tables
+    carrier = doc["carrier"]
+    if not isinstance(carrier, list) or not carrier:
+        raise InputError("--system:carrier", "expected a JSON list of at least one label")
+    try:  # labels key the lattice tables, and their strings key phi
+        distinct = len(frozenset(carrier)) == len({str(a) for a in carrier}) == len(carrier)
     except TypeError as exc:
         raise InputError("--system:carrier", f"labels must be strings or numbers: {exc}")
-    if not doc["carrier"]:
-        raise InputError("--system:carrier", "need at least one element")
+    if not distinct:
+        raise InputError("--system:carrier", "labels must be distinct, and so must their strings")
     try:
-        lat = finite_lattice_build(doc["carrier"], [tuple(p) for p in doc["leq"]])
+        lat = finite_lattice_from_json(doc)
     except (ValueError, TypeError) as exc:
         raise InputError("--system:leq", str(exc))
     if not isinstance(doc["phi"], dict):
@@ -317,11 +318,12 @@ def cmd_dense_approx(args) -> int:
             sanity_depth=min(depth, 8),
             phi=phi,
         )
+        # seq_make checks the first eight stages; dense_approximate checks the rest
+        _, trace = uniformity.dense_approximate(
+            phi, uniformity.dyadic_endpoint_oracle(), seq, eps_index, depth
+        )
     except (sequences.ModulusError, sequences.MonotonicityError) as exc:
         raise InputError("--seq", f"sequence does not fit the modulus 1/eps + 1: {exc}")
-    _, trace = uniformity.dense_approximate(
-        phi, uniformity.dyadic_endpoint_oracle(), seq, eps_index, depth
-    )
     _dump(args, [{key: row[key] for key in _DENSE_APPROX_KEYS} for row in trace])
     return 0
 

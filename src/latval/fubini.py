@@ -23,7 +23,6 @@ built from ``Fraction`` matrices; what is made from it is not checked again.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from bisect import bisect_right
@@ -36,7 +35,8 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .instances import mu_S, phi_S, sample_interval_set
-from .intervals import IntervalSet, _breaks, _canonical_breaks, _sweep, _trusted, iset_make
+from .intervals import IntervalSet, _breaks, _canonical_breaks, _sweep, _trusted
+from .intervals import iset_from_json, iset_make
 from .oag import rat
 from .report import CheckReport
 from .stepfn import StepFn, ZERO_FN, _over_lcm, _widths
@@ -295,15 +295,15 @@ def _section(bps: Sequence[Fraction], kept: list[int], open_value, point_value) 
 
 
 def _integrate_across(
-    across: Sequence[Fraction], along: tuple, strips: Iterable, lines: Iterable, den: int
+    across: Sequence[int], wd: int, along: tuple, strips: Iterable, lines: Iterable, den: int
 ) -> StepFn:
     """The step function on ``along`` whose value on each open strip and at
-    each line is the integral across ``across`` of its integer values over
-    ``den``: integer dot products with the widths, and a ``Fraction`` for each
-    breakpoint kept."""
+    each line is the integral across the coordinates ``across / wd`` of its
+    integer values over ``den``: integer dot products with the widths, and a
+    ``Fraction`` for each breakpoint kept."""
     if len(across) < 2:  # no measure anywhere
         return ZERO_FN
-    widths, wd = _widths(across)
+    widths = _widths(across)
     ovals = [sum(map(mul, strip, widths)) for strip in strips]
     pvals = [sum(map(mul, line, widths)) for line in lines]
     d, kept = den * wd, _kept(pvals, ovals, 0)
@@ -317,8 +317,8 @@ def partial_integrate(f: StepFn2D) -> StepFn:
     values; on each grid line it has the horizontal-line values.  Point and
     vertical-line values carry no x-measure and drop out.
     """
-    ints = f._ints
-    return _integrate_across(f.xs, f.ys, zip(*ints.cells), zip(*ints.hlines), ints.den)
+    ints, (xn, xd, _, _) = f._ints, f._axes
+    return _integrate_across(xn, xd, f.ys, zip(*ints.cells), zip(*ints.hlines), ints.den)
 
 
 def _section_row(f: StepFn2D, y: Fraction) -> tuple[list[int], list[int], list[int]]:
@@ -345,10 +345,9 @@ def slice_at(f: StepFn2D, y) -> StepFn:
 
 def double_integral(f: StepFn2D) -> Fraction:
     """Direct cell sum: coefficient times area, lines and points ignored."""
-    widths, xd = _widths(f.xs)
-    heights, yd = _widths(f.ys)
-    ints = f._ints
-    total = sum(w * sum(map(mul, row, heights)) for w, row in zip(widths, ints.cells))
+    xn, xd, yn, yd = f._axes
+    ints, heights = f._ints, _widths(yn)
+    total = sum(w * sum(map(mul, row, heights)) for w, row in zip(_widths(xn), ints.cells))
     return Fraction(total, ints.den * xd * yd)
 
 
@@ -391,8 +390,9 @@ def fubini_check(f: StepFn2D, sampled_y: Iterable | None = None) -> FubiniReport
     """
     fx = partial_integrate(f)
     lhs, rhs = phi_S(fx), double_integral(f)
-    ints = f._ints  # partial_integrate(transpose(f)), without the transposed matrices
-    lhs_y = phi_S(_integrate_across(f.ys, f.xs, ints.cells, ints.vlines, ints.den))
+    ints, (xn, xd, yn, yd) = f._ints, f._axes
+    # partial_integrate(transpose(f)), without the transposed matrices
+    lhs_y = phi_S(_integrate_across(yn, yd, f.xs, ints.cells, ints.vlines, ints.den))
     report = FubiniReport(lhs=lhs, rhs=rhs, lhs_y_first=lhs_y)
     # A witness is formatted only for a failure: str() of a passing integral
     # may be past the interpreter's limit on integer digits.
@@ -400,7 +400,6 @@ def fubini_check(f: StepFn2D, sampled_y: Iterable | None = None) -> FubiniReport
         report.record(name, left == rhs, "" if left == rhs else f"lhs={left} rhs={rhs}")
 
     # phi_X(slice): kept columns times merged widths, not partial_integrate's sums
-    xn, xd, _, _ = f._axes
     for y in sampled_y or ():
         y = rat(y)
         kept, opens, _ = _section_row(f, y)
@@ -427,28 +426,20 @@ def rectset_measure(rects: Sequence[tuple[IntervalSet, IntervalSet]]) -> Fractio
         return ZERO
     xs, _, x_gap = _axis_atoms(a for a, _ in rects)
     ys, _, y_gap = _axis_atoms(b for _, b in rects)
-    widths, xd = _widths(xs)
-    heights, yd = _widths(ys)
+    (xn, xd), (yn, yd) = _over_lcm(xs), _over_lcm(ys)
+    heights = _widths(yn)
     total = 0
-    for w, xmask in zip(widths, x_gap):
+    for w, xmask in zip(_widths(xn), x_gap):
         total += w * sum(h for h, ymask in zip(heights, y_gap) if xmask & ymask)
     return Fraction(total, xd * yd)
 
 
-def terms_from_json(doc: str | list) -> list[RectTerm]:
-    """Load ``[{"coefficient": "2", "base_x": [...], "base_y": [...]}, ...]``."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
+def terms_from_json(doc: list) -> list[RectTerm]:
+    """Terms of a parsed ``[{"coefficient": "2", "base_x": [...], "base_y": [...]}, ...]``."""
     if not isinstance(doc, list):
         raise TypeError(f"expected a list of rectangle terms, got {type(doc).__name__}")
-    return [RectTerm(rat(t["coefficient"]), _base(t["base_x"]), _base(t["base_y"])) for t in doc]
-
-
-def _base(doc) -> IntervalSet:
-    """A term's base set: a JSON list, not a string to be parsed again."""
-    if not isinstance(doc, list):
-        raise TypeError(f"expected a list of intervals, got {type(doc).__name__}")
-    return iset_make(doc)
+    base = iset_from_json
+    return [RectTerm(rat(t["coefficient"]), base(t["base_x"]), base(t["base_y"])) for t in doc]
 
 
 def sample_step2d(

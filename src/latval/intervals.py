@@ -26,7 +26,6 @@ the sweep: pieces and sets made from its output skip ``__post_init__``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -106,9 +105,6 @@ class IntervalSet:
             }
             for p in self.pieces
         ]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
 
 
 EMPTY = IntervalSet(())
@@ -245,36 +241,29 @@ def iset_symmdiff(a: IntervalSet, b: IntervalSet) -> IntervalSet:
 def iset_make(raw: Iterable) -> IntervalSet:
     """Union of interval descriptors, in canonical form.
 
-    Descriptors are ``(lo, hi)``, ``(lo, hi, lo_closed, hi_closed)``, dicts
-    with those keys (their flags must be booleans), or ``IntervalSet``/``Piece``
-    values.  Overlapping and adjacent pieces are merged.
+    A descriptor is an ``IntervalSet``, a ``Piece``, a dict with keys ``lo``,
+    ``hi`` and optional ``lo_closed``/``hi_closed``, or a list or tuple
+    ``(lo, hi)`` or ``(lo, hi, lo_closed, hi_closed)``; flags are booleans in
+    every form.  Overlapping and adjacent pieces are merged.
     """
     parts = []
     for d in raw:
         if isinstance(d, IntervalSet):
-            part = d
-        elif isinstance(d, Piece):
-            part = IntervalSet((d,))
+            parts.append(_breaks(d))
+            continue
+        if isinstance(d, Piece):
+            d = d.lo, d.hi, d.lo_closed, d.hi_closed
         elif isinstance(d, dict):
-            flags = d.get("lo_closed", True), d.get("hi_closed", True)
-            if not all(isinstance(f, bool) for f in flags):
-                raise ValueError(f"lo_closed and hi_closed must be booleans: {d!r}")
-            part = interval(rat(d["lo"]), rat(d["hi"]), *flags)
-        else:
-            seq = tuple(d)
-            if len(seq) == 2:
-                part = interval(seq[0], seq[1])
-            elif len(seq) == 4:
-                part = interval(seq[0], seq[1], bool(seq[2]), bool(seq[3]))
-            else:
-                raise ValueError(f"bad interval descriptor: {d!r}")
-        parts.append(_breaks(part))
+            d = d["lo"], d["hi"], d.get("lo_closed", True), d.get("hi_closed", True)
+        if not isinstance(d, (list, tuple)) or len(d) not in (2, 4):
+            raise ValueError(f"bad interval descriptor: {d!r}")
+        if not all(isinstance(f, bool) for f in d[2:]):
+            raise ValueError(f"lo_closed and hi_closed must be booleans: {d!r}")
+        parts.append(_breaks(interval(*d)))
     return _from_breaks((x, any(at), any(after)) for x, at, after in _sweep(parts, False))
 
 
-def iset_from_json(doc: str | list) -> IntervalSet:
-    if isinstance(doc, str):
-        doc = json.loads(doc)
+def iset_from_json(doc: list) -> IntervalSet:
     if not isinstance(doc, list):
         raise TypeError(f"expected a list of intervals, got {type(doc).__name__}")
     return iset_make(doc)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from typing import Any, Hashable, Iterable, Sequence
@@ -182,11 +181,12 @@ def finite_lattice_build(
     return FiniteLattice(elems, leq_map, meet_table, join_table)
 
 
-def finite_lattice_from_json(doc: str | dict) -> FiniteLattice:
-    """Load from ``{"carrier": [...], "leq": [[a, b], ...]}``."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    return finite_lattice_build(doc["carrier"], [tuple(p) for p in doc["leq"]])
+def finite_lattice_from_json(doc: dict) -> FiniteLattice:
+    """Build from a parsed ``{"carrier": [...], "leq": [[a, b], ...]}``."""
+    carrier, pairs = doc["carrier"], doc["leq"]
+    if not isinstance(carrier, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise ValueError("need a carrier list and a leq list of pairs [a, b]")
+    return finite_lattice_build(carrier, [tuple(p) for p in pairs])
 
 
 def check_distributive(lat: FiniteLattice):

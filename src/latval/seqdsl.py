@@ -9,15 +9,14 @@ are ``(coef)*1_[lo, hi]``.  Explicit per-stage lists are also accepted.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .intervals import IntervalSet, iset_make
+from .intervals import IntervalSet, iset_from_json, iset_make
 from .oag import rat
-from .stepfn import StepFn, step_make
+from .stepfn import ZERO_FN, StepFn, step_add, step_make
 
 
 @dataclass(frozen=True)
@@ -79,8 +78,6 @@ def parse_step_template(text: str) -> Callable[[int], StepFn]:
     parsed = [(parse_affine(c), parse_affine(lo), parse_affine(hi)) for c, lo, hi in terms]
 
     def producer(n: int) -> StepFn:
-        from .stepfn import ZERO_FN, step_add, step_make
-
         out = ZERO_FN
         for c, lo, hi in parsed:
             out = step_add(out, step_make([((lo.at(n), hi.at(n)), c.at(n))]))
@@ -89,16 +86,14 @@ def parse_step_template(text: str) -> Callable[[int], StepFn]:
     return producer
 
 
-def producer_from_json(doc: str | dict):
-    """Build a stage producer from a DSL document.
+def producer_from_json(doc: dict):
+    """Build a stage producer from a parsed DSL document.
 
     ``{"kind": "interval", "template": "[0, 1 + 1/n]"}``
     ``{"kind": "step", "template": "(1/n)*1_[n, n+1]"}``
     ``{"kind": "interval-list", "stages": [[...descriptors...], ...]}``
     Returns ``(producer, kind)``.
     """
-    if isinstance(doc, str):
-        doc = json.loads(doc)
     kind = doc["kind"]
     if kind in ("interval", "step"):
         template = doc["template"]
@@ -107,7 +102,7 @@ def producer_from_json(doc: str | dict):
         parse = parse_interval_template if kind == "interval" else parse_step_template
         return parse(template), kind
     if kind == "interval-list":
-        stages = [iset_make(s) for s in doc["stages"]]
+        stages = [iset_from_json(s) for s in doc["stages"]]
 
         def producer(n: int) -> IntervalSet:
             if n <= len(stages):

@@ -16,7 +16,6 @@ changes.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -81,9 +80,6 @@ class StepFn:
             "open_values": [str(v) for v in self.open_values],
             "point_values": [str(v) for v in self.point_values],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
 
 
 ZERO_FN = StepFn((), (), ())
@@ -219,11 +215,9 @@ def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (d // v.denominator) if v else 0 for v in values], d
 
 
-def _widths(points: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The gaps between consecutive ``points`` as integers over one
-    denominator, and that denominator."""
-    nums, d = _over_lcm(points)
-    return [b - a for a, b in zip(nums, nums[1:])], d
+def _widths(nums: Sequence[int]) -> list[int]:
+    """The gaps between consecutive integer coordinates."""
+    return [b - a for a, b in zip(nums, nums[1:])]
 
 
 def _dot(values: Sequence[Fraction], weights: Sequence[int], wd: int) -> Fraction:
@@ -235,13 +229,15 @@ def _dot(values: Sequence[Fraction], weights: Sequence[int], wd: int) -> Fractio
 
 def integral(f: StepFn) -> Fraction:
     """Sum of open-interval value times width; point values are ignored."""
-    return _dot(f.open_values, *_widths(f.breakpoints))
+    bps, wd = _over_lcm(f.breakpoints)
+    return _dot(f.open_values, _widths(bps), wd)
 
 
-def step_from_json(doc: str | dict) -> StepFn:
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    return step_from_values(doc["breakpoints"], doc["open_values"], doc["point_values"])
+def step_from_json(doc: dict) -> StepFn:
+    arrays = doc["breakpoints"], doc["open_values"], doc["point_values"]
+    if not all(isinstance(a, list) for a in arrays):
+        raise TypeError("breakpoints, open_values and point_values must be lists")
+    return step_from_values(*arrays)
 
 
 def step_probe_points(*fns: StepFn, offset: Fraction = Fraction(1, 1000)) -> list[Fraction]:

@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterable
 from .intervals import EMPTY, IntervalSet, interval, iset_join
 from .oag import RATIONALS, Group, rat
 from .report import CheckReport
-from .sequences import MonoSeq
+from .sequences import MonoSeq, MonotonicityError
 from .valuation import Valuation, dist
 
 
@@ -82,8 +82,8 @@ def uniformity_check(
 
     Covers reflexivity, the meet-index implication, halving composition
     (on dyadic-grid increments, including the boundary step of the half
-    index), the order sandwich, separation of sampled strict pairs within
-    64 indices, translation invariance, and order reversal under negation.
+    index), the order sandwich, separation of sampled strict pairs (within
+    max(64, depth + 3) indices), translation invariance and negation.
     The two limit laws quantify over infinite data, so they are exercised
     only against caller-supplied ``(producer, modulus, limit)`` triples of
     decreasing sequences.
@@ -91,6 +91,7 @@ def uniformity_check(
     g = u.group
     rng = random.Random(seed)
     report = CheckReport()
+    sep_limit = max(64, depth + 3)  # the smallest sampled increment is 2^-(depth + 2)
 
     def sample_elem():
         return g.sample(rng)
@@ -154,9 +155,9 @@ def uniformity_check(
             report.record("(iv) order sandwich", True, wit)
 
         if not g.equal(lo, hi):
-            sep = separation_index(u, lo, hi)
+            sep = separation_index(u, lo, hi, sep_limit)
             report.record(
-                "(v) separation within 64 indices",
+                f"(v) separation within {sep_limit} indices",
                 sep is not None,
                 f"s={g.fmt(lo)} t={g.fmt(hi)}",
             )
@@ -282,9 +283,12 @@ def dense_approximate(
     tilde: list[Any] = []
     trace: list[dict] = []
     budget = Fraction(0)
-    acc = None
+    acc = a_prev = None
     for n in range(1, depth + 1):
         a_n = seq.at(n)
+        if a_prev is not None and not lat.leq(a_n, a_prev):
+            raise MonotonicityError(n, f"sequence is not decreasing at stage {n}")
+        a_prev = a_n
         zeta_index = eps_index + n + 2
         ell = oracle.witness(a_n, zeta_index)
         if not lat.leq(ell, a_n):

@@ -2,6 +2,7 @@
 oracle that builds whole subsets of the truncated space with frozenset
 operations instead of pointwise recursion."""
 
+import json
 import random
 import sys
 
@@ -193,7 +194,11 @@ def test_stump_alpha_monotone_under_child_insertion():
 def test_stump_json_roundtrip():
     s = Stump.node([leaf(), Stump.node([leaf()])])
     assert Stump.from_json(s.to_json_obj()) == s
-    assert Stump.from_json('{"node": [{"leaf": true}]}') == Stump.node([leaf()])
+    assert Stump.from_json({"node": [{"leaf": True}]}) == Stump.node([leaf()])
+    # readers take parsed documents: JSON text, here or nested, is not a stump
+    for doc in ('{"node": [{"leaf": true}]}', {"node": ['{"leaf": true}']}, {"node": ""}):
+        with pytest.raises(ValueError):
+            Stump.from_json(doc)
 
 
 def test_stump_deeper_than_the_recursion_limit():
@@ -268,8 +273,13 @@ def test_decode_stratified_missing_code():
 
 
 def test_code_assign_json():
-    doc = '{"children": [{"codes": [5]}], "default": {"codes": [7]}}'
+    doc = {"children": [{"codes": [5]}], "default": {"codes": [7]}}
     assign = code_assign_from_json(doc)
     assert isinstance(assign, CodeNode)
     assert assign.children[0] == CodeLeaf((5,))
     assert assign.default == CodeLeaf((7,))
+    with pytest.raises(TypeError):
+        code_assign_from_json(json.dumps(doc))
+    for codes in ("57", [5.9], ["5"], [True]):  # not the codes 5 and 7, 5, 5 or 1
+        with pytest.raises(TypeError):
+            code_assign_from_json({"codes": codes})

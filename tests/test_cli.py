@@ -185,6 +185,19 @@ def test_check_suite_pass(files, tmp_path):
     assert json.loads(text)["ok"] is True
 
 
+@pytest.mark.parametrize("depth, bound", [("61", 64), ("1000", 1003)])
+def test_check_uniformity_separates_at_any_depth(depth, bound, tmp_path):
+    # sampled pairs may be 2^-(depth + 2) apart: law (v) searches past that
+    code, text = run_cli(
+        ["check", "--suite", "uniformity-dyadic", "--samples", "50", "--seed", "1",
+         "--depth", depth],
+        tmp_path,
+    )
+    report = json.loads(text)["report"]
+    assert code == 0
+    assert report[f"(v) separation within {bound} indices"]["fail"] == 0
+
+
 def test_check_suite_negative_control(files, tmp_path):
     code, text = run_cli(
         ["check", "--suite", "negative-broken-half", "--samples", "300", "--seed", "7"],
@@ -356,6 +369,16 @@ BAD_DOCS = {
     "string-carrier": {"carrier": "ab", "leq": [["a", "b"]], "phi": {"a": "0", "b": "1"}},
     "number-interval-template": {"kind": "interval", "template": 5},
     "list-step-template": {"kind": "step", "template": ["(1)*1_[0, 1]"]},
+    # nested values are JSON values, never JSON text or lists of characters
+    "string-child-tree": {"node": ['{"node": [{"node": []}]}']},
+    "string-piece-set": ["05"],
+    "string-flags-set": [[0, 1, "false", "false"]],
+    "string-values-step": {"breakpoints": ["0", "1"], "open_values": "1", "point_values": "00"},
+    "string-pair-leq": {"carrier": ["a", "b"], "leq": ["ab"], "phi": {"a": "0", "b": "1"}},
+    # decreasing over the eight stages seq_make checks, then not
+    "rises-at-nine": {"kind": "interval-list", "stages": [[[0, 1]]] * 8 + [[[5, 6]]]},
+    # both labels would read phi["1"]
+    "same-str-labels": {"carrier": [1, "1"], "leq": [[1, "1"]], "phi": {"1": "2"}},
 }
 
 
@@ -403,6 +426,13 @@ BAD_DOCS = {
         (["converge-trace", "--seq", "list-step-template"], "--seq"),
         (["dense-approx", "--seq", "list-step-template", "--eps-index", "2"], "--seq"),
         (["fubini-check", "--terms", "string-base-terms"], "--terms"),
+        (["stump-alpha", "--tree", "string-child-tree"], "--tree"),
+        (["measure", "--set", "string-piece-set"], "--set"),
+        (["measure", "--set", "string-flags-set"], "--set"),
+        (["integrate", "--step", "string-values-step"], "--step"),
+        (["quotient", "--system", "string-pair-leq"], "--system:leq"),
+        (["dense-approx", "--seq", "rises-at-nine", "--depth", "9", "--eps-index", "1"], "--seq"),
+        (["quotient", "--system", "same-str-labels"], "--system:carrier"),
     ],
 )
 def test_bad_document_is_input_error(argv, pointer, tmp_path, capsys):

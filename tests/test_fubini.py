@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import sys
@@ -257,13 +258,14 @@ def test_rectset_measure_matches_mu_xy_on_rectangles():
 
 
 def test_terms_from_json():
-    doc = (
-        '[{"coefficient": "2", "base_x": [{"lo": "0", "hi": "3"}],'
-        ' "base_y": [{"lo": "1", "hi": "2"}]}]'
-    )
+    doc = [
+        {"coefficient": "2", "base_x": [{"lo": "0", "hi": "3"}], "base_y": [{"lo": "1", "hi": "2"}]}
+    ]
     terms = terms_from_json(doc)
     assert terms[0].coefficient == 2
     assert mu_S(terms[0].base_x) == 3
+    with pytest.raises(TypeError):
+        terms_from_json(json.dumps(doc))
 
 
 def restart_canonical_2d(xs, ys, cells, vlines, hlines, points) -> StepFn2D:

@@ -6,6 +6,7 @@ operation pointwise.  Probes follow the fixed convention: every endpoint of
 inputs and output, endpoints +/- 1/1000, and all piece midpoints.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -142,7 +143,9 @@ def test_half_open_pieces_arise_from_difference():
 
 def test_json_roundtrip():
     a = iset_make([(0, 1, True, False), (2, 2, True, True)])
-    assert iset_from_json(a.to_json()) == a
+    assert iset_from_json(a.to_json_obj()) == a
+    with pytest.raises(TypeError):
+        iset_from_json(json.dumps(a.to_json_obj()))
 
 
 def test_canonical_rejects_overlapping_pieces():
@@ -335,5 +338,12 @@ def test_dict_descriptor_flags_must_be_booleans():
     with pytest.raises(ValueError, match="booleans"):
         iset_make([{"lo": 0, "hi": 1, "hi_closed": 0}])
     assert iset_make([{"lo": 0, "hi": 1, "lo_closed": False}]) == interval(0, 1, False, True)
-    # tuple descriptors from library callers keep their coercion
-    assert iset_make([(0, 1, 0, 1)]) == interval(0, 1, False, True)
+    # list and tuple descriptors take booleans too, and nothing else is a piece
+    with pytest.raises(ValueError, match="booleans"):
+        iset_make([(0, 1, 0, 1)])
+    with pytest.raises(ValueError, match="booleans"):
+        iset_make([[0, 1, "false", "false"]])
+    assert iset_make([[0, 1, False, True]]) == interval(0, 1, False, True)
+    for bad in ("05", (0, 1, True), range(2), {0, 1}):
+        with pytest.raises(ValueError, match="descriptor"):
+            iset_make([bad])

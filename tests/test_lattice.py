@@ -180,7 +180,11 @@ def test_checked_lattices_reject_foreign_operands(lat, good, foreign, what, op):
 
 def test_json_loader():
     lat = finite_lattice_from_json(
-        '{"carrier": ["bot", "mid", "top"], "leq": [["bot", "mid"], ["mid", "top"]]}'
+        {"carrier": ["bot", "mid", "top"], "leq": [["bot", "mid"], ["mid", "top"]]}
     )
     assert lat.join("bot", "mid") == "mid"
     assert lat.leq("bot", "top")
+    with pytest.raises(TypeError):
+        finite_lattice_from_json('{"carrier": ["a"], "leq": []}')
+    with pytest.raises(ValueError):  # not the pair ("a", "b")
+        finite_lattice_from_json({"carrier": ["a", "b"], "leq": ["ab"]})

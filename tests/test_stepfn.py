@@ -1,5 +1,6 @@
 """Step functions against a pointwise probe oracle."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -123,7 +124,12 @@ def test_leq_is_pointwise():
 
 def test_json_roundtrip():
     f = step_make([((0, 1), 2)], points=[(3, 4)])
-    assert step_from_json(f.to_json()) == f
+    assert step_from_json(f.to_json_obj()) == f
+    with pytest.raises(TypeError):
+        step_from_json(json.dumps(f.to_json_obj()))
+    for key in ("open_values", "point_values"):  # not lists of characters
+        with pytest.raises(TypeError):
+            step_from_json({**f.to_json_obj(), key: "1"})
 
 
 @settings(max_examples=250, deadline=None)

@@ -6,7 +6,7 @@ import pytest
 
 from latval.instances import INTERVAL_SETS, interval_measure, step_integral
 from latval.intervals import interval, iset_diff
-from latval.sequences import seq_make
+from latval.sequences import MonotonicityError, seq_make
 from latval.stepfn import ZERO_FN, step_make
 from latval.uniformity import (
     DYADIC,
@@ -159,6 +159,21 @@ def test_dense_approximate_rejects_bad_oracle():
     )
     with pytest.raises(OracleContractViolation):
         dense_approximate(interval_measure, bad, shrinking_seq(), 2, 3)
+
+
+def test_dense_approximate_rejects_a_stage_that_rises():
+    # seq_make checks the first two stages only; the third leaves them
+    rises = seq_make(
+        INTERVAL_SETS,
+        "decreasing",
+        lambda n: interval(0, 1) if n < 3 else interval(5, 6),
+        lambda eps: 1,
+        sanity_depth=2,
+        phi=interval_measure,
+    )
+    with pytest.raises(MonotonicityError) as err:
+        dense_approximate(interval_measure, dyadic_endpoint_oracle(), rises, 1, 3)
+    assert err.value.stage == 3
 
 
 def test_dense_approximate_single_step():
