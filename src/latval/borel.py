@@ -111,7 +111,10 @@ class Stump:
 def _stump_children(doc):
     """``None`` for a leaf document, else an iterator over its children."""
     if isinstance(doc, dict):
-        if doc.get("leaf"):
+        leaf = doc.get("leaf", False)
+        if not isinstance(leaf, bool):
+            raise ValueError(f"leaf is not a JSON boolean: {leaf!r}")
+        if leaf:
             return None
         if isinstance(doc.get("node"), list):
             return iter(doc["node"])

@@ -34,11 +34,12 @@ from .instances import (
     totient_valuation,
 )
 from .intervals import iset_from_json
-from .lattice import check_distributive, diamond_m3, finite_lattice_from_json
+from .lattice import MAX_FINITE_CARRIER, check_distributive, diamond_m3, finite_lattice_from_json
 from .oag import GROUPS, RATIONALS, check_group_axioms, rat
 from .report import CheckReport
 from .stepfn import step_from_json
 from .valuation import (
+    QuotientIllDefined,
     Valuation,
     check_congruence,
     check_modular_map_identity,
@@ -195,8 +196,10 @@ def cmd_quotient(args) -> int:
         if key not in doc:
             raise InputError(f"--system:{key}", "missing field")
     carrier = doc["carrier"]
-    if not isinstance(carrier, list) or not carrier:
-        raise InputError("--system:carrier", "expected a JSON list of at least one label")
+    if not isinstance(carrier, list) or not 1 <= len(carrier) <= MAX_FINITE_CARRIER:
+        raise InputError(
+            "--system:carrier", f"expected a JSON list of 1 to {MAX_FINITE_CARRIER} labels"
+        )
     try:  # labels key the lattice tables, and their strings key phi
         distinct = len(frozenset(carrier)) == len({str(a) for a in carrier}) == len(carrier)
     except TypeError as exc:
@@ -225,9 +228,13 @@ def cmd_quotient(args) -> int:
         sampler=lambda rng: rng.choice(lat.carrier),
     )
     vrep = check_valuation(phi, samples, args.seed)
+    if vrep.ok:
+        try:
+            qlat, qphi = quotient(phi)
+        except QuotientIllDefined as exc:  # a failure the samples missed
+            vrep.record("quotient well-defined", False, str(exc))
     if not vrep.ok:
         return _report_exit(args, vrep, {"error": "input is not a valuation"})
-    qlat, qphi = quotient(phi)
     hausdorff = all(
         dist(qphi, x, y) != 0
         for x in qlat.carrier

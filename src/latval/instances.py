@@ -10,7 +10,7 @@ from functools import lru_cache
 from . import gf2, intervals, stepfn
 from .gf2 import GF2Subspace
 from .intervals import IntervalSet
-from .lattice import DIVISIBILITY, CheckedLattice, finite_subset_lattice
+from .lattice import DIVISIBILITY, Lattice, finite_subset_lattice
 from .oag import DIV_POS, RATIONALS, DivPos
 from .stepfn import StepFn
 from .valuation import Valuation
@@ -18,7 +18,7 @@ from .valuation import Valuation
 
 # The operations look their module function up at each call, so a wrapper
 # installed on the module (as the traced benchmark run does) sees every call.
-INTERVAL_SETS = CheckedLattice(
+INTERVAL_SETS = Lattice(
     "interval-sets",
     lambda a: isinstance(a, IntervalSet),
     "an IntervalSet",
@@ -27,7 +27,7 @@ INTERVAL_SETS = CheckedLattice(
     lambda a, b: intervals.iset_diff(a, b).is_empty(),
 )
 
-STEP_FNS = CheckedLattice(
+STEP_FNS = Lattice(
     "step-functions",
     lambda a: isinstance(a, StepFn),
     "a StepFn",
@@ -37,9 +37,9 @@ STEP_FNS = CheckedLattice(
 )
 
 
-def gf2_subspace_lattice(ambient: int) -> CheckedLattice:
+def gf2_subspace_lattice(ambient: int) -> Lattice:
     """Subspaces of GF(2)^ambient under inclusion."""
-    return CheckedLattice(
+    return Lattice(
         "gf2-subspaces",
         lambda a: isinstance(a, GF2Subspace) and a.ambient == ambient,
         f"a subspace of GF(2)^{ambient}",

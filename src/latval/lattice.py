@@ -1,12 +1,12 @@
-"""Lattices: the common interface, explicit finite lattices, and combinators."""
+"""Lattices: one checked table-driven class, explicit finite lattices, and
+the opposite and product combinators."""
 
 from __future__ import annotations
 
 import math
 import operator
+from fractions import Fraction
 from typing import Any, Hashable, Iterable, Sequence
-
-from .oag import rat
 
 MAX_FINITE_CARRIER = 64
 
@@ -26,46 +26,28 @@ class ForeignElement(ValueError):
 
 
 class Lattice:
-    """Deterministic meet/join/leq on some carrier of exact elements."""
+    """A lattice of exact elements, given by a membership test and a table.
 
-    name = "lattice"
-
-    def meet(self, a, b):
-        raise NotImplementedError
-
-    def join(self, a, b):
-        raise NotImplementedError
-
-    def leq(self, a, b) -> bool:
-        raise NotImplementedError
-
-    def equal(self, a, b) -> bool:
-        return self.leq(a, b) and self.leq(b, a)
-
-    def fmt(self, a) -> str:
-        return str(a)
-
-
-class CheckedLattice(Lattice):
-    """A lattice given by a membership test and its three operations.
-
-    ``meet``, ``join`` and ``leq`` first check their operands: the first
-    operand ``x`` with ``member(x)`` false raises ``ForeignElement`` with
-    the message ``"<x!r> is not <what>"``.
+    The table functions ``meet``, ``join`` and ``leq`` assume members; the
+    methods of the same names, and ``equal``, check their operands once and
+    then call them.  The first operand ``x`` with ``member(x)`` false raises
+    ``ForeignElement`` with the message ``"<x!r> is not <what>"``.  ``fmt``
+    renders an element.
     """
 
-    def __init__(self, name: str, member, what: str, meet, join, leq):
+    opposite_of: Lattice | None = None  # set by ``opposite``
+
+    def __init__(self, name: str, member, what: str, meet, join, leq, fmt=str):
         self.name = name
-        self._member = member
-        self._what = what
-        self._meet = meet
-        self._join = join
-        self._leq = leq
+        self.member = member
+        self.what = what
+        self._meet, self._join, self._leq = meet, join, leq
+        self.fmt = fmt
 
     def _check(self, a, b) -> None:
-        if not (self._member(a) and self._member(b)):
-            foreign = b if self._member(a) else a
-            raise ForeignElement(f"{foreign!r} is not {self._what}")
+        if not (self.member(a) and self.member(b)):
+            foreign = b if self.member(a) else a
+            raise ForeignElement(f"{foreign!r} is not {self.what}")
 
     def meet(self, a, b):
         self._check(a, b)
@@ -79,37 +61,37 @@ class CheckedLattice(Lattice):
         self._check(a, b)
         return self._leq(a, b)
 
+    def equal(self, a, b) -> bool:
+        self._check(a, b)
+        return self._leq(a, b) and self._leq(b, a)
 
-class FiniteLattice(CheckedLattice):
+
+class FiniteLattice(Lattice):
     """Explicit lattice on at most 64 labelled elements.
 
-    Meet and join tables are precomputed at build time; construction fails
-    if the relation is not a partial order or some pair lacks a greatest
-    lower / least upper bound.
+    The tables ``leq``, ``meet`` and ``join`` map every pair of labels to its
+    entry; ``finite_lattice_build`` precomputes them, and fails if the
+    relation is not a partial order or some pair lacks a greatest lower /
+    least upper bound.
     """
 
-    def __init__(
-        self,
-        carrier: Sequence[Hashable],
-        leq_matrix: dict[tuple[Hashable, Hashable], bool],
-        meet_table: dict[tuple[Hashable, Hashable], Hashable],
-        join_table: dict[tuple[Hashable, Hashable], Hashable],
-    ):
+    def __init__(self, carrier: Sequence[Hashable], leq: dict, meet: dict, join: dict):
         self.carrier = tuple(carrier)
+        labels = frozenset(self.carrier)
+
+        def member(a) -> bool:
+            try:
+                return a in labels
+            except TypeError:  # unhashable, so not a label
+                return False
+
         super().__init__(
-            "finite",
-            frozenset(self.carrier).__contains__,
-            "in the carrier",
-            lambda a, b: meet_table[a, b],
-            lambda a, b: join_table[a, b],
-            lambda a, b: leq_matrix[a, b],
+            "finite", member, "in the carrier",
+            lambda a, b: meet[a, b], lambda a, b: join[a, b], lambda a, b: leq[a, b],
         )
 
     def __len__(self) -> int:
         return len(self.carrier)
-
-    def elements(self) -> tuple:
-        return self.carrier
 
 
 def finite_lattice_build(
@@ -205,22 +187,11 @@ def check_distributive(lat: FiniteLattice):
     return True, None
 
 
-class RationalChain(Lattice):
-    """The rationals as a chain: meet=min, join=max."""
+RATIONAL_CHAIN = Lattice(
+    "rational-chain", lambda a: isinstance(a, Fraction), "a Fraction", min, max, operator.le
+)
 
-    name = "rational-chain"
-
-    def meet(self, a, b):
-        return min(rat(a), rat(b))
-
-    def join(self, a, b):
-        return max(rat(a), rat(b))
-
-    def leq(self, a, b) -> bool:
-        return rat(a) <= rat(b)
-
-
-DIVISIBILITY = CheckedLattice(
+DIVISIBILITY = Lattice(
     "divisibility",
     lambda a: isinstance(a, int) and a >= 1,
     "a positive integer",
@@ -230,10 +201,10 @@ DIVISIBILITY = CheckedLattice(
 )
 
 
-def finite_subset_lattice(ground: Iterable[Hashable]) -> CheckedLattice:
+def finite_subset_lattice(ground: Iterable[Hashable]) -> Lattice:
     """Finite subsets of a fixed ground set, ordered by inclusion."""
     ground = frozenset(ground)
-    return CheckedLattice(
+    return Lattice(
         "finite-subsets",
         lambda a: isinstance(a, frozenset) and a <= ground,
         "a subset of the ground set",
@@ -243,51 +214,39 @@ def finite_subset_lattice(ground: Iterable[Hashable]) -> CheckedLattice:
     )
 
 
-class OppositeLattice(Lattice):
-    """Order-reversed view of another lattice; an involution."""
-
-    def __init__(self, inner: Lattice):
-        self.inner = inner
-        self.name = f"opposite({inner.name})"
-
-    def meet(self, a, b):
-        return self.inner.join(a, b)
-
-    def join(self, a, b):
-        return self.inner.meet(a, b)
-
-    def leq(self, a, b) -> bool:
-        return self.inner.leq(b, a)
-
-    def fmt(self, a) -> str:
-        return self.inner.fmt(a)
-
-
 def opposite(lat: Lattice) -> Lattice:
-    if isinstance(lat, OppositeLattice):
-        return lat.inner
-    return OppositeLattice(lat)
+    """The same carrier with its order reversed, so meet and join trade
+    places.  An involution: the opposite of an opposite is the lattice."""
+    if lat.opposite_of is not None:
+        return lat.opposite_of
+    inner_leq = lat._leq
+    opp = Lattice(
+        f"opposite({lat.name})", lat.member, lat.what,
+        lat._join, lat._meet, lambda a, b: inner_leq(b, a), lat.fmt,
+    )
+    opp.opposite_of = lat
+    return opp
 
 
-class ProductLattice(Lattice):
-    """Componentwise order on pairs."""
+def product_lattice(left: Lattice, right: Lattice) -> Lattice:
+    """Componentwise order on pairs.
 
-    def __init__(self, left: Lattice, right: Lattice):
-        self.left = left
-        self.right = right
-        self.name = f"product({left.name}, {right.name})"
-
-    def meet(self, a, b):
-        return (self.left.meet(a[0], b[0]), self.right.meet(a[1], b[1]))
-
-    def join(self, a, b):
-        return (self.left.join(a[0], b[0]), self.right.join(a[1], b[1]))
-
-    def leq(self, a, b) -> bool:
-        return self.left.leq(a[0], b[0]) and self.right.leq(a[1], b[1])
-
-    def fmt(self, a) -> str:
-        return f"({self.left.fmt(a[0])}, {self.right.fmt(a[1])})"
+    Its table composes the factors' table functions, so each operand is
+    checked once: one member test, for a 2-tuple of members.
+    """
+    lmember, rmember = left.member, right.member
+    lmeet, ljoin, lleq = left._meet, left._join, left._leq
+    rmeet, rjoin, rleq = right._meet, right._join, right._leq
+    name = f"product({left.name}, {right.name})"
+    return Lattice(
+        name,
+        lambda a: isinstance(a, tuple) and len(a) == 2 and lmember(a[0]) and rmember(a[1]),
+        f"a member of {name}",
+        lambda a, b: (lmeet(a[0], b[0]), rmeet(a[1], b[1])),
+        lambda a, b: (ljoin(a[0], b[0]), rjoin(a[1], b[1])),
+        lambda a, b: lleq(a[0], b[0]) and rleq(a[1], b[1]),
+        lambda a: f"({left.fmt(a[0])}, {right.fmt(a[1])})",
+    )
 
 
 def chain_lattice(n: int) -> FiniteLattice:

@@ -36,10 +36,6 @@ class ModulusError(ValueError):
     pass
 
 
-class UnsupportedSequence(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class MonoSeq:
     """A lazily produced monotone sequence plus its convergence modulus.
@@ -342,20 +338,12 @@ def convergence_theorem_check(
     truncated upper phi-limit.  ``dct``: requires bounds, checks them at
     every stage, and compares the truncated scalar limit of phi values with
     phi of both truncated limit elements.  All differences must be within
-    ``tol``; each comparison is reported separately.  Domains whose elements
-    do not support meet/join raise UnsupportedSequence.
+    ``tol``; each comparison is reported separately.
     """
     tol = rat(tol)
     lat, g = phi.domain, phi.group
     report = CheckReport()
     stages = [producer(n) for n in range(1, depth + 1)]
-
-    try:
-        lat.meet(stages[0], stages[0])
-    except Exception as exc:  # pragma: no cover - defensive
-        raise UnsupportedSequence(
-            f"domain {lat.name} does not support stage-computable limits: {exc}"
-        ) from exc
 
     def tail_elem(N: int, op) -> Any:
         acc = stages[N]

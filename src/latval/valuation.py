@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .lattice import FiniteLattice, Lattice, ProductLattice, finite_lattice_build, opposite
+from .lattice import FiniteLattice, Lattice, finite_lattice_build, opposite, product_lattice
 from .oag import Group, opposite_group, product_group
 from .report import CheckReport
 
@@ -29,8 +29,9 @@ class NoSampler(ValueError):
 class QuotientIllDefined(AssertionError):
     """Induced quotient data disagreed between representatives.
 
-    Cannot occur when the input passes check_valuation; raised as a hard
-    assertion because it falsifies the valuation axioms of the input.
+    Cannot occur when the input is a valuation, but can when it only passes
+    the sampled check_valuation; it falsifies the valuation axioms of the
+    input.
     """
 
 
@@ -281,7 +282,7 @@ def transform_product(phi: Valuation, psi: Valuation) -> Valuation:
     if phi.sampler is not None and psi.sampler is not None:
         sampler = lambda rng: (phi.sample(rng), psi.sample(rng))
     return Valuation(
-        domain=ProductLattice(phi.domain, psi.domain),
+        domain=product_lattice(phi.domain, psi.domain),
         group=product_group([phi.group, psi.group]),
         fn=fn,
         name=f"{phi.name} x {psi.name}",

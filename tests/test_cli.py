@@ -89,6 +89,24 @@ def test_quotient(files, tmp_path):
     assert sorted(doc["phi"].values()) == ["0", "1"]
 
 
+def test_quotient_of_a_non_valuation_the_samples_miss(tmp_path, capsys):
+    # modularity fails only at (a, b), which one sample at seed 1 does not draw
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({
+        "carrier": ["0", "a", "b", "1"],
+        "leq": [["0", "a"], ["0", "b"], ["a", "1"], ["b", "1"]],
+        "phi": {"0": "0", "a": "0", "b": "1", "1": "5"},
+    }))
+    assert main(["quotient", "--system", str(path), "--samples", "1", "--seed", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["error"] == "input is not a valuation" and doc["ok"] is False
+    assert doc["report"]["quotient well-defined"] == {
+        "pass": 0, "fail": 1, "counterexample": "join of classes differs: (a, b) vs (0, b)"
+    }
+
+
 def test_fubini_check(files, tmp_path):
     code, text = run_cli(
         ["fubini-check", "--terms", files["terms"], "--samples", "6", "--seed", "1"],
@@ -379,6 +397,10 @@ BAD_DOCS = {
     "rises-at-nine": {"kind": "interval-list", "stages": [[[0, 1]]] * 8 + [[[5, 6]]]},
     # both labels would read phi["1"]
     "same-str-labels": {"carrier": [1, "1"], "leq": [[1, "1"]], "phi": {"1": "2"}},
+    "carrier-65": {"carrier": [f"c{i}" for i in range(65)], "leq": [], "phi": {}},
+    # a leaf flag is a JSON boolean, never a truthy or falsy string or number
+    "string-leaf-tree": {"leaf": "false", "node": [{"node": []}]},
+    "zero-leaf-tree": {"leaf": 0, "node": [{"node": []}]},
 }
 
 
@@ -433,6 +455,9 @@ BAD_DOCS = {
         (["quotient", "--system", "string-pair-leq"], "--system:leq"),
         (["dense-approx", "--seq", "rises-at-nine", "--depth", "9", "--eps-index", "1"], "--seq"),
         (["quotient", "--system", "same-str-labels"], "--system:carrier"),
+        (["quotient", "--system", "carrier-65"], "--system:carrier"),
+        (["stump-alpha", "--tree", "string-leaf-tree"], "--tree"),
+        (["stump-alpha", "--tree", "zero-leaf-tree"], "--tree"),
     ],
 )
 def test_bad_document_is_input_error(argv, pointer, tmp_path, capsys):
@@ -592,10 +617,10 @@ def test_rationals_of_any_size_are_read_and_written(argv, docs, value, tmp_path,
 
 
 def test_long_integer_literal_is_read(tmp_path, capsys):
-    path = tmp_path / "leaf.json"
-    path.write_text('{"leaf": ' + "1" * 5_000 + "}")
-    assert main(["stump-alpha", "--tree", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out) == {"alpha": 0}
+    path = tmp_path / "set.json"
+    path.write_text("[[0, " + "1" * 5_000 + "]]")
+    assert main(["measure", "--set", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"value": "1" * 5_000}
 
 
 def test_int_digit_limit_is_restored(files, capsys):

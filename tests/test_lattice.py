@@ -11,9 +11,7 @@ from latval.lattice import (
     ForeignElement,
     NotALattice,
     NotAPartialOrder,
-    OppositeLattice,
-    ProductLattice,
-    RationalChain,
+    RATIONAL_CHAIN,
     chain_lattice,
     check_distributive,
     diamond_m3,
@@ -23,6 +21,7 @@ from latval.lattice import (
     opposite,
     pentagon_n5,
     powerset_lattice,
+    product_lattice,
 )
 from latval.stepfn import indicator
 
@@ -86,14 +85,14 @@ def test_distributivity_verdicts():
 
 
 def test_rational_chain():
-    chain = RationalChain()
+    chain = RATIONAL_CHAIN
     assert chain.meet(Fraction(3), Fraction(5)) == 3
     assert chain.join(Fraction(3), Fraction(5)) == 5
 
 
 def test_opposite_swaps_and_is_involution():
     lat = chain_lattice(2)
-    opp = OppositeLattice(lat)
+    opp = opposite(lat)
     assert opp.meet(0, 1) == 1
     assert opp.join(0, 1) == 0
     assert opp.leq(1, 0) and not opp.leq(0, 1)
@@ -101,7 +100,7 @@ def test_opposite_swaps_and_is_involution():
     assert back is lat
     rng = random.Random(5)
     m3 = diamond_m3()
-    dbl = OppositeLattice(OppositeLattice(m3))
+    dbl = opposite(opposite(m3))
     for _ in range(100):
         a, b = rng.choice(m3.carrier), rng.choice(m3.carrier)
         assert dbl.meet(a, b) == m3.meet(a, b)
@@ -110,7 +109,7 @@ def test_opposite_swaps_and_is_involution():
 
 
 def test_product_lattice_componentwise():
-    prod = ProductLattice(chain_lattice(3), diamond_m3())
+    prod = product_lattice(chain_lattice(3), diamond_m3())
     a, b = (0, "a"), (2, "b")
     assert prod.meet(a, b) == (0, "0")
     assert prod.join(a, b) == (2, "1")
@@ -127,7 +126,7 @@ def test_absorption_on_sampled_pairs():
     for lat, sample in [
         (diamond_m3(), lambda: rng.choice(diamond_m3().carrier)),
         (DIVISIBILITY, lambda: rng.randint(1, 400)),
-        (RationalChain(), lambda: Fraction(rng.randint(-50, 50), rng.randint(1, 9))),
+        (RATIONAL_CHAIN, lambda: Fraction(rng.randint(-50, 50), rng.randint(1, 9))),
     ]:
         for _ in range(200):
             a, b = sample(), sample()
@@ -166,6 +165,15 @@ CHECKED = [
     (DIVISIBILITY, 6, Fraction(1, 2), "a positive integer"),
     (finite_subset_lattice(range(5)), frozenset({1}), frozenset({9}), "a subset of the ground set"),
     (chain_lattice(3), 1, 99, "in the carrier"),
+    (RATIONAL_CHAIN, Fraction(1, 2), 0.5, "a Fraction"),
+    (opposite(DIVISIBILITY), 6, 0, "a positive integer"),
+    (
+        product_lattice(chain_lattice(3), diamond_m3()),
+        (0, "a"),
+        (0, "a", "junk"),
+        "a member of product(finite, finite)",
+    ),
+    (chain_lattice(3), 1, [1], "in the carrier"),
 ]
 
 
