@@ -108,9 +108,14 @@ class Stump:
                 stack[-1][1].append(node)
 
 
+_STUMP_KEYS = frozenset({"leaf", "node"})
+
+
 def _stump_children(doc):
     """``None`` for a leaf document, else an iterator over its children."""
     if isinstance(doc, dict):
+        if not doc.keys() <= _STUMP_KEYS:
+            raise ValueError(f"unknown keys {sorted(doc.keys() - _STUMP_KEYS)} in a stump")
         leaf = doc.get("leaf", False)
         if not isinstance(leaf, bool):
             raise ValueError(f"leaf is not a JSON boolean: {leaf!r}")

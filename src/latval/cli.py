@@ -3,13 +3,13 @@
 Every subcommand reads JSON, runs one operation or one named property
 suite, and emits a JSON document on one line (``converge-trace`` can emit
 CSV).  Output is deterministic for fixed inputs and flags.  Exit codes: 0
-success, 1 property failure (report still emitted), 2 input error.
+success, 1 property failure (report still emitted), 2 input error, 3
+internal error (one line on stderr, no traceback).
 
-Every subcommand takes ``--out``.  The other shared flags go only where
-the command reads them: ``--seed`` and ``--samples`` on ``quotient``,
-``fubini-check`` and ``check``; ``--depth`` on ``check``,
-``converge-trace``, ``sqrt2-witness`` and ``dense-approx``; ``--format``
-on ``converge-trace``.
+One table drives the command line: ``_COMMANDS`` names the flags each
+subcommand reads.  ``main`` parses them, checks the integer flags
+(``_COUNTS``), reads the document flags (``_DOCUMENTS``) and calls
+``cmd_<name>`` with the parsed values.
 """
 
 from __future__ import annotations
@@ -59,6 +59,11 @@ class InputError(Exception):
         self.pointer = pointer
 
 
+# What the library raises on input it cannot read: wherever one comes from a
+# document or a flag, it is an input error.
+_INPUT_ERRORS = (KeyError, IndexError, ValueError, TypeError, ZeroDivisionError, RecursionError)
+
+
 def _load_json(path: str, pointer: str):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -81,10 +86,8 @@ def _load_doc(path: str, pointer: str, what: str, parse):
     doc = _load_json(path, pointer)
     try:
         return parse(doc)
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+    except _INPUT_ERRORS as exc:
         raise InputError(pointer, f"bad {what}: {exc}")
-    except RecursionError:
-        raise InputError(pointer, f"bad {what}: document nested too deeply")
 
 
 def _emit(args, text: str) -> None:
@@ -112,89 +115,19 @@ def _dump(args, obj) -> None:
 
 
 def _report_exit(args, report: CheckReport, extra: dict | None = None) -> int:
-    doc = dict(extra or {})
-    doc["report"] = report.to_dict()
-    doc["ok"] = report.ok
-    _dump(args, doc)
+    _dump(args, {**(extra or {}), "report": report.to_dict(), "ok": report.ok})
     return 0 if report.ok else 1
 
 
-# The largest value each flag that sets the amount of work accepts, so that
-# every run ends.  On a 2-CPU VM, check --suite pseudometric at the samples
-# ceiling took 24 s, a step-function converge-trace at the depth ceiling 9 s,
-# and totient-table at its ceiling 1 s.
-_CEILINGS = {"samples": 10_000, "depth": 1_000, "eps_index": 1_000, "max": 100_000}
-
-
-def _at_least_one(args, dest: str, need: str) -> int:
-    """An integer flag that must be at least 1, and at most its ceiling if it
-    has one: zero samples would check nothing, and depths, indices and codes
-    count from 1."""
-    value, flag = getattr(args, dest), "--" + dest.replace("_", "-")
-    if value < 1:
-        raise InputError(flag, f"need {need}, got {value}")
-    if value > _CEILINGS.get(dest, value):
-        raise InputError(flag, f"need at most {_CEILINGS[dest]}, got {value}")
-    return value
-
-
-def _samples(args) -> int:
-    return _at_least_one(args, "samples", "at least one sample")
-
-
-def _depth(args) -> int:
-    return _at_least_one(args, "depth", "a depth of at least 1")
-
-
-# The valuation of each element kind (--kind, and the kind of a sequence).
-_VALUATIONS = {"interval": interval_measure, "step": step_integral}
-
-
-def _read_element(kind: str, path: str, pointer: str):
-    if kind == "interval":
-        return _load_doc(path, pointer, "interval-set document", iset_from_json)
-    return _load_doc(path, pointer, "step-function document", step_from_json)
-
-
-def cmd_measure(args) -> int:
-    a = _read_element("interval", args.set, "--set")
-    _dump(args, {"value": interval_measure(a)})
-    return 0
-
-
-def cmd_integrate(args) -> int:
-    f = _read_element("step", args.step, "--step")
-    _dump(args, {"value": step_integral(f)})
-    return 0
-
-
-def _distance_pair(args):
-    a = _read_element(args.kind, args.a, "--a")
-    b = _read_element(args.kind, args.b, "--b")
-    return _VALUATIONS[args.kind], a, b
-
-
-def cmd_distance(args) -> int:
-    phi, a, b = _distance_pair(args)
-    _dump(args, {"distance": dist(phi, a, b)})
-    return 0
-
-
-def cmd_approx_eq(args) -> int:
-    phi, a, b = _distance_pair(args)
-    d = dist(phi, a, b)
-    _dump(args, {"equal": d == 0, "distance": d})
-    return 0
-
-
-def cmd_quotient(args) -> int:
-    samples = _samples(args)
-    doc = _load_json(args.system, "--system")
+def _read_system(doc) -> Valuation:
+    """The valuation a ``--system`` document describes; each fault is an
+    input error at the field it is in."""
     if not isinstance(doc, dict):
         raise InputError("--system", "expected a JSON object")
-    for key in ("carrier", "leq", "phi"):
-        if key not in doc:
-            raise InputError(f"--system:{key}", "missing field")
+    wrong = sorted(doc.keys() ^ {"carrier", "leq", "phi"})
+    if wrong:  # the first key that is missing or not allowed
+        key = wrong[0]
+        raise InputError(f"--system:{key}", "unknown field" if key in doc else "missing field")
     carrier = doc["carrier"]
     if not isinstance(carrier, list) or not 1 <= len(carrier) <= MAX_FINITE_CARRIER:
         raise InputError(
@@ -208,7 +141,7 @@ def cmd_quotient(args) -> int:
         raise InputError("--system:carrier", "labels must be distinct, and so must their strings")
     try:
         lat = finite_lattice_from_json(doc)
-    except (ValueError, TypeError) as exc:
+    except _INPUT_ERRORS as exc:
         raise InputError("--system:leq", str(exc))
     if not isinstance(doc["phi"], dict):
         raise InputError("--system:phi", "expected a JSON object")
@@ -218,19 +151,163 @@ def cmd_quotient(args) -> int:
             raise InputError(f"--system:phi:{label}", "missing valuation value")
         try:
             values[label] = rat(doc["phi"][str(label)])
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
+        except _INPUT_ERRORS as exc:
             raise InputError(f"--system:phi:{label}", f"not a rational: {exc}")
-    phi = Valuation(
+    return Valuation(
         domain=lat,
         group=RATIONALS,
         fn=lambda a: values[a],
         name="phi",
         sampler=lambda rng: rng.choice(lat.carrier),
     )
-    vrep = check_valuation(phi, samples, args.seed)
+
+
+def _read_sequence(doc):
+    """The stage producer and kind of a ``--seq`` document; a stage the
+    document cannot produce is an input error at ``--seq``."""
+    producer, kind = seqdsl.producer_from_json(doc)
+
+    def stage(n: int):
+        try:
+            return producer(n)
+        except _INPUT_ERRORS as exc:
+            raise InputError("--seq", f"bad sequence document: stage {n}: {exc}")
+
+    return stage, kind
+
+
+# --- the command table ----------------------------------------------------
+
+# Element kind (--kind, and the kind of a sequence) -> its valuation, and the
+# document flag whose reader reads it.
+_KINDS = {"interval": (interval_measure, "set"), "step": (step_integral, "step")}
+
+# Document flag -> its name in errors, and its reader.  Like the suites, the
+# readers look the library's functions up when called, not when defined, so
+# a wrapper installed on one later (the benchmark's traced run) is used.
+# --a and --b are read by the reader of their --kind.
+_DOCUMENTS = {
+    "set": ("interval-set document", lambda doc: iset_from_json(doc)),
+    "step": ("step-function document", lambda doc: step_from_json(doc)),
+    "system": ("finite valuation system", _read_system),
+    "seq": ("sequence document", _read_sequence),
+    "terms": ("rectangle terms", lambda doc: fubini.terms_from_json(doc)),
+    "tree": ("stump document", lambda doc: borel.Stump.from_json(doc)),
+}
+
+# Integer flag -> what it needs, and its ceiling.  Each is at least 1: zero
+# samples would check nothing, and depths, indices and codes count from 1.
+# The ceilings make every run end: on a 2-CPU VM, check --suite pseudometric
+# at the samples ceiling took 24 s, a step-function converge-trace at the
+# depth ceiling 9 s, and totient-table at its ceiling 1 s.
+_COUNTS = {
+    "samples": ("at least one sample", 10_000),
+    "depth": ("a depth of at least 1", 1_000),
+    "eps_index": ("an index of at least 1", 1_000),
+    "max": ("a bound of at least 1", 100_000),
+    "code": ("a positive code", None),
+}
+
+# Flag -> its argparse spec.
+_FLAGS = {
+    "--out": {"help": "write the document here instead of stdout"},
+    "--seed": {"type": int, "default": 0},
+    "--samples": {"type": int, "default": 20},
+    "--depth": {"type": int, "default": 12},
+    "--format": {"choices": ["json", "csv"], "default": "json"},
+    "--kind": {"choices": sorted(_KINDS), "required": True},
+    **{flag: {"required": True} for flag in
+       ("--set", "--step", "--a", "--b", "--system", "--seq", "--terms", "--tree", "--suite")},
+    **{flag: {"type": int, "required": True} for flag in ("--eps-index", "--max", "--code")},
+    "--space": {"required": True, "help": "DxM"},
+    "--point": {"required": True, "help": "comma-separated values"},
+}
+
+# Subcommand -> its help and the flags it reads besides --out, and
+# optionally specs that replace _FLAGS' for this subcommand.
+_COMMANDS = {
+    "measure": ("measure of an interval set", "--set"),
+    "integrate": ("integral of a step function", "--step"),
+    "distance": ("valuation distance between two elements", "--kind --a --b"),
+    "approx-eq": ("distance-zero equivalence test", "--kind --a --b"),
+    "quotient": ("quotient of a finite valuation system", "--seed --samples --system"),
+    "converge-trace": ("per-stage valuation trace", "--depth --format --seq"),
+    "sqrt2-witness": ("increasing unions with irrational supremum", "--depth"),
+    "dense-approx": ("constructive dense under-approximation", "--depth --seq --eps-index"),
+    "fubini-check": ("double-integral identity check", "--seed --samples --terms"),
+    "stump-alpha": ("ordinal rank of a stump", "--tree"),
+    "borel-decode": (
+        "membership of a coded set",
+        "--code --space --point --kind",
+        {"--kind": {"choices": ["Sprime", "Scap", "A"], "default": "A"}},
+    ),
+    "totient-table": ("totient values up to a bound", "--max"),
+    "check": ("run a named property suite", "--seed --samples --depth --suite"),
+}
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process from ``_COMMANDS``."""
+    parser = argparse.ArgumentParser(prog="latval", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help, flags, *own) in _COMMANDS.items():
+        specs = _FLAGS | (own[0] if own else {})
+        p = sub.add_parser(name, help=help)
+        for flag in ["--out", *flags.split()]:
+            p.add_argument(flag, **specs[flag])
+    return parser
+
+
+def _check_counts(args) -> None:
+    for dest, (need, ceiling) in _COUNTS.items():
+        value, flag = vars(args).get(dest), "--" + dest.replace("_", "-")
+        if value is None:
+            continue
+        if value < 1:
+            raise InputError(flag, f"need {need}, got {value}")
+        if ceiling is not None and value > ceiling:
+            raise InputError(flag, f"need at most {ceiling}, got {value}")
+
+
+def _read_documents(args) -> None:
+    """Replace the path of each document flag by the document it names, read."""
+    for dest, path in list(vars(args).items()):
+        key = _KINDS[args.kind][1] if dest in ("a", "b") else dest
+        if key in _DOCUMENTS:
+            what, reader = _DOCUMENTS[key]
+            setattr(args, dest, _load_doc(path, "--" + dest, what, reader))
+
+
+# --- handlers: each gets the parsed values of its flags --------------------
+
+
+def cmd_measure(args) -> int:
+    _dump(args, {"value": interval_measure(args.set)})
+    return 0
+
+
+def cmd_integrate(args) -> int:
+    _dump(args, {"value": step_integral(args.step)})
+    return 0
+
+
+def cmd_distance(args) -> int:
+    _dump(args, {"distance": dist(_KINDS[args.kind][0], args.a, args.b)})
+    return 0
+
+
+def cmd_approx_eq(args) -> int:
+    d = dist(_KINDS[args.kind][0], args.a, args.b)
+    _dump(args, {"equal": d == 0, "distance": d})
+    return 0
+
+
+def cmd_quotient(args) -> int:
+    vrep = check_valuation(args.system, args.samples, args.seed)
     if vrep.ok:
         try:
-            qlat, qphi = quotient(phi)
+            qlat, qphi = quotient(args.system)
         except QuotientIllDefined as exc:  # a failure the samples missed
             vrep.record("quotient well-defined", False, str(exc))
     if not vrep.ok:
@@ -253,30 +330,13 @@ def cmd_quotient(args) -> int:
     return 0
 
 
-def _read_sequence(args):
-    """The stage producer and kind of the ``--seq`` document; a stage the
-    document cannot produce is an input error at ``--seq``."""
-    producer, kind = _load_doc(
-        args.seq, "--seq", "sequence document", seqdsl.producer_from_json
-    )
-
-    def stage(n: int):
-        try:
-            return producer(n)
-        except (IndexError, ValueError) as exc:
-            raise InputError("--seq", f"bad sequence document: stage {n}: {exc}")
-
-    return stage, kind
-
-
 def cmd_converge_trace(args) -> int:
-    depth = _depth(args)
-    producer, kind = _read_sequence(args)
-    phi = _VALUATIONS[kind]
+    producer, kind = args.seq
+    phi = _KINDS[kind][0]
     lat = phi.domain
     rows = []
     run_meet = run_join = None
-    for n in range(1, depth + 1):
+    for n in range(1, args.depth + 1):
         a = producer(n)
         run_meet = a if run_meet is None else lat.meet(run_meet, a)
         run_join = a if run_join is None else lat.join(run_join, a)
@@ -302,7 +362,7 @@ def cmd_converge_trace(args) -> int:
 
 
 def cmd_sqrt2_witness(args) -> int:
-    _dump(args, sequences.sqrt2_witness(_depth(args)))
+    _dump(args, sequences.sqrt2_witness(args.depth))
     return 0
 
 
@@ -310,9 +370,7 @@ _DENSE_APPROX_KEYS = ("stage", "phi_a", "phi_atilde", "bound")
 
 
 def cmd_dense_approx(args) -> int:
-    depth = _depth(args)
-    eps_index = _at_least_one(args, "eps_index", "an index of at least 1")
-    producer, kind = _read_sequence(args)
+    producer, kind = args.seq
     if kind != "interval":
         raise InputError("--seq", "dense approximation runs on interval sequences")
     phi = interval_measure
@@ -322,24 +380,22 @@ def cmd_dense_approx(args) -> int:
             "decreasing",
             producer,
             modulus=lambda eps: max(1, int(1 / eps) + 1),
-            sanity_depth=min(depth, 8),
+            sanity_depth=min(args.depth, 8),
             phi=phi,
         )
         # seq_make checks the first eight stages; dense_approximate checks the rest
         _, trace = uniformity.dense_approximate(
-            phi, uniformity.dyadic_endpoint_oracle(), seq, eps_index, depth
+            phi, uniformity.dyadic_endpoint_oracle(), seq, args.eps_index, args.depth
         )
-    except (sequences.ModulusError, sequences.MonotonicityError) as exc:
+    except _INPUT_ERRORS as exc:
         raise InputError("--seq", f"sequence does not fit the modulus 1/eps + 1: {exc}")
     _dump(args, [{key: row[key] for key in _DENSE_APPROX_KEYS} for row in trace])
     return 0
 
 
 def cmd_fubini_check(args) -> int:
-    samples = _samples(args)
-    terms = _load_doc(args.terms, "--terms", "rectangle terms", fubini.terms_from_json)
-    f = fubini.step2d_make(terms)
-    report = fubini.fubini_check(f, fubini.sample_ys(f, random.Random(args.seed), samples))
+    f = fubini.step2d_make(args.terms)
+    report = fubini.fubini_check(f, fubini.sample_ys(f, random.Random(args.seed), args.samples))
     slices = [{"y": y, "fx": at, "slice_integral": along} for y, at, along in report.slices]
     _dump(
         args,
@@ -355,13 +411,11 @@ def cmd_fubini_check(args) -> int:
 
 
 def cmd_stump_alpha(args) -> int:
-    stump = _load_doc(args.tree, "--tree", "stump document", borel.Stump.from_json)
-    _dump(args, {"alpha": borel.stump_alpha(stump)})
+    _dump(args, {"alpha": borel.stump_alpha(args.tree)})
     return 0
 
 
 def cmd_borel_decode(args) -> int:
-    code = _at_least_one(args, "code", "a positive code")
     try:
         d_str, m_str = args.space.lower().split("x")
         space = borel.TruncatedBaire(int(d_str), int(m_str))
@@ -374,15 +428,13 @@ def cmd_borel_decode(args) -> int:
     if len(point) != space.depth or any(not 1 <= v <= space.alphabet for v in point):
         raise InputError("--point", "point does not lie in the declared space")
     meta = borel.DecodeMeta()
-    member = borel.decode_set(code, args.kind, space, point, meta)
+    member = borel.decode_set(args.code, args.kind, space, point, meta)
     _dump(args, {"member": member, "meta": meta.to_dict()})
     return 0
 
 
 def cmd_totient_table(args) -> int:
-    bound = _at_least_one(args, "max", "a bound of at least 1")
-    rows = [{"n": n, "totient": totient(n)} for n in range(1, bound + 1)]
-    _dump(args, rows)
+    _dump(args, [{"n": n, "totient": totient(n)} for n in range(1, args.max + 1)])
     return 0
 
 
@@ -431,88 +483,10 @@ _SUITES = {
 
 
 def cmd_check(args) -> int:
-    samples, depth = _samples(args), _depth(args)
     if args.suite not in _SUITES:
         raise InputError("--suite", f"unknown suite {args.suite!r}")
-    report = _SUITES[args.suite](samples, args.seed, depth)
+    report = _SUITES[args.suite](args.samples, args.seed, args.depth)
     return _report_exit(args, report, {"suite": args.suite, "seed": args.seed})
-
-
-# Flags that more than one subcommand reads, with their defaults.
-_SHARED_FLAGS = {
-    "--seed": {"type": int, "default": 0},
-    "--samples": {"type": int, "default": 20},
-    "--depth": {"type": int, "default": 12},
-    "--format": {"choices": ["json", "csv"], "default": "json"},
-}
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process."""
-    parser = argparse.ArgumentParser(prog="latval", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help, *shared):
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(fn=fn)
-        p.add_argument("--out", help="write the document here instead of stdout")
-        for flag in shared:
-            p.add_argument(flag, **_SHARED_FLAGS[flag])
-        return p
-
-    p = add("measure", cmd_measure, "measure of an interval set")
-    p.add_argument("--set", required=True)
-
-    p = add("integrate", cmd_integrate, "integral of a step function")
-    p.add_argument("--step", required=True)
-
-    for name, fn, help in [
-        ("distance", cmd_distance, "valuation distance between two elements"),
-        ("approx-eq", cmd_approx_eq, "distance-zero equivalence test"),
-    ]:
-        p = add(name, fn, help)
-        p.add_argument("--kind", choices=sorted(_VALUATIONS), required=True)
-        p.add_argument("--a", required=True)
-        p.add_argument("--b", required=True)
-
-    p = add(
-        "quotient", cmd_quotient, "quotient of a finite valuation system", "--seed", "--samples"
-    )
-    p.add_argument("--system", required=True)
-
-    p = add(
-        "converge-trace", cmd_converge_trace, "per-stage valuation trace", "--depth", "--format"
-    )
-    p.add_argument("--seq", required=True)
-
-    add("sqrt2-witness", cmd_sqrt2_witness, "increasing unions with irrational supremum", "--depth")
-
-    p = add("dense-approx", cmd_dense_approx, "constructive dense under-approximation", "--depth")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--eps-index", type=int, required=True)
-
-    p = add(
-        "fubini-check", cmd_fubini_check, "double-integral identity check", "--seed", "--samples"
-    )
-    p.add_argument("--terms", required=True)
-
-    p = add("stump-alpha", cmd_stump_alpha, "ordinal rank of a stump")
-    p.add_argument("--tree", required=True)
-
-    p = add("borel-decode", cmd_borel_decode, "membership of a coded set")
-    p.add_argument("--code", type=int, required=True)
-    p.add_argument("--space", required=True, help="DxM")
-    p.add_argument("--point", required=True, help="comma-separated values")
-    p.add_argument("--kind", choices=["Sprime", "Scap", "A"], default="A")
-
-    p = add("totient-table", cmd_totient_table, "totient values up to a bound")
-    p.add_argument("--max", type=int, required=True)
-
-    p = add("check", cmd_check, "run a named property suite", "--seed", "--samples", "--depth")
-    p.add_argument("--suite", required=True)
-
-    return parser
 
 
 def main(argv=None) -> int:
@@ -523,10 +497,16 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        _check_counts(args)  # before any file is read
+        _read_documents(args)
+        # looked up when called, as the suites' checkers are
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except InputError as exc:
         sys.stderr.write(f"input error at {exc.pointer}: {exc}\n")
         return 2
+    except Exception as exc:  # a fault in latval, not in the input
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
     finally:
         sys.set_int_max_str_digits(digits)
 

@@ -434,12 +434,19 @@ def rectset_measure(rects: Sequence[tuple[IntervalSet, IntervalSet]]) -> Fractio
     return Fraction(total, xd * yd)
 
 
+_TERM_KEYS = frozenset({"coefficient", "base_x", "base_y"})
+
+
 def terms_from_json(doc: list) -> list[RectTerm]:
     """Terms of a parsed ``[{"coefficient": "2", "base_x": [...], "base_y": [...]}, ...]``."""
     if not isinstance(doc, list):
         raise TypeError(f"expected a list of rectangle terms, got {type(doc).__name__}")
     base = iset_from_json
-    return [RectTerm(rat(t["coefficient"]), base(t["base_x"]), base(t["base_y"])) for t in doc]
+    terms = [RectTerm(rat(t["coefficient"]), base(t["base_x"]), base(t["base_y"])) for t in doc]
+    for t in doc:  # each a dict, since its three keys were read
+        if not t.keys() <= _TERM_KEYS:
+            raise ValueError(f"unknown keys {sorted(t.keys() - _TERM_KEYS)} in a rectangle term")
+    return terms
 
 
 def sample_step2d(

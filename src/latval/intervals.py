@@ -238,6 +238,9 @@ def iset_symmdiff(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     return _combine(a, b, lambda x, y: x != y)
 
 
+_PIECE_KEYS = frozenset({"lo", "hi", "lo_closed", "hi_closed"})
+
+
 def iset_make(raw: Iterable) -> IntervalSet:
     """Union of interval descriptors, in canonical form.
 
@@ -254,6 +257,8 @@ def iset_make(raw: Iterable) -> IntervalSet:
         if isinstance(d, Piece):
             d = d.lo, d.hi, d.lo_closed, d.hi_closed
         elif isinstance(d, dict):
+            if not d.keys() <= _PIECE_KEYS:
+                raise ValueError(f"unknown keys {sorted(d.keys() - _PIECE_KEYS)} in a piece")
             d = d["lo"], d["hi"], d.get("lo_closed", True), d.get("hi_closed", True)
         if not isinstance(d, (list, tuple)) or len(d) not in (2, 4):
             raise ValueError(f"bad interval descriptor: {d!r}")

@@ -77,11 +77,11 @@ class FiniteLattice(Lattice):
 
     def __init__(self, carrier: Sequence[Hashable], leq: dict, meet: dict, join: dict):
         self.carrier = tuple(carrier)
-        labels = frozenset(self.carrier)
+        labels = {a: type(a) for a in self.carrier}
 
-        def member(a) -> bool:
+        def member(a) -> bool:  # True == 1 and 1.0 == 1, but neither is the label 1
             try:
-                return a in labels
+                return labels.get(a) is type(a)
             except TypeError:  # unhashable, so not a label
                 return False
 
@@ -193,7 +193,7 @@ RATIONAL_CHAIN = Lattice(
 
 DIVISIBILITY = Lattice(
     "divisibility",
-    lambda a: isinstance(a, int) and a >= 1,
+    lambda a: isinstance(a, int) and not isinstance(a, bool) and a >= 1,
     "a positive integer",
     math.gcd,
     math.lcm,

@@ -91,25 +91,30 @@ def producer_from_json(doc: dict):
 
     ``{"kind": "interval", "template": "[0, 1 + 1/n]"}``
     ``{"kind": "step", "template": "(1/n)*1_[n, n+1]"}``
-    ``{"kind": "interval-list", "stages": [[...descriptors...], ...]}``
-    Returns ``(producer, kind)``.
+    ``{"kind": "interval-list", "stages": [[...descriptors...], ...]}``, with
+    ``"tail": "constant"`` to repeat the last stage.  Returns ``(producer, kind)``.
     """
     kind = doc["kind"]
-    if kind in ("interval", "step"):
+    if kind not in ("interval", "step", "interval-list"):
+        raise ValueError(f"unknown sequence kind {kind!r}")
+    allowed = {"kind", "stages", "tail"} if kind == "interval-list" else {"kind", "template"}
+    if not doc.keys() <= allowed:
+        raise ValueError(f"unknown keys {sorted(doc.keys() - allowed)} in a {kind} sequence")
+    if kind != "interval-list":
         template = doc["template"]
         if not isinstance(template, str):
             raise TypeError(f"template is {type(template).__name__}, not a string")
         parse = parse_interval_template if kind == "interval" else parse_step_template
         return parse(template), kind
-    if kind == "interval-list":
-        stages = [iset_from_json(s) for s in doc["stages"]]
+    if doc.get("tail", "constant") != "constant":
+        raise ValueError(f"tail is {doc['tail']!r}, not 'constant'")
+    stages = [iset_from_json(s) for s in doc["stages"]]
 
-        def producer(n: int) -> IntervalSet:
-            if n <= len(stages):
-                return stages[n - 1]
-            if doc.get("tail") == "constant":
-                return stages[-1]
-            raise IndexError(f"explicit stage list has {len(stages)} stages")
+    def producer(n: int) -> IntervalSet:
+        if n <= len(stages):
+            return stages[n - 1]
+        if "tail" in doc:
+            return stages[-1]
+        raise IndexError(f"explicit stage list has {len(stages)} stages")
 
-        return producer, "interval"
-    raise ValueError(f"unknown sequence kind {kind!r}")
+    return producer, "interval"

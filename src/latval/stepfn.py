@@ -233,8 +233,13 @@ def integral(f: StepFn) -> Fraction:
     return _dot(f.open_values, _widths(bps), wd)
 
 
+_STEP_KEYS = frozenset({"breakpoints", "open_values", "point_values"})
+
+
 def step_from_json(doc: dict) -> StepFn:
     arrays = doc["breakpoints"], doc["open_values"], doc["point_values"]
+    if not doc.keys() <= _STEP_KEYS:
+        raise ValueError(f"unknown keys {sorted(doc.keys() - _STEP_KEYS)}")
     if not all(isinstance(a, list) for a in arrays):
         raise TypeError("breakpoints, open_values and point_values must be lists")
     return step_from_values(*arrays)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
-from .intervals import EMPTY, IntervalSet, interval, iset_join
+from .intervals import IntervalSet, iset_make
 from .oag import RATIONALS, Group, rat
 from .report import CheckReport
 from .sequences import MonoSeq, MonotonicityError
@@ -233,24 +233,14 @@ def dyadic_endpoint_oracle() -> DenseOracle:
     """
 
     def witness(a: IntervalSet, i: int) -> IntervalSet:
-        if not a.pieces:
-            return EMPTY
-        npieces = len(a.pieces)
         k = i + 1
-        while 2 * npieces * Fraction(1, 2**k) > Fraction(1, 2**i):
+        while 2 * len(a.pieces) * Fraction(1, 2**k) > Fraction(1, 2**i):
             k += 1
-        out = EMPTY
-        for p in a.pieces:
-            lo = _ceil_scaled(p.lo, k)
-            hi = _floor_scaled(p.hi, k)
-            if lo > hi:
-                continue  # piece narrower than the grid: dropped, loss < 2 steps
-            if lo == hi:
-                if p.contains(lo):
-                    out = iset_join(out, interval(lo, lo))
-                continue
-            out = iset_join(out, interval(lo, hi, p.contains(lo), p.contains(hi)))
-        return out
+        shrunk = [(_ceil_scaled(p.lo, k), _floor_scaled(p.hi, k), p) for p in a.pieces]
+        # a piece narrower than the grid (lo > hi) is dropped: loss < 2 steps
+        return iset_make(
+            (lo, hi, p.contains(lo), p.contains(hi)) for lo, hi, p in shrunk if lo <= hi
+        )
 
     return DenseOracle(name="dyadic-endpoints", witness=witness, member=is_dyadic_set)
 

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -401,6 +402,17 @@ BAD_DOCS = {
     # a leaf flag is a JSON boolean, never a truthy or falsy string or number
     "string-leaf-tree": {"leaf": "false", "node": [{"node": []}]},
     "zero-leaf-tree": {"leaf": 0, "node": [{"node": []}]},
+    # a key a reader does not know is an error, never ignored
+    "typo-key-set": [{"lo": "0", "hi": "1", "typo_closed": False}],
+    "extra-key-tree": {"leaf": True, "extra": 5},
+    "junk-key-step": {**STEP_DOC, "junk": 1},
+    "extra-key-terms": [{**TERMS_DOC[0], "extra": 1}],
+    "typo-key-terms": [{**TERMS_DOC[0], "base_x": [{"lo": "0", "hi": "3", "typo_closed": False}]}],
+    "modulus-seq": {"kind": "interval", "template": "[0, 1 + 1/n]", "modulus": "1/eps"},
+    "stages-seq": {"kind": "interval", "template": "[0, 1 + 1/n]", "stages": []},
+    "repeat-tail": {"kind": "interval-list", "stages": [[["0", "1"]]], "tail": "repeat"},
+    "typo-key-stages": {"kind": "interval-list", "stages": [[{"lo": "0", "hi": "1", "x": 1}]]},
+    "junk-key-system": {"carrier": ["a"], "leq": [], "phi": {"a": "0"}, "junk": 1},
 }
 
 
@@ -458,6 +470,18 @@ BAD_DOCS = {
         (["quotient", "--system", "carrier-65"], "--system:carrier"),
         (["stump-alpha", "--tree", "string-leaf-tree"], "--tree"),
         (["stump-alpha", "--tree", "zero-leaf-tree"], "--tree"),
+        (["measure", "--set", "typo-key-set"], "--set"),
+        (["stump-alpha", "--tree", "extra-key-tree"], "--tree"),
+        (["integrate", "--step", "junk-key-step"], "--step"),
+        (["approx-eq", "--kind", "step", "--a", "junk-key-step", "--b", "junk-key-step"], "--a"),
+        (["fubini-check", "--terms", "extra-key-terms"], "--terms"),
+        (["fubini-check", "--terms", "typo-key-terms"], "--terms"),
+        (["converge-trace", "--seq", "modulus-seq"], "--seq"),
+        (["dense-approx", "--seq", "modulus-seq", "--eps-index", "2"], "--seq"),
+        (["converge-trace", "--seq", "stages-seq"], "--seq"),
+        (["converge-trace", "--seq", "repeat-tail", "--depth", "1"], "--seq"),
+        (["converge-trace", "--seq", "typo-key-stages", "--depth", "1"], "--seq"),
+        (["quotient", "--system", "junk-key-system"], "--system:junk"),
     ],
 )
 def test_bad_document_is_input_error(argv, pointer, tmp_path, capsys):
@@ -554,6 +578,55 @@ def test_flag_a_command_does_not_read_is_rejected(extra, files, capsys):
         main(["measure", "--set", files["set"], *extra])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def _readme_cli_section() -> str:
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    return text[text.index("## CLI"):text.index("### Input schemas")]
+
+
+def test_readme_flag_table_matches_the_command_table():
+    # each row of the shared-flag table: flag, default, range, subcommands
+    rows = {}
+    for line in _readme_cli_section().splitlines():
+        if line.startswith("| `--"):
+            cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+            flag = cells[0].strip("`").split()[0]
+            commands = set(re.findall(r"`([a-z0-9-]+)`", cells[3]))
+            rows[flag] = cells[1].strip("`"), cells[2], commands
+    assert set(rows) == {flag for flag, spec in cli._FLAGS.items() if "default" in spec}
+    for flag, (default, values, commands) in rows.items():
+        assert default == str(cli._FLAGS[flag]["default"]), flag
+        assert commands == {name for name, (_, flags, *_) in cli._COMMANDS.items()
+                            if flag in flags.split()}, flag
+        dest = flag[2:].replace("-", "_")
+        if values == "any integer":
+            assert cli._FLAGS[flag]["type"] is int and dest not in cli._COUNTS
+        elif values:
+            assert values == f"1 to {cli._COUNTS[dest][1]:,}", flag
+        else:
+            assert "choices" in cli._FLAGS[flag], flag
+    # the ranges of the two flags that one subcommand each reads
+    ranges = re.findall(
+        r"`(--[a-z-]+)` of\s+`([a-z0-9-]+)` \(1 to ([\d,]+)\)", _readme_cli_section()
+    )
+    assert {flag for flag, _, _ in ranges} == {"--eps-index", "--max"}
+    for flag, command, ceiling in ranges:
+        assert flag in cli._COMMANDS[command][1].split()
+        assert f"{cli._COUNTS[flag[2:].replace('-', '_')][1]:,}" == ceiling
+    assert "`--code` must be at least 1 and has no ceiling" in _readme_cli_section()
+    assert cli._COUNTS["code"][1] is None
+
+
+def test_internal_error_is_exit_3_on_one_line(monkeypatch, capsys):
+    def broken(n):
+        raise RuntimeError("totient table corrupted")
+
+    monkeypatch.setattr(cli, "totient", broken)
+    assert main(["totient-table", "--max", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: RuntimeError: totient table corrupted\n"
 
 
 def test_dump_encodes_fractions_only(tmp_path):

@@ -174,6 +174,10 @@ CHECKED = [
         "a member of product(finite, finite)",
     ),
     (chain_lattice(3), 1, [1], "in the carrier"),
+    # equal to a member is not enough: True == 1 and 1.0 == 1, as rat rejects them
+    (chain_lattice(3), 2, True, "in the carrier"),
+    (chain_lattice(3), 0, 1.0, "in the carrier"),
+    (DIVISIBILITY, 4, True, "a positive integer"),
 ]
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from latval.instances import INTERVAL_SETS, interval_measure, step_integral
-from latval.intervals import interval, iset_diff
+from latval.intervals import EMPTY, interval, iset_diff, singleton
 from latval.sequences import MonotonicityError, seq_make
 from latval.stepfn import ZERO_FN, step_make
 from latval.uniformity import (
@@ -105,6 +105,15 @@ def test_dyadic_oracle_contract():
         assert iset_diff(ell, a).is_empty()  # contained
         assert is_dyadic_set(ell)
         assert mu_S(a) - mu_S(ell) <= Fraction(1, 2**i)
+
+
+def test_dyadic_witness_keeps_a_grid_point_only_inside_its_piece():
+    # one piece at index 1 shrinks to the grid of quarters
+    witness = dyadic_endpoint_oracle().witness
+    assert witness(interval(Fraction(1, 3), Fraction(2, 3)), 1) == singleton(Fraction(1, 2))
+    assert witness(interval(Fraction(1, 3), Fraction(1, 2), True, False), 1) == EMPTY
+    assert witness(interval(Fraction(1, 5), Fraction(6, 25)), 1) == EMPTY  # no grid point
+    assert witness(EMPTY, 3) == EMPTY
 
 
 def test_dense_approximate_shrinking_intervals():
