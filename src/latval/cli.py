@@ -153,6 +153,9 @@ def _read_system(doc) -> Valuation:
             values[label] = rat(doc["phi"][str(label)])
         except _INPUT_ERRORS as exc:
             raise InputError(f"--system:phi:{label}", f"not a rational: {exc}")
+    if len(doc["phi"]) > len(values):  # the labels' strings are distinct
+        key = min(doc["phi"].keys() - {str(label) for label in values})
+        raise InputError(f"--system:phi:{key}", "not a carrier label")
     return Valuation(
         domain=lat,
         group=RATIONALS,

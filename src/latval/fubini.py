@@ -7,17 +7,19 @@ and grid points so sections through a grid line stay exact.  Integrals
 ignore the line and point values, mirroring the 1-D convention.
 
 Each axis is classified by the sweep kernel of :mod:`latval.intervals`: one
-merge of the terms' base-set breakpoints gives the grid and, for every term,
-the point and open-gap atoms its base set contains.  The canonical grid drops
-a grid line where its values equal the cells on both sides; seen along one
-axis, a column is a breakpoint whose values are vectors, so the 1-D
+merge of the terms' base-set breakpoints gives the grid and, per grid point,
+the bitmasks of the terms containing it and the open gap right of it.  Each
+distinct x mask is rastered into a row once per y axis.  The canonical grid
+drops a grid line where its values equal the cells on both sides; seen along
+one axis, a column is a breakpoint whose values are vectors, so the 1-D
 canonicaliser removes all redundant columns in one pass, and then all rows.
 
 A grid stores its values once, as integer numerators over one denominator
 whose gcd with all of them is 1, so equal grids have equal state.
 The kernels sum, compare and dot integers and make a ``Fraction`` only for
-what they return; a sampled section is located and integrated on the
-integer coordinates too.  A grid is checked once, when ``StepFn2D`` is
+what they return.  A sampled section is located on the integer coordinates,
+read from one row of the row-major matrices a grid keeps once made, and
+integrated on the integers too.  A grid is checked once, when ``StepFn2D`` is
 built from ``Fraction`` matrices; what is made from it is not checked again.
 """
 
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,7 +40,7 @@ from .intervals import IntervalSet, _breaks, _canonical_breaks, _sweep, _trusted
 from .intervals import iset_from_json, iset_make
 from .oag import rat
 from .report import CheckReport
-from .stepfn import StepFn, ZERO_FN, _over_lcm, _widths
+from .stepfn import StepFn, ZERO_FN, _locate, _over_lcm, _widths
 
 ZERO = Fraction(0)
 
@@ -68,14 +69,14 @@ def rect_term(coefficient, xs, ys) -> RectTerm:
 
 def _axis_atoms(sets: Iterable[IntervalSet]) -> tuple[list[Fraction], list[int], list[int]]:
     """The grid of the sets' endpoints and, per grid point, the bitmasks of
-    the sets containing the point and the open gap right of it."""
-    grid: list[Fraction] = []
-    at_masks: list[int] = []
-    gap_masks: list[int] = []
-    for x, at, after in _sweep([_breaks(s) for s in sets], False):
+    the sets containing the point and the open gap right of it.  Set ``t``
+    is swept with its bit ``1 << t`` for in and 0 for out, so a mask is a sum."""
+    operands = [[(x, at << t, gap << t) for x, at, gap in _breaks(s)] for t, s in enumerate(sets)]
+    grid, at_masks, gap_masks = [], [], []
+    for x, at, after in _sweep(operands, 0):
         grid.append(x)
-        at_masks.append(sum(1 << t for t, x_in in enumerate(at) if x_in))
-        gap_masks.append(sum(1 << t for t, gap_in in enumerate(after) if gap_in))
+        at_masks.append(sum(at))
+        gap_masks.append(sum(after))
     return grid, at_masks, gap_masks
 
 
@@ -149,17 +150,19 @@ class StepFn2D:
         """``(xn, xd, yn, yd)``: each axis as integer numerators over one denominator."""
         return (*_over_lcm(self.xs), *_over_lcm(self.ys))
 
+    @cached_property
+    def _rows(self) -> tuple[Matrix, ...]:
+        """The integer matrices row by row: ``cells``, ``hlines``, ``vlines``
+        and ``points`` with ``y`` as the first index."""
+        return _transposed(self._ints[1:], len(self.ys))
+
     def __call__(self, x, y) -> Fraction:
-        x, y = rat(x), rat(y)
-        xs, ys, ints = self.xs, self.ys, self._ints
-        if not xs or x < xs[0] or x > xs[-1] or y < ys[0] or y > ys[-1]:
+        xn, xd, yn, yd = self._axes
+        at_x, at_y = _locate(xn, xd, rat(x)), _locate(yn, yd, rat(y))
+        if at_x is None or at_y is None:
             return ZERO
-        i = bisect_right(xs, x) - 1
-        j = bisect_right(ys, y) - 1
-        if xs[i] == x:
-            mat = ints.points if ys[j] == y else ints.vlines
-        else:
-            mat = ints.hlines if ys[j] == y else ints.cells
+        (i, on_x), (j, on_y) = at_x, at_y
+        mat = self._ints[1 + on_x + 2 * on_y]  # cells, vlines, hlines or points
         return self._frac[mat[i][j]]
 
     def is_zero(self) -> bool:
@@ -227,16 +230,6 @@ def _transposed(mats: Sequence[Matrix], ny: int) -> tuple[Matrix, ...]:
     return t(cells, ny - 1), t(hlines, ny), t(vlines, ny - 1), t(points, ny)
 
 
-def _drop_columns(f: StepFn2D) -> StepFn2D:
-    """Remove every grid column whose vertical line equals the cells, and
-    whose points equal the horizontal lines, on both sides."""
-    mats = f._ints[1:]
-    kept = _kept_columns(mats, len(f.ys))
-    if not kept:
-        return ZERO_2D
-    return _grid(_pick(f.xs, kept), f.ys, f._ints.den, _columns(mats, kept))
-
-
 def _canonical_2d(f: StepFn2D) -> StepFn2D:
     """The minimal grid of ``f``: redundant columns go, then redundant rows
     (the columns of the transpose).  Dropping a line leaves every other
@@ -272,12 +265,12 @@ def step2d_make(terms: Iterable[RectTerm]) -> StepFn2D:
         return total
 
     value = _Memo(mask_sum).__getitem__
-
-    def grid(x_masks, y_masks):
-        return tuple(tuple(map(value, map(mx.__and__, y_masks))) for mx in x_masks)
-
     x_gap, y_gap = x_gap[:-1], y_gap[:-1]  # nothing is right of the last line
-    ints = _Ints(den, grid(x_gap, y_gap), grid(x_at, y_gap), grid(x_gap, y_at), grid(x_at, y_at))
+    # Each distinct x mask is rastered once per y axis: many masks repeat.
+    gap_row = _Memo(lambda mx: tuple(map(value, map(mx.__and__, y_gap))))
+    at_row = _Memo(lambda mx: tuple(map(value, map(mx.__and__, y_at))))
+    cells, vlines = _pick(gap_row, x_gap), _pick(gap_row, x_at)
+    ints = _Ints(den, cells, vlines, _pick(at_row, x_gap), _pick(at_row, x_at))
     return _canonical_2d(_trusted(StepFn2D, xs=tuple(xs), ys=tuple(ys), _ints=ints))
 
 
@@ -317,23 +310,21 @@ def partial_integrate(f: StepFn2D) -> StepFn:
     values; on each grid line it has the horizontal-line values.  Point and
     vertical-line values carry no x-measure and drop out.
     """
-    ints, (xn, xd, _, _) = f._ints, f._axes
-    return _integrate_across(xn, xd, f.ys, zip(*ints.cells), zip(*ints.hlines), ints.den)
+    (xn, xd, _, _), (cells, hlines, _, _) = f._axes, f._rows
+    return _integrate_across(xn, xd, f.ys, cells, hlines, f._ints.den)
 
 
-def _section_row(f: StepFn2D, y: Fraction) -> tuple[list[int], list[int], list[int]]:
+def _section_row(f: StepFn2D, y: Fraction) -> tuple[list[int], tuple, tuple]:
     """The section x -> f(x, y) on the grid's integers: the columns ``_kept``
-    keeps, and the numerators right of and at each column.  With ``y * yd =
-    q + r / y.denominator``, y is on line ``j`` if ``r == 0 and yn[j] == q``."""
+    keeps, and the numerators right of and at each column, read from one
+    row of the row-major matrices."""
     _, _, yn, yd = f._axes
-    q, r = divmod(y.numerator * yd, y.denominator)
-    j = bisect_right(yn, q) - 1
-    on_line = r == 0 and j >= 0 and yn[j] == q
-    if j < 0 or (j == len(yn) - 1 and not on_line):  # outside the grid, or no grid
-        return [], [], []
-    ints = f._ints
-    opens, at = (ints.hlines, ints.points) if on_line else (ints.cells, ints.vlines)
-    opens, at = [row[j] for row in opens], [row[j] for row in at]
+    where = _locate(yn, yd, y)
+    if where is None:  # outside the grid, or no grid
+        return [], (), ()
+    j, on_line = where
+    cells, hlines, vlines, points = f._rows
+    opens, at = (hlines[j], points[j]) if on_line else (cells[j], vlines[j])
     return _kept(at, opens, 0), opens, at
 
 
@@ -412,7 +403,7 @@ def fubini_check(f: StepFn2D, sampled_y: Iterable | None = None) -> FubiniReport
 
 
 def transpose(f: StepFn2D) -> StepFn2D:
-    return _grid(f.ys, f.xs, f._ints.den, _transposed(f._ints[1:], len(f.ys)))
+    return _grid(f.ys, f.xs, f._ints.den, f._rows)
 
 
 def rectset_measure(rects: Sequence[tuple[IntervalSet, IntervalSet]]) -> Fraction:

@@ -14,7 +14,8 @@ the union and on the open gap right of it, so no gap needs a probe point;
 the Boolean operation is applied to both values, ``_canonical_breaks`` drops
 the breakpoints where nothing changes, and what is left reassembles into
 canonical pieces.  ``stepfn`` and ``fubini`` use the same two functions for
-step functions and for the lines of 2-D grids.
+step functions and for the lines of 2-D grids.  ``iset_make`` reads each
+descriptor straight into its breakpoints, with the check ``interval`` makes.
 
 The sweep sorts its events by the integer key ``floor(2**64 * x)``, which is
 exact and monotone in ``x`` and about 64 bits past ``x``'s integer part
@@ -110,13 +111,22 @@ class IntervalSet:
 EMPTY = IntervalSet(())
 
 
-def interval(lo, hi, lo_closed: bool = True, hi_closed: bool = True) -> IntervalSet:
-    """One interval as a set; the empty open singleton normalizes to the empty set."""
+def _interval_breaks(lo, hi, lo_closed: bool = True, hi_closed: bool = True) -> list[tuple]:
+    """One interval's breakpoints (see ``_breaks``), checked; an open singleton has none."""
     lo, hi = rat(lo), rat(hi)
     if lo > hi:
         raise ValueError(f"interval with lo={lo} > hi={hi}")
-    if lo == hi and not (lo_closed and hi_closed):
+    if lo == hi:
+        return [(lo, True, False)] if lo_closed and hi_closed else []
+    return [(lo, lo_closed, True), (hi, hi_closed, False)]
+
+
+def interval(lo, hi, lo_closed: bool = True, hi_closed: bool = True) -> IntervalSet:
+    """One interval as a set; the empty open singleton normalizes to the empty set."""
+    breaks = _interval_breaks(lo, hi, lo_closed, hi_closed)
+    if not breaks:
         return EMPTY
+    (lo, _, _), (hi, _, _) = breaks[0], breaks[-1]
     piece = _trusted(Piece, lo=lo, lo_closed=lo_closed, hi=hi, hi_closed=hi_closed)
     return _trusted(IntervalSet, pieces=(piece,))
 
@@ -264,7 +274,7 @@ def iset_make(raw: Iterable) -> IntervalSet:
             raise ValueError(f"bad interval descriptor: {d!r}")
         if not all(isinstance(f, bool) for f in d[2:]):
             raise ValueError(f"lo_closed and hi_closed must be booleans: {d!r}")
-        parts.append(_breaks(interval(*d)))
+        parts.append(_interval_breaks(*d))
     return _from_breaks((x, any(at), any(after)) for x, at, after in _sweep(parts, False))
 
 

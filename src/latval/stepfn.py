@@ -20,6 +20,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .intervals import _breaks as _set_breaks
@@ -49,15 +50,17 @@ class StepFn:
     def __post_init__(self):
         _check_shape(self.breakpoints, self.open_values, self.point_values)
 
+    @cached_property
+    def _scaled(self) -> tuple[list[int], int]:
+        """The breakpoints as integer numerators over one denominator."""
+        return _over_lcm(self.breakpoints)
+
     def __call__(self, x) -> Fraction:
-        x = rat(x)
-        bps = self.breakpoints
-        if not bps or x < bps[0] or x > bps[-1]:
+        where = _locate(*self._scaled, rat(x))
+        if where is None:
             return ZERO
-        i = bisect_right(bps, x) - 1
-        if bps[i] == x:
-            return self.point_values[i]
-        return self.open_values[i]
+        i, at = where
+        return self.point_values[i] if at else self.open_values[i]
 
     def is_zero(self) -> bool:
         return not self.breakpoints
@@ -213,6 +216,19 @@ def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
     denominator, and that denominator."""
     d = math.lcm(*[v.denominator for v in values])
     return [v.numerator * (d // v.denominator) if v else 0 for v in values], d
+
+
+def _locate(nums: Sequence[int], d: int, x: Fraction) -> tuple[int, bool] | None:
+    """Where ``x`` lies among the increasing coordinates ``nums / d``:
+    ``(i, True)`` at coordinate ``i``, ``(i, False)`` on the open gap right
+    of it, ``None`` outside their span.  With ``x * d = q + r / x.denominator``,
+    x is at coordinate ``i`` if ``r == 0 and nums[i] == q``: integers only."""
+    q, r = divmod(x.numerator * d, x.denominator)
+    i = bisect_right(nums, q) - 1
+    at = r == 0 and i >= 0 and nums[i] == q
+    if i < 0 or (i == len(nums) - 1 and not at):
+        return None
+    return i, at
 
 
 def _widths(nums: Sequence[int]) -> list[int]:

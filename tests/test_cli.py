@@ -413,6 +413,9 @@ BAD_DOCS = {
     "repeat-tail": {"kind": "interval-list", "stages": [[["0", "1"]]], "tail": "repeat"},
     "typo-key-stages": {"kind": "interval-list", "stages": [[{"lo": "0", "hi": "1", "x": 1}]]},
     "junk-key-system": {"carrier": ["a"], "leq": [], "phi": {"a": "0"}, "junk": 1},
+    "extra-key-phi": {
+        "carrier": ["a", 1], "leq": [["a", 1]], "phi": {"a": "0", "1": "1", "leaf": True}
+    },
 }
 
 
@@ -482,6 +485,7 @@ BAD_DOCS = {
         (["converge-trace", "--seq", "repeat-tail", "--depth", "1"], "--seq"),
         (["converge-trace", "--seq", "typo-key-stages", "--depth", "1"], "--seq"),
         (["quotient", "--system", "junk-key-system"], "--system:junk"),
+        (["quotient", "--system", "extra-key-phi"], "--system:phi:leaf"),
     ],
 )
 def test_bad_document_is_input_error(argv, pointer, tmp_path, capsys):

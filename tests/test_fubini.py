@@ -11,7 +11,6 @@ from latval import fubini
 from latval.fubini import (
     _axis_atoms,
     _canonical_2d,
-    _drop_columns,
     ZERO_2D,
     RectTerm,
     StepFn2D,
@@ -530,6 +529,16 @@ def reference_transpose(f: StepFn2D) -> StepFn2D:
     )
 
 
+def _drop_columns(f: StepFn2D) -> StepFn2D:
+    """Remove every grid column whose vertical line equals the cells, and
+    whose points equal the horizontal lines, on both sides."""
+    mats = f._ints[1:]
+    kept = fubini._kept_columns(mats, len(f.ys))
+    if not kept:
+        return ZERO_2D
+    return fubini._grid(fubini._pick(f.xs, kept), f.ys, f._ints.den, fubini._columns(mats, kept))
+
+
 def reference_step2d_make(terms) -> StepFn2D:
     terms = list(terms)
     if not terms:
@@ -732,6 +741,55 @@ def test_transpose_matches_index_loop_on_thin_grids():
         t = transpose(f)
         assert t == reference_transpose(f)
         assert transpose(t) == f
+
+
+def reference_value(f: StepFn2D, x: Fraction, y: Fraction) -> Fraction:
+    """``f(x, y)`` located by bisects over the ``Fraction`` coordinates."""
+    if f.is_zero() or not (f.xs[0] <= x <= f.xs[-1] and f.ys[0] <= y <= f.ys[-1]):
+        return Fraction(0)
+    i, j = bisect_right(f.xs, x) - 1, bisect_right(f.ys, y) - 1
+    if f.xs[i] == x:
+        return (f.points if f.ys[j] == y else f.vlines)[i][j]
+    return (f.hlines if f.ys[j] == y else f.cells)[i][j]
+
+
+def test_sections_and_values_on_one_line_grids():
+    # with one x line or one y line, cells and one line matrix have no rows,
+    # and the row-major matrices are made from them
+    rng = random.Random(19)
+    tiny = Fraction(1, 2**200)
+
+    def values(rows, cols, spread):
+        return tuple(tuple(Fraction(rng.randint(-spread, spread)) for _ in range(cols))
+                     for _ in range(rows))
+
+    def raw(nx, ny, spread):
+        xs = tuple(Fraction(rng.randint(-9, 9), 7) + 3 * k for k in range(nx))
+        ys = tuple(Fraction(rng.randint(-9, 9), 5) + 4 * k for k in range(ny))
+        return StepFn2D(xs, ys, values(nx - 1, ny - 1, spread), values(nx, ny - 1, spread),
+                        values(nx - 1, ny, spread), values(nx, ny, spread))
+
+    def probes(cs):
+        out = [*cs, *((a + b) / 2 for a, b in zip(cs, cs[1:])), Fraction(0)]
+        return out + [c + e for c in (cs[0], cs[-1]) for e in (-1, -tiny, tiny, 1)]
+
+    shapes = [(1, 1), (1, 2), (1, 5), (2, 1), (5, 1), (3, 4)]
+    grids = [raw(nx, ny, spread) for nx, ny in shapes for spread in (1, 10**6)]
+    checked = 0
+    for f in grids:
+        for y in probes(f.ys):
+            want = reference_slice_at(f, y)
+            assert slice_at(f, y) == want
+            kept, opens, at = fubini._section_row(f, y)
+            assert [f.xs[k] for k in kept] == list(want.breakpoints)
+            assert [f._frac[at[k]] for k in kept] == list(want.point_values)
+            assert [f._frac[opens[k]] for k in kept[:-1]] == list(want.open_values)
+            for x in probes(f.xs):
+                assert f(x, y) == reference_value(f, x, y), (x, y)
+                checked += 1
+        assert transpose(f) == reference_transpose(f)
+    assert ZERO_2D(0, 0) == 0 and fubini._section_row(ZERO_2D, Fraction(0)) == ([], (), ())
+    assert checked > 1500
 
 
 # The integer view: every grid also holds its values as integer numerators

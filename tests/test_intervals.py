@@ -30,6 +30,7 @@ from latval.intervals import (
     probe_points,
     singleton,
 )
+from latval.oag import ShapeError
 
 OPS = {
     "meet": lambda x, y: x and y,
@@ -347,3 +348,63 @@ def test_dict_descriptor_flags_must_be_booleans():
     for bad in ("05", (0, 1, True), range(2), {0, 1}):
         with pytest.raises(ValueError, match="descriptor"):
             iset_make([bad])
+
+
+def _forms(lo, hi, *flags) -> list:
+    """The piece ``lo, hi`` with optional ``lo_closed, hi_closed`` as a list,
+    a tuple and a dict descriptor."""
+    named = dict(zip(("lo_closed", "hi_closed"), flags))
+    return [[lo, hi, *flags], (lo, hi, *flags), {"lo": lo, "hi": hi, **named}]
+
+
+@pytest.mark.parametrize(
+    "lo, hi, error, message",
+    [
+        ("1", "0", ValueError, "interval with lo=1 > hi=0"),
+        ("1/2", "1/3", ValueError, "interval with lo=1/2 > hi=1/3"),
+        ("abc", "1", ValueError, "Invalid literal for Fraction: 'abc'"),
+        ("0", "1/0", ZeroDivisionError, "Fraction(1, 0)"),
+        (True, 1, ShapeError, "not a rational: True"),
+        (None, 1, ShapeError, "not a rational: None"),
+    ],
+)
+def test_bad_endpoints_raise_the_same_error_in_every_form(lo, hi, error, message):
+    for d in _forms(lo, hi) + _forms(lo, hi, False, False):
+        with pytest.raises(error) as info:
+            iset_make([("5", "6"), d])
+        assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "d, error, message",
+    [
+        (["0", "1", "yes", True], ValueError,
+         "lo_closed and hi_closed must be booleans: ['0', '1', 'yes', True]"),
+        (("0", "1", True, 1), ValueError,
+         "lo_closed and hi_closed must be booleans: ('0', '1', True, 1)"),
+        ({"lo": "0", "hi": "1", "lo_closed": None}, ValueError,
+         "lo_closed and hi_closed must be booleans: ('0', '1', None, True)"),
+        # the flags are checked before the endpoints
+        ({"lo": "2", "hi": "1", "lo_closed": "x"}, ValueError,
+         "lo_closed and hi_closed must be booleans: ('2', '1', 'x', True)"),
+        (["0"], ValueError, "bad interval descriptor: ['0']"),
+        (("0", "1", True), ValueError, "bad interval descriptor: ('0', '1', True)"),
+        ({"lo": "0"}, KeyError, "'hi'"),
+        ({"lo": "0", "hi": "1", "open": True}, ValueError, "unknown keys ['open'] in a piece"),
+    ],
+)
+def test_bad_descriptors_raise_the_same_error(d, error, message):
+    with pytest.raises(error) as info:
+        iset_make([("5", "6"), d])
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_open_singleton_is_empty_in_every_form():
+    for flags in [(False, True), (True, False), (False, False)]:
+        for d in _forms("2", "2", *flags):
+            assert iset_make([d]) == EMPTY
+            assert iset_make([d, ("0", "1")]) == interval(0, 1)
+            assert iset_make([("1", "2", True, False), d]) == interval(1, 2, True, False)
+    for d in _forms("2", "2") + _forms("2", "2", True, True):
+        assert iset_make([d]) == singleton(2)
+        assert iset_make([("1", "2", True, False), d]) == interval(1, 2)

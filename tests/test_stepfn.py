@@ -2,6 +2,7 @@
 
 import json
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -295,6 +296,45 @@ def test_integral_matches_fraction_loop():
     assert max(f.breakpoints[-1].denominator.bit_length() for f in fns if f.breakpoints) > 990
     for f in fns:
         assert integral(f) == reference_integral(f)
+
+
+def reference_call(f: StepFn, x: Fraction) -> Fraction:
+    """``f(x)`` located by a bisect over the ``Fraction`` breakpoints."""
+    bps = f.breakpoints
+    if not bps or x < bps[0] or x > bps[-1]:
+        return Fraction(0)
+    i = bisect_right(bps, x) - 1
+    return f.point_values[i] if bps[i] == x else f.open_values[i]
+
+
+def test_call_matches_fraction_bisect():
+    # a StepFn locates x on its breakpoints' integer numerators; every value
+    # is distinct and nonzero, so a point or gap read at a wrong index shows
+    rng = random.Random(18)
+    tiny = Fraction(1, 2**300)
+    fns = [ZERO_FN, StepFn((Fraction(3),), (), (Fraction(5),))]
+    for k in range(300):
+        bits, n = (4, 64)[k % 2], rng.randint(1, 12)
+        bps: set[Fraction] = set()
+        while len(bps) < n:
+            bps.add(Fraction(rng.randint(-(1 << bits), 1 << bits), rng.randint(1, 1 << bits)))
+        opens, points = map(Fraction, range(1, n)), map(Fraction, range(-n, 0))
+        fns.append(StepFn(tuple(sorted(bps)), tuple(opens), tuple(points)))
+    assert max(s.denominator.bit_length() for f in fns for s in f.breakpoints) == 64
+    checked = 0
+    for f in fns:
+        bps = f.breakpoints
+        probes = [Fraction(0), Fraction(-7, 3), Fraction(1, 2**64 + 1)]
+        if bps:
+            probes += [*bps, *((a + b) / 2 for a, b in zip(bps, bps[1:]))]
+            probes += [s + e for s in bps for e in (-tiny, tiny)]
+            probes += [bps[0] - 1, bps[-1] + 1, bps[0] - tiny * bps[0].denominator]
+            probes += [Fraction(rng.randint(-(1 << 65), 1 << 65), 1 << 64) for _ in range(4)]
+        for x in probes:
+            assert f(x) == reference_call(f, x), (f, x)
+            checked += 1
+        assert f(str(bps[0]) if bps else "0") == reference_call(f, bps[0] if bps else Fraction(0))
+    assert checked > 10_000
 
 
 @st.composite
