@@ -36,7 +36,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .instances import mu_S, phi_S, sample_interval_set
-from .intervals import IntervalSet, _breaks, _canonical_breaks, _sweep, _trusted
+from .intervals import IntervalSet, _canonical_breaks, _sweep, _trusted
 from .intervals import iset_from_json, iset_make
 from .oag import rat
 from .report import CheckReport
@@ -71,7 +71,7 @@ def _axis_atoms(sets: Iterable[IntervalSet]) -> tuple[list[Fraction], list[int],
     """The grid of the sets' endpoints and, per grid point, the bitmasks of
     the sets containing the point and the open gap right of it.  Set ``t``
     is swept with its bit ``1 << t`` for in and 0 for out, so a mask is a sum."""
-    operands = [[(x, at << t, gap << t) for x, at, gap in _breaks(s)] for t, s in enumerate(sets)]
+    operands = [[(x, at << t, gap << t) for x, at, gap in s._breaks] for t, s in enumerate(sets)]
     grid, at_masks, gap_masks = [], [], []
     for x, at, after in _sweep(operands, 0):
         grid.append(x)

@@ -191,10 +191,3 @@ def pad_with_nulls(rng: random.Random, a: IntervalSet) -> IntervalSet:
     for _ in range(rng.randint(1, 3)):
         out = intervals.iset_join(out, intervals.singleton(sample_rational(rng)))
     return out
-
-
-def pad_step_at_points(rng: random.Random, f: StepFn) -> StepFn:
-    """Perturb point values only: equal almost everywhere, so approx-equal."""
-    pts = [(sample_rational(rng), Fraction(rng.randint(-3, 3)))]
-    bumps = stepfn.step_make([], pts)
-    return stepfn.step_add(f, bumps)

@@ -16,6 +16,8 @@ the breakpoints where nothing changes, and what is left reassembles into
 canonical pieces.  ``stepfn`` and ``fubini`` use the same two functions for
 step functions and for the lines of 2-D grids.  ``iset_make`` reads each
 descriptor straight into its breakpoints, with the check ``interval`` makes.
+A set keeps the breakpoint list it was built from (``IntervalSet._breaks``),
+so operations do not take its pieces apart again.
 
 The sweep sorts its events by the integer key ``floor(2**64 * x)``, which is
 exact and monotone in ``x`` and about 64 bits past ``x``'s integer part
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .oag import rat
@@ -77,6 +80,22 @@ class IntervalSet:
                     raise ValueError(f"pieces {prev} and {p} overlap or are adjacent")
             prev = p
 
+    @cached_property
+    def _breaks(self) -> tuple[tuple[Fraction, bool, bool], ...]:
+        """The set as a 0/1 step function: ``(x, x in s, s just right of x)``.
+        The builders store the sweep's list here; nothing mutates it."""
+        out: list[tuple[Fraction, bool, bool]] = []
+        for p in self.pieces:
+            if p.lo == p.hi:
+                out.append((p.lo, True, False))
+                continue
+            if out and out[-1][0] == p.lo:  # (., x) u (x, .): one open endpoint
+                out[-1] = (p.lo, False, True)
+            else:
+                out.append((p.lo, p.lo_closed, True))
+            out.append((p.hi, p.hi_closed, False))
+        return tuple(out)
+
     def contains(self, x) -> bool:
         x = rat(x)
         return any(p.contains(x) for p in self.pieces)
@@ -111,14 +130,14 @@ class IntervalSet:
 EMPTY = IntervalSet(())
 
 
-def _interval_breaks(lo, hi, lo_closed: bool = True, hi_closed: bool = True) -> list[tuple]:
-    """One interval's breakpoints (see ``_breaks``), checked; an open singleton has none."""
+def _interval_breaks(lo, hi, lo_closed: bool = True, hi_closed: bool = True) -> tuple:
+    """One interval's breakpoints, checked; an open singleton has none."""
     lo, hi = rat(lo), rat(hi)
     if lo > hi:
         raise ValueError(f"interval with lo={lo} > hi={hi}")
     if lo == hi:
-        return [(lo, True, False)] if lo_closed and hi_closed else []
-    return [(lo, lo_closed, True), (hi, hi_closed, False)]
+        return ((lo, True, False),) if lo_closed and hi_closed else ()
+    return (lo, lo_closed, True), (hi, hi_closed, False)
 
 
 def interval(lo, hi, lo_closed: bool = True, hi_closed: bool = True) -> IntervalSet:
@@ -128,7 +147,7 @@ def interval(lo, hi, lo_closed: bool = True, hi_closed: bool = True) -> Interval
         return EMPTY
     (lo, _, _), (hi, _, _) = breaks[0], breaks[-1]
     piece = _trusted(Piece, lo=lo, lo_closed=lo_closed, hi=hi, hi_closed=hi_closed)
-    return _trusted(IntervalSet, pieces=(piece,))
+    return _trusted(IntervalSet, pieces=(piece,), _breaks=breaks)
 
 
 def _trusted(cls, **fields):
@@ -182,30 +201,17 @@ def _canonical_breaks(breaks: Iterable[tuple], zero) -> list[tuple]:
     ``breaks`` are ``(x, value at x, value right of x)`` in increasing ``x``,
     ``zero`` left of the first and right of the last.  Removing a breakpoint
     joins two gaps of equal value, so it changes no other breakpoint's test
-    and one pass is exact.  Values are compared with ``==``.
+    and one pass is exact.  Identity is tested before ``==``: the sweep
+    carries a value across other operands' breakpoints as the same object.
     """
     kept = []
     left = zero
     for b in breaks:
-        if not (left == b[1] == b[2]):
+        _, at, after = b
+        if not ((left is at or left == at) and (at is after or at == after)):
             kept.append(b)
-        left = b[2]
+        left = after
     return kept
-
-
-def _breaks(s: IntervalSet) -> list[tuple[Fraction, bool, bool]]:
-    """The set as a 0/1 step function: ``(x, x in s, s just right of x)``."""
-    out: list[tuple[Fraction, bool, bool]] = []
-    for p in s.pieces:
-        if p.lo == p.hi:
-            out.append((p.lo, True, False))
-            continue
-        if out and out[-1][0] == p.lo:  # (., x) u (x, .): one open endpoint
-            out[-1] = (p.lo, False, True)
-        else:
-            out.append((p.lo, p.lo_closed, True))
-        out.append((p.hi, p.hi_closed, False))
-    return out
 
 
 def _from_breaks(breaks: Iterable[tuple]) -> IntervalSet:
@@ -213,7 +219,8 @@ def _from_breaks(breaks: Iterable[tuple]) -> IntervalSet:
     pieces: list[Piece] = []
     lo = lo_closed = None
     inside = False
-    for x, at, after in _canonical_breaks(breaks, False):
+    kept = _canonical_breaks(breaks, False)
+    for x, at, after in kept:
         if inside:  # a piece runs up to x; at and after are not both in
             pieces.append(_trusted(Piece, lo=lo, lo_closed=lo_closed, hi=x, hi_closed=at))
             lo, lo_closed = x, False
@@ -222,13 +229,13 @@ def _from_breaks(breaks: Iterable[tuple]) -> IntervalSet:
         else:  # kept, out on both sides: an isolated point
             pieces.append(_trusted(Piece, lo=x, lo_closed=True, hi=x, hi_closed=True))
         inside = after
-    return _trusted(IntervalSet, pieces=tuple(pieces))
+    return _trusted(IntervalSet, pieces=tuple(pieces), _breaks=tuple(kept))
 
 
 def _combine(a: IntervalSet, b: IntervalSet, keep) -> IntervalSet:
     return _from_breaks(
         (x, keep(*at), keep(*after))
-        for x, at, after in _sweep((_breaks(a), _breaks(b)), False)
+        for x, at, after in _sweep((a._breaks, b._breaks), False)
     )
 
 
@@ -262,7 +269,7 @@ def iset_make(raw: Iterable) -> IntervalSet:
     parts = []
     for d in raw:
         if isinstance(d, IntervalSet):
-            parts.append(_breaks(d))
+            parts.append(d._breaks)
             continue
         if isinstance(d, Piece):
             d = d.lo, d.hi, d.lo_closed, d.hi_closed

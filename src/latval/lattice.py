@@ -260,12 +260,6 @@ def diamond_m3() -> FiniteLattice:
     return finite_lattice_build(["0", "a", "b", "c", "1"], pairs)
 
 
-def pentagon_n5() -> FiniteLattice:
-    """N5: the other minimal non-distributive lattice."""
-    pairs = [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")]
-    return finite_lattice_build(["0", "a", "b", "c", "1"], pairs)
-
-
 def powerset_lattice(ground: Iterable[Hashable]) -> FiniteLattice:
     items = sorted(set(ground), key=repr)
     if 2 ** len(items) > MAX_FINITE_CARRIER:

@@ -11,7 +11,9 @@ Binary operations, the order and ``step_make`` run on the sweep kernel of
 :mod:`latval.intervals`: one merge of the operands' sorted breakpoints gives
 each operand's value at every breakpoint of the common refinement and on the
 open gap right of it, and one pass drops the breakpoints where nothing
-changes.
+changes.  Meet, join and the order compare each pair of values once in the
+sweep loop, on integers (``u <= v`` iff ``u.numerator * v.denominator <=
+v.numerator * u.denominator``, as denominators are positive).
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .intervals import _breaks as _set_breaks
 from .intervals import _canonical_breaks, _sweep, _trusted, iset_make
 from .oag import rat
 
@@ -141,7 +142,7 @@ def step_make(parts: Iterable, points: Iterable = ()) -> StepFn:
         value = rat(value)
         operands.append([
             (x, value if at else None, value if after else None)
-            for x, at, after in _set_breaks(iset_make([desc]))
+            for x, at, after in iset_make([desc])._breaks
         ])
     operands += [[(rat(x), rat(v), None)] for x, v in points]
 
@@ -178,12 +179,27 @@ def step_sub(f: StepFn, g: StepFn) -> StepFn:
     return _pointwise(f, g, lambda x, y: x - y)
 
 
+def _extreme(f: StepFn, g: StepFn, upper: bool) -> StepFn:
+    """The pointwise ``min`` of ``f`` and ``g``, or ``max`` if ``upper``, with
+    ``f``'s value object on a tie, as ``min`` and ``max`` give.  For ``max``
+    the sweep takes ``g`` first, so each pair ``p, q`` keeps ``q`` if ``p <= q``."""
+    bps, ovals, pvals = [], [], []
+    first, second = (g, f) if upper else (f, g)
+    for x, (p, q), (r, s) in _sweep((_breaks(first), _breaks(second)), ZERO):
+        bps.append(x)
+        le = p is q or p.numerator * q.denominator <= q.numerator * p.denominator
+        pvals.append(q if le == upper else p)
+        le = r is s or r.numerator * s.denominator <= s.numerator * r.denominator
+        ovals.append(s if le == upper else r)
+    return _canonical(bps, ovals[:-1], pvals)
+
+
 def step_meet(f: StepFn, g: StepFn) -> StepFn:
-    return _pointwise(f, g, min)
+    return _extreme(f, g, False)
 
 
 def step_join(f: StepFn, g: StepFn) -> StepFn:
-    return _pointwise(f, g, max)
+    return _extreme(f, g, True)
 
 
 def step_scale(lam, f: StepFn) -> StepFn:
@@ -205,10 +221,12 @@ def step_abs(f: StepFn) -> StepFn:
 
 def step_leq(f: StepFn, g: StepFn) -> bool:
     """Pointwise order, decided on the common refinement."""
-    return all(
-        at[0] <= at[1] and after[0] <= after[1]
-        for _, at, after in _sweep((_breaks(f), _breaks(g)), ZERO)
-    )
+    for _, (p, q), (r, s) in _sweep((_breaks(f), _breaks(g)), ZERO):
+        if p is not q and p.numerator * q.denominator > q.numerator * p.denominator:
+            return False
+        if r is not s and r.numerator * s.denominator > s.numerator * r.denominator:
+            return False
+    return True
 
 
 def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -259,13 +277,3 @@ def step_from_json(doc: dict) -> StepFn:
     if not all(isinstance(a, list) for a in arrays):
         raise TypeError("breakpoints, open_values and point_values must be lists")
     return step_from_values(*arrays)
-
-
-def step_probe_points(*fns: StepFn, offset: Fraction = Fraction(1, 1000)) -> list[Fraction]:
-    out: set[Fraction] = set()
-    for f in fns:
-        for s in f.breakpoints:
-            out.update((s, s - offset, s + offset))
-        for i in range(len(f.breakpoints) - 1):
-            out.add((f.breakpoints[i] + f.breakpoints[i + 1]) / 2)
-    return sorted(out)

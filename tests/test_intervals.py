@@ -408,3 +408,59 @@ def test_open_singleton_is_empty_in_every_form():
     for d in _forms("2", "2") + _forms("2", "2", True, True):
         assert iset_make([d]) == singleton(2)
         assert iset_make([("1", "2", True, False), d]) == interval(1, 2)
+
+
+# --- the breakpoints a set keeps --------------------------------------------
+
+
+def breaks_by_probes(s: IntervalSet) -> list[tuple]:
+    """``(x, x in s, s just right of x)`` at each endpoint where membership
+    changes, found with ``contains`` alone."""
+    xs = sorted(set(s.endpoints()))
+    out = []
+    for i, x in enumerate(xs):
+        before = xs[i - 1] if i else x - 2
+        after = xs[i + 1] if i + 1 < len(xs) else x + 2
+        left, at, right = (s.contains(y) for y in ((before + x) / 2, x, (x + after) / 2))
+        if not left == at == right:
+            out.append((x, at, right))
+    return out
+
+
+def test_kept_breakpoints_equal_the_pieces():
+    from latval.instances import sample_interval_set
+
+    a = iset_make([(0, 2, False, True), (3, 3), (5, 7, True, False), (7, 8, False, False)])
+    b = iset_make([(1, 5, True, False), (6, 9)])
+    built = [
+        a, b, SHARED_OPEN, interval(1, 4, False, True), interval(2, 2),
+        *(f(a, b) for f in FUNCTIONS.values()),
+    ]
+    constructed = [
+        EMPTY, singleton(6),
+        IntervalSet((
+            Piece(Fraction(0), False, Fraction(1), False),
+            Piece(Fraction(1), False, Fraction(2), True),
+        )),
+    ]
+    rng = random.Random(18)
+    for _ in range(100):
+        c, d = sample_interval_set(rng), sample_interval_set(rng)
+        built += [c, d, *(f(c, d) for f in FUNCTIONS.values())]
+    for s in built:
+        assert "_breaks" in vars(s), f"{s} was built without its breakpoints"
+    for s in built + constructed:
+        assert isinstance(s._breaks, tuple)
+        assert list(s._breaks) == breaks_by_probes(s), s
+    assert interval(3, 3, False, False)._breaks == EMPTY._breaks == ()
+
+
+def test_kept_breakpoints_leave_equality_hash_and_repr_alone():
+    built = iset_join(interval(0, 1), interval(2, 3, False, True))
+    plain = IntervalSet(tuple(Piece(p.lo, p.lo_closed, p.hi, p.hi_closed) for p in built.pieces))
+    assert "_breaks" in vars(built) and "_breaks" not in vars(plain)
+    for _ in range(2):  # before and after plain derives its view
+        assert built == plain and hash(built) == hash(plain) and repr(built) == repr(plain)
+        assert plain._breaks == built._breaks
+    assert "_breaks" not in repr(built)
+    assert built.to_json_obj() == plain.to_json_obj()

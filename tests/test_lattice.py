@@ -19,11 +19,16 @@ from latval.lattice import (
     finite_lattice_from_json,
     finite_subset_lattice,
     opposite,
-    pentagon_n5,
     powerset_lattice,
     product_lattice,
 )
 from latval.stepfn import indicator
+
+
+def pentagon_n5():
+    """N5: the other minimal non-distributive lattice."""
+    pairs = [("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")]
+    return finite_lattice_build(["0", "a", "b", "c", "1"], pairs)
 
 
 def test_two_chain_tables():

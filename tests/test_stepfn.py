@@ -9,10 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latval.instances import sample_step_fn
+from latval.intervals import _sweep
 from latval.stepfn import (
+    ZERO,
     ConflictingAssignment,
     StepFn,
     ZERO_FN,
+    _breaks,
+    _pointwise,
     indicator,
     integral,
     step_abs,
@@ -23,10 +28,21 @@ from latval.stepfn import (
     step_leq,
     step_make,
     step_meet,
-    step_probe_points,
     step_scale,
     step_sub,
 )
+
+
+def step_probe_points(*fns, offset=Fraction(1, 1000)):
+    """Every breakpoint, each breakpoint +/- offset and each gap midpoint."""
+    out = set()
+    for f in fns:
+        for s in f.breakpoints:
+            out.update((s, s - offset, s + offset))
+        for i in range(len(f.breakpoints) - 1):
+            out.add((f.breakpoints[i] + f.breakpoints[i + 1]) / 2)
+    return sorted(out)
+
 
 POINTWISE = {
     "add": lambda x, y: x + y,
@@ -164,8 +180,6 @@ def test_canonical_form_is_minimal(f):
 
 
 def test_randomized_against_oracle_seeded():
-    from latval.instances import sample_step_fn
-
     rng = random.Random(99)
     for _ in range(300):
         f, g = sample_step_fn(rng), sample_step_fn(rng)
@@ -360,3 +374,125 @@ def assert_rebuilds_checked(f: StepFn) -> None:
 def test_builder_output_passes_checked_constructor(f, g, parts):
     for h in (f, g, step_abs(f), step_make(parts), *(op(f, g) for op in FUNCTIONS.values())):
         assert_rebuilds_checked(h)
+
+
+# --- the order sweep against min, max and <= on Fractions -------------------
+
+
+def reference_leq(f: StepFn, g: StepFn) -> bool:
+    """``Fraction``'s own ``<=`` on the common refinement."""
+    return all(
+        at[0] <= at[1] and after[0] <= after[1]
+        for _, at, after in _sweep((_breaks(f), _breaks(g)), ZERO)
+    )
+
+
+def fresh(f: StepFn) -> StepFn:
+    """``f`` with every value an equal but distinct ``Fraction``."""
+    def copy(values):
+        return tuple(Fraction(v.numerator, v.denominator) for v in values)
+
+    return StepFn(f.breakpoints, copy(f.open_values), copy(f.point_values))
+
+
+def assert_order_parity(f: StepFn, g: StepFn) -> None:
+    """Meet and join are ``min`` and ``max`` on the common refinement, down to
+    the value objects they return (the first operand's on a tie), and
+    ``step_leq`` is ``<=``: both ways round, and against equal values held in
+    distinct objects."""
+    for a, b in ((f, g), (g, f), (f, fresh(f)), (fresh(g), g)):
+        for op, pick in ((step_meet, min), (step_join, max)):
+            got, want = op(a, b), _pointwise(a, b, pick)
+            assert got == want, (op.__name__, a, b)
+            values = zip(got.point_values + got.open_values, want.point_values + want.open_values)
+            assert all(x is y for x, y in values), (op.__name__, "another value object", a, b)
+        assert step_leq(a, b) == reference_leq(a, b), (a, b)
+    assert step_leq(step_meet(f, g), fresh(f)) and step_leq(fresh(g), step_join(f, g))
+
+
+def _random_fn(rng: random.Random, value, n: int) -> StepFn:
+    bps = sorted({value() for _ in range(n)})
+    return step_from_values(bps, [value() for _ in bps[1:]], [value() for _ in bps])
+
+
+def _sampled(rng):
+    return [(sample_step_fn(rng), sample_step_fn(rng)) for _ in range(150)]
+
+
+def _wide(rng):
+    """64-bit numerators over unrelated 64-bit denominators, and neighbours
+    that differ from them by less than 2^-64."""
+    def value():
+        return Fraction(rng.getrandbits(64) - (1 << 63), rng.getrandbits(64) | 1)
+
+    pairs = []
+    for _ in range(40):
+        f = _random_fn(rng, value, 6)
+        tiny = [Fraction(rng.choice((-1, 1)), (1 << 64) + rng.getrandbits(32)) for _ in f.point_values]
+        near = [v + t for v, t in zip(f.point_values, tiny)]
+        g = step_from_values(f.breakpoints, f.open_values, near)
+        pairs += [(f, _random_fn(rng, value, 6)), (f, g)]
+    return pairs
+
+
+def _negative(rng):
+    def value():
+        return Fraction(-rng.randint(1, 30), rng.randint(1, 12))
+
+    return [(_random_fn(rng, value, 5), _random_fn(rng, value, 5)) for _ in range(60)]
+
+
+def _equal_objects(rng):
+    """Equal values in distinct objects, everywhere or all but one place."""
+    pairs = []
+    for _ in range(60):
+        f = sample_step_fn(rng)
+        if f.is_zero():
+            continue
+        g = fresh(f)
+        pvals, ovals = list(g.point_values), list(g.open_values)
+        pvals[rng.randrange(len(pvals))] += rng.choice((-1, 1))
+        if ovals:
+            ovals[rng.randrange(len(ovals))] += rng.choice((-1, 1))
+        pairs += [(f, g), (f, StepFn(g.breakpoints, tuple(ovals), tuple(pvals)))]
+    return pairs
+
+
+def _zero(rng):
+    """``ZERO_FN`` against functions that take the value 0 in other objects."""
+    f = step_from_values([0, 1, 2, 3], [0, 2, -1], [1, 0, 0, -2])
+    return [(ZERO_FN, ZERO_FN), (f, ZERO_FN)] + [
+        (sample_step_fn(rng, value_lo=-1, value_hi=1), ZERO_FN) for _ in range(60)
+    ]
+
+
+def _disjoint(rng):
+    """Operands whose spans touch at one point or lie apart, with a gap
+    between them where both are zero."""
+    pairs = []
+    for _ in range(60):
+        f, g = (sample_step_fn(rng, value_lo=-2, value_hi=2) for _ in range(2))
+        if f.is_zero() or g.is_zero():
+            continue
+        shift = f.breakpoints[-1] - g.breakpoints[0] + rng.choice((0, 1))
+        moved = StepFn(tuple(x + shift for x in g.breakpoints), g.open_values, g.point_values)
+        pairs.append((f, moved))
+    return pairs
+
+
+ORDER_FAMILIES = {
+    "sampler": _sampled,
+    "wide": _wide,
+    "negative": _negative,
+    "equal-objects": _equal_objects,
+    "zero": _zero,
+    "disjoint": _disjoint,
+}
+
+
+@pytest.mark.parametrize("family", sorted(ORDER_FAMILIES))
+def test_order_sweep_matches_min_max_and_leq(family):
+    pairs = ORDER_FAMILIES[family](random.Random(family))
+    assert len(pairs) >= 2
+    for f, g in pairs:
+        assert_order_parity(f, g)

@@ -4,15 +4,17 @@ from fractions import Fraction
 import pytest
 
 from latval.instances import (
+    INTERVAL_SETS,
     counting_valuation,
     interval_measure,
-    pad_step_at_points,
     pad_with_nulls,
+    sample_rational,
     step_integral,
 )
-from latval.intervals import interval, iset_join, singleton
-from latval.lattice import chain_lattice, diamond_m3, finite_lattice_build
+from latval.intervals import interval, iset_join, measure, singleton
+from latval.lattice import Lattice, chain_lattice, diamond_m3, finite_lattice_build
 from latval.oag import opposite_group, RATIONALS
+from latval.report import CheckReport
 from latval.stepfn import indicator, step_add, step_make
 from latval.valuation import (
     QuotientIllDefined,
@@ -28,6 +30,12 @@ from latval.valuation import (
     transform_opposite,
     transform_product,
 )
+
+
+def pad_step_at_points(rng, f):
+    """Perturb point values only: equal almost everywhere, so approx-equal."""
+    pts = [(sample_rational(rng), Fraction(rng.randint(-3, 3)))]
+    return step_add(f, step_make([], pts))
 
 
 def test_dist_examples():
@@ -87,6 +95,68 @@ def test_negative_control_non_monotone():
 def test_pseudometric_suites():
     assert check_pseudometric(interval_measure, 300, 11).ok
     assert check_pseudometric(step_integral, 300, 11).ok
+
+
+def reference_check_pseudometric(phi, samples, seed):
+    """``check_pseudometric`` with every distance computed from scratch,
+    28 lattice operations per sample: the reference for its report."""
+    def d(x, y):
+        return phi.group.sub(phi(phi.domain.join(x, y)), phi(phi.domain.meet(x, y)))
+
+    rng = random.Random(seed)
+    report = CheckReport()
+    g, lat = phi.group, phi.domain
+    for _ in range(samples):
+        a, b, z, w = (phi.sample(rng) for _ in range(4))
+        wit = f"a={lat.fmt(a)} b={lat.fmt(b)} z={lat.fmt(z)} w={lat.fmt(w)}"
+        dab = d(a, b)
+        report.record("d >= 0", g.leq(g.zero(), dab), wit)
+        report.record("d(a,a) = 0", g.is_zero(d(a, a)), wit)
+        report.record("d symmetric", g.equal(dab, d(b, a)), wit)
+        report.record("triangle", g.leq(dab, g.add(d(a, z), d(z, b))), wit)
+        contr = g.add(d(lat.meet(a, z), lat.meet(b, z)), d(lat.join(a, z), lat.join(b, z)))
+        report.record("contraction", g.leq(contr, dab), wit)
+        joint = g.add(d(lat.meet(a, w), lat.meet(b, z)), d(lat.join(a, w), lat.join(b, z)))
+        report.record("joint contraction", g.leq(joint, g.add(dab, d(w, z))), wit)
+    return report
+
+
+# The square of a modular measure is not modular: its distance breaks the
+# triangle and both contractions, so failing tallies and first witnesses
+# are compared too.
+squared_measure = Valuation(
+    domain=interval_measure.domain,
+    group=interval_measure.group,
+    fn=lambda a: measure(a) ** 2,
+    name="mu_S^2",
+    sampler=interval_measure.sampler,
+)
+
+
+@pytest.mark.parametrize(
+    "phi", [interval_measure, step_integral, squared_measure], ids=lambda phi: phi.name
+)
+def test_pseudometric_report_matches_reference(phi):
+    for seed in range(8):
+        got = check_pseudometric(phi, 30, seed).to_dict()
+        assert got == reference_check_pseudometric(phi, 30, seed).to_dict(), seed
+    if phi is squared_measure:
+        assert {"triangle", "contraction", "joint contraction"} <= set(
+            name for name, r in got.items() if r["fail"]
+        )
+
+
+def test_pseudometric_makes_each_lattice_operation_once():
+    ops = []
+
+    def counted(op):
+        return lambda x, y: ops.append(op) or op(x, y)
+
+    lat = Lattice("counted", INTERVAL_SETS.member, INTERVAL_SETS.what,
+                  counted(INTERVAL_SETS.meet), counted(INTERVAL_SETS.join), INTERVAL_SETS.leq)
+    phi = Valuation(lat, RATIONALS, measure, sampler=interval_measure.sampler)
+    assert check_pseudometric(phi, 10, 4).ok
+    assert len(ops) == 24 * 10
 
 
 def test_congruence_suites():
