@@ -119,6 +119,8 @@ def _stump_children(doc):
         leaf = doc.get("leaf", False)
         if not isinstance(leaf, bool):
             raise ValueError(f"leaf is not a JSON boolean: {leaf!r}")
+        if leaf and "node" in doc:
+            raise ValueError(f"a stump is a leaf or a node, not both: {doc!r}")
         if leaf:
             return None
         if isinstance(doc.get("node"), list):

@@ -133,11 +133,10 @@ def _read_system(doc) -> Valuation:
         raise InputError(
             "--system:carrier", f"expected a JSON list of 1 to {MAX_FINITE_CARRIER} labels"
         )
-    try:  # labels key the lattice tables, and their strings key phi
-        distinct = len(frozenset(carrier)) == len({str(a) for a in carrier}) == len(carrier)
-    except TypeError as exc:
-        raise InputError("--system:carrier", f"labels must be strings or numbers: {exc}")
-    if not distinct:
+    if not all(isinstance(a, (str, int, float)) and not isinstance(a, bool) for a in carrier):
+        raise InputError("--system:carrier", "labels must be JSON strings or numbers")
+    # labels key the lattice tables, and their strings key phi
+    if not len(frozenset(carrier)) == len({str(a) for a in carrier}) == len(carrier):
         raise InputError("--system:carrier", "labels must be distinct, and so must their strings")
     try:
         lat = finite_lattice_from_json(doc)
@@ -390,7 +389,7 @@ def cmd_dense_approx(args) -> int:
         _, trace = uniformity.dense_approximate(
             phi, uniformity.dyadic_endpoint_oracle(), seq, args.eps_index, args.depth
         )
-    except _INPUT_ERRORS as exc:
+    except (sequences.MonotonicityError, sequences.ModulusError) as exc:
         raise InputError("--seq", f"sequence does not fit the modulus 1/eps + 1: {exc}")
     _dump(args, [{key: row[key] for key in _DENSE_APPROX_KEYS} for row in trace])
     return 0

@@ -14,10 +14,12 @@ the union and on the open gap right of it, so no gap needs a probe point;
 the Boolean operation is applied to both values, ``_canonical_breaks`` drops
 the breakpoints where nothing changes, and what is left reassembles into
 canonical pieces.  ``stepfn`` and ``fubini`` use the same two functions for
-step functions and for the lines of 2-D grids.  ``iset_make`` reads each
-descriptor straight into its breakpoints, with the check ``interval`` makes.
-A set keeps the breakpoint list it was built from (``IntervalSet._breaks``),
-so operations do not take its pieces apart again.
+step functions and for the lines of 2-D grids.  ``_descriptor_breaks`` reads
+a descriptor straight into its breakpoints for ``iset_make`` and
+``stepfn.step_make``.  A set keeps the breakpoints it was built from
+(``IntervalSet._breaks``), as a step function keeps its triples, so
+operations do not take its pieces apart again; ``_from_breaks`` and
+``stepfn._canonical`` are the builders that store them.
 
 The sweep sorts its events by the integer key ``floor(2**64 * x)``, which is
 exact and monotone in ``x`` and about 64 bits past ``x``'s integer part
@@ -159,8 +161,7 @@ def _trusted(cls, **fields):
 
 
 def singleton(x) -> IntervalSet:
-    x = rat(x)
-    return IntervalSet((Piece(x, True, x, True),))
+    return interval(x, x)
 
 
 def _sweep(operands: Sequence[Sequence[tuple]], zero) -> Iterator[tuple]:
@@ -258,6 +259,23 @@ def iset_symmdiff(a: IntervalSet, b: IntervalSet) -> IntervalSet:
 _PIECE_KEYS = frozenset({"lo", "hi", "lo_closed", "hi_closed"})
 
 
+def _descriptor_breaks(d) -> tuple:
+    """The breakpoints of one descriptor as ``iset_make`` reads it, checked."""
+    if isinstance(d, IntervalSet):
+        return d._breaks
+    if isinstance(d, Piece):
+        d = d.lo, d.hi, d.lo_closed, d.hi_closed
+    elif isinstance(d, dict):
+        if not d.keys() <= _PIECE_KEYS:
+            raise ValueError(f"unknown keys {sorted(d.keys() - _PIECE_KEYS)} in a piece")
+        d = d["lo"], d["hi"], d.get("lo_closed", True), d.get("hi_closed", True)
+    if not isinstance(d, (list, tuple)) or len(d) not in (2, 4):
+        raise ValueError(f"bad interval descriptor: {d!r}")
+    if not all(isinstance(f, bool) for f in d[2:]):
+        raise ValueError(f"lo_closed and hi_closed must be booleans: {d!r}")
+    return _interval_breaks(*d)
+
+
 def iset_make(raw: Iterable) -> IntervalSet:
     """Union of interval descriptors, in canonical form.
 
@@ -266,22 +284,7 @@ def iset_make(raw: Iterable) -> IntervalSet:
     ``(lo, hi)`` or ``(lo, hi, lo_closed, hi_closed)``; flags are booleans in
     every form.  Overlapping and adjacent pieces are merged.
     """
-    parts = []
-    for d in raw:
-        if isinstance(d, IntervalSet):
-            parts.append(d._breaks)
-            continue
-        if isinstance(d, Piece):
-            d = d.lo, d.hi, d.lo_closed, d.hi_closed
-        elif isinstance(d, dict):
-            if not d.keys() <= _PIECE_KEYS:
-                raise ValueError(f"unknown keys {sorted(d.keys() - _PIECE_KEYS)} in a piece")
-            d = d["lo"], d["hi"], d.get("lo_closed", True), d.get("hi_closed", True)
-        if not isinstance(d, (list, tuple)) or len(d) not in (2, 4):
-            raise ValueError(f"bad interval descriptor: {d!r}")
-        if not all(isinstance(f, bool) for f in d[2:]):
-            raise ValueError(f"lo_closed and hi_closed must be booleans: {d!r}")
-        parts.append(_interval_breaks(*d))
+    parts = [_descriptor_breaks(d) for d in raw]
     return _from_breaks((x, any(at), any(after)) for x, at, after in _sweep(parts, False))
 
 

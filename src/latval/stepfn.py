@@ -14,6 +14,10 @@ open gap right of it, and one pass drops the breakpoints where nothing
 changes.  Meet, join and the order compare each pair of values once in the
 sweep loop, on integers (``u <= v`` iff ``u.numerator * v.denominator <=
 v.numerator * u.denominator``, as denominators are positive).
+
+A step function keeps the triples ``(x, f(x), value right of x)`` it was
+built from (``StepFn._breaks``), as a set keeps its breakpoints: every
+builder hands ``_canonical`` one list of triples, and it stores those kept.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .intervals import _canonical_breaks, _sweep, _trusted, iset_make
+from .intervals import _canonical_breaks, _descriptor_breaks, _sweep, _trusted
 from .oag import rat
 
 ZERO = Fraction(0)
@@ -50,6 +54,13 @@ class StepFn:
 
     def __post_init__(self):
         _check_shape(self.breakpoints, self.open_values, self.point_values)
+
+    @cached_property
+    def _breaks(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
+        """``(x, f(x), value right of x)`` for each breakpoint, zero right of
+        the last.  The builders store ``_canonical``'s list here; nothing
+        mutates it."""
+        return tuple(zip(self.breakpoints, self.point_values, self.open_values + (ZERO,)))
 
     @cached_property
     def _scaled(self) -> tuple[list[int], int]:
@@ -89,21 +100,17 @@ class StepFn:
 ZERO_FN = StepFn((), (), ())
 
 
-def _breaks(f: StepFn) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """``(x, f(x), value right of x)`` for each breakpoint of ``f``."""
-    return list(zip(f.breakpoints, f.point_values, f.open_values + (ZERO,)))
-
-
-def _canonical(
-    bps: Sequence[Fraction], ovals: Sequence[Fraction], pvals: Sequence[Fraction]
-) -> StepFn:
-    """The canonical ``StepFn``, unchecked: ``bps`` must already be strictly
-    increasing, with one fewer open value than point values."""
-    kept = _canonical_breaks(zip(bps, pvals, [*ovals, ZERO]), ZERO)
+def _canonical(breaks: list[tuple]) -> StepFn:
+    """The canonical ``StepFn`` of ``(x, value at x, value right of x)``
+    triples, unchecked: ``x`` must be strictly increasing and the last triple
+    zero on its right."""
+    kept = _canonical_breaks(breaks, ZERO)
     if not kept:
         return ZERO_FN
     bps, pvals, ovals = zip(*kept)
-    return _trusted(StepFn, breakpoints=bps, open_values=ovals[:-1], point_values=pvals)
+    return _trusted(
+        StepFn, breakpoints=bps, open_values=ovals[:-1], point_values=pvals, _breaks=tuple(kept)
+    )
 
 
 def step_from_values(
@@ -111,7 +118,7 @@ def step_from_values(
 ) -> StepFn:
     bps, ovals, pvals = [rat(s) for s in bps], [rat(v) for v in ovals], [rat(v) for v in pvals]
     _check_shape(bps, ovals, pvals)
-    return _canonical(bps, ovals, pvals)
+    return _canonical(list(zip(bps, pvals, [*ovals, ZERO])))
 
 
 class ConflictingAssignment(ValueError):
@@ -142,18 +149,12 @@ def step_make(parts: Iterable, points: Iterable = ()) -> StepFn:
         value = rat(value)
         operands.append([
             (x, value if at else None, value if after else None)
-            for x, at, after in iset_make([desc])._breaks
+            for x, at, after in _descriptor_breaks(desc)
         ])
     operands += [[(rat(x), rat(v), None)] for x, v in points]
-
-    bps: list[Fraction] = []
-    ovals: list[Fraction] = []
-    pvals: list[Fraction] = []
-    for x, at, after in _sweep(operands, None):
-        bps.append(x)
-        pvals.append(_assigned(at, x))
-        ovals.append(_assigned(after, x))
-    return _canonical(bps, ovals[:-1], pvals)
+    return _canonical([
+        (x, _assigned(at, x), _assigned(after, x)) for x, at, after in _sweep(operands, None)
+    ])
 
 
 def indicator(lo, hi, lo_closed: bool = True, hi_closed: bool = True, value=1) -> StepFn:
@@ -161,14 +162,9 @@ def indicator(lo, hi, lo_closed: bool = True, hi_closed: bool = True, value=1) -
 
 
 def _pointwise(f: StepFn, g: StepFn, combine) -> StepFn:
-    bps: list[Fraction] = []
-    ovals: list[Fraction] = []
-    pvals: list[Fraction] = []
-    for x, at, after in _sweep((_breaks(f), _breaks(g)), ZERO):
-        bps.append(x)
-        pvals.append(combine(*at))
-        ovals.append(combine(*after))
-    return _canonical(bps, ovals[:-1], pvals)
+    return _canonical([
+        (x, combine(*at), combine(*after)) for x, at, after in _sweep((f._breaks, g._breaks), ZERO)
+    ])
 
 
 def step_add(f: StepFn, g: StepFn) -> StepFn:
@@ -183,15 +179,13 @@ def _extreme(f: StepFn, g: StepFn, upper: bool) -> StepFn:
     """The pointwise ``min`` of ``f`` and ``g``, or ``max`` if ``upper``, with
     ``f``'s value object on a tie, as ``min`` and ``max`` give.  For ``max``
     the sweep takes ``g`` first, so each pair ``p, q`` keeps ``q`` if ``p <= q``."""
-    bps, ovals, pvals = [], [], []
+    breaks = []
     first, second = (g, f) if upper else (f, g)
-    for x, (p, q), (r, s) in _sweep((_breaks(first), _breaks(second)), ZERO):
-        bps.append(x)
-        le = p is q or p.numerator * q.denominator <= q.numerator * p.denominator
-        pvals.append(q if le == upper else p)
-        le = r is s or r.numerator * s.denominator <= s.numerator * r.denominator
-        ovals.append(s if le == upper else r)
-    return _canonical(bps, ovals[:-1], pvals)
+    for x, (p, q), (r, s) in _sweep((first._breaks, second._breaks), ZERO):
+        le_at = p is q or p.numerator * q.denominator <= q.numerator * p.denominator
+        le_after = r is s or r.numerator * s.denominator <= s.numerator * r.denominator
+        breaks.append((x, q if le_at == upper else p, s if le_after == upper else r))
+    return _canonical(breaks)
 
 
 def step_meet(f: StepFn, g: StepFn) -> StepFn:
@@ -204,24 +198,16 @@ def step_join(f: StepFn, g: StepFn) -> StepFn:
 
 def step_scale(lam, f: StepFn) -> StepFn:
     lam = rat(lam)
-    if lam == 0 or f.is_zero():
-        return ZERO_FN
-    return StepFn(
-        f.breakpoints,
-        tuple(lam * v for v in f.open_values),
-        tuple(lam * v for v in f.point_values),
-    )
+    return _canonical([(x, lam * at, lam * after) for x, at, after in f._breaks])
 
 
 def step_abs(f: StepFn) -> StepFn:
-    return _canonical(
-        f.breakpoints, [abs(v) for v in f.open_values], [abs(v) for v in f.point_values]
-    )
+    return _canonical([(x, abs(at), abs(after)) for x, at, after in f._breaks])
 
 
 def step_leq(f: StepFn, g: StepFn) -> bool:
     """Pointwise order, decided on the common refinement."""
-    for _, (p, q), (r, s) in _sweep((_breaks(f), _breaks(g)), ZERO):
+    for _, (p, q), (r, s) in _sweep((f._breaks, g._breaks), ZERO):
         if p is not q and p.numerator * q.denominator > q.numerator * p.denominator:
             return False
         if r is not s and r.numerator * s.denominator > s.numerator * r.denominator:

@@ -125,12 +125,11 @@ def uniformity_check(
         report.record("(i) reflexive", u.holds(i, s, s), wit)
 
         k = u.meet_index(i, j)
-        if u.holds(k, s, t):
-            report.record(
-                "(ii) meet index implies both", u.holds(i, s, t) and u.holds(j, s, t), wit
-            )
-        else:
-            report.record("(ii) meet index implies both", True, wit)
+        report.record(
+            "(ii) meet index implies both",
+            not u.holds(k, s, t) or (u.holds(i, s, t) and u.holds(j, s, t)),
+            wit,
+        )
 
         h = u.half_index(i)
         edge = Fraction(1, 2**h)  # the largest step the half index tolerates
@@ -145,14 +144,11 @@ def uniformity_check(
             midpoint = (lo + hi) / 2
         else:
             midpoint = lo
-        if u.holds(i, lo, hi):
-            report.record(
-                "(iv) order sandwich",
-                u.holds(i, lo, midpoint) and u.holds(i, midpoint, hi),
-                wit,
-            )
-        else:
-            report.record("(iv) order sandwich", True, wit)
+        report.record(
+            "(iv) order sandwich",
+            not u.holds(i, lo, hi) or (u.holds(i, lo, midpoint) and u.holds(i, midpoint, hi)),
+            wit,
+        )
 
         if not g.equal(lo, hi):
             sep = separation_index(u, lo, hi, sep_limit)
@@ -162,18 +158,13 @@ def uniformity_check(
                 f"s={g.fmt(lo)} t={g.fmt(hi)}",
             )
 
-        if u.holds(i, s, t):
-            report.record(
-                "(viii) translation invariant",
-                u.holds(i, g.add(r, s), g.add(r, t)),
-                wit,
-            )
-            report.record(
-                "(ix) negation reverses", u.holds(i, g.neg(t), g.neg(s)), wit
-            )
-        else:
-            report.record("(viii) translation invariant", True, wit)
-            report.record("(ix) negation reverses", True, wit)
+        related = u.holds(i, s, t)
+        report.record(
+            "(viii) translation invariant",
+            not related or u.holds(i, g.add(r, s), g.add(r, t)),
+            wit,
+        )
+        report.record("(ix) negation reverses", not related or u.holds(i, g.neg(t), g.neg(s)), wit)
 
     for producer, modulus, limit in modulus_sequences:
         # (vi): a decreasing sequence with infimum comes arbitrarily close

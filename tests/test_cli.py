@@ -416,6 +416,13 @@ BAD_DOCS = {
     "extra-key-phi": {
         "carrier": ["a", 1], "leq": [["a", 1]], "phi": {"a": "0", "1": "1", "leaf": True}
     },
+    # a stump is a leaf or a node, never both
+    "leaf-empty-node-tree": {"leaf": True, "node": []},
+    "leaf-child-tree": {"leaf": True, "node": [5]},
+    # labels are JSON strings or numbers, never null or booleans
+    "null-label": {"carrier": [None], "leq": [], "phi": {"None": "0"}},
+    "true-label": {"carrier": [True], "leq": [], "phi": {"True": "0"}},
+    "false-label": {"carrier": ["a", False], "leq": [], "phi": {"a": "0", "False": "1"}},
 }
 
 
@@ -486,6 +493,11 @@ BAD_DOCS = {
         (["converge-trace", "--seq", "typo-key-stages", "--depth", "1"], "--seq"),
         (["quotient", "--system", "junk-key-system"], "--system:junk"),
         (["quotient", "--system", "extra-key-phi"], "--system:phi:leaf"),
+        (["stump-alpha", "--tree", "leaf-empty-node-tree"], "--tree"),
+        (["stump-alpha", "--tree", "leaf-child-tree"], "--tree"),
+        (["quotient", "--system", "null-label"], "--system:carrier"),
+        (["quotient", "--system", "true-label"], "--system:carrier"),
+        (["quotient", "--system", "false-label"], "--system:carrier"),
     ],
 )
 def test_bad_document_is_input_error(argv, pointer, tmp_path, capsys):
@@ -631,6 +643,17 @@ def test_internal_error_is_exit_3_on_one_line(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: RuntimeError: totient table corrupted\n"
+
+
+def test_fault_in_dense_approximation_is_not_a_misfit_sequence(files, monkeypatch, capsys):
+    def broken(*args):
+        raise TypeError("witness table corrupted")
+
+    monkeypatch.setattr(cli.uniformity, "dense_approximate", broken)
+    assert main(["dense-approx", "--seq", files["seq"], "--eps-index", "2", "--depth", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: TypeError: witness table corrupted\n"
 
 
 def test_dump_encodes_fractions_only(tmp_path):

@@ -433,11 +433,11 @@ def test_kept_breakpoints_equal_the_pieces():
     a = iset_make([(0, 2, False, True), (3, 3), (5, 7, True, False), (7, 8, False, False)])
     b = iset_make([(1, 5, True, False), (6, 9)])
     built = [
-        a, b, SHARED_OPEN, interval(1, 4, False, True), interval(2, 2),
+        a, b, SHARED_OPEN, interval(1, 4, False, True), interval(2, 2), singleton(6),
         *(f(a, b) for f in FUNCTIONS.values()),
     ]
     constructed = [
-        EMPTY, singleton(6),
+        EMPTY,
         IntervalSet((
             Piece(Fraction(0), False, Fraction(1), False),
             Piece(Fraction(1), False, Fraction(2), True),

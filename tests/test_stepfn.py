@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latval.fubini import RectTerm, partial_integrate, slice_at, step2d_make
 from latval.instances import sample_step_fn
-from latval.intervals import _sweep
+from latval.intervals import Piece, _sweep, iset_make
 from latval.stepfn import (
     ZERO,
     ConflictingAssignment,
     StepFn,
     ZERO_FN,
-    _breaks,
     _pointwise,
     indicator,
     integral,
@@ -383,7 +383,7 @@ def reference_leq(f: StepFn, g: StepFn) -> bool:
     """``Fraction``'s own ``<=`` on the common refinement."""
     return all(
         at[0] <= at[1] and after[0] <= after[1]
-        for _, at, after in _sweep((_breaks(f), _breaks(g)), ZERO)
+        for _, at, after in _sweep((f._breaks, g._breaks), ZERO)
     )
 
 
@@ -496,3 +496,65 @@ def test_order_sweep_matches_min_max_and_leq(family):
     assert len(pairs) >= 2
     for f, g in pairs:
         assert_order_parity(f, g)
+
+
+# --- the triples a step function keeps --------------------------------------
+
+
+def breaks_by_calls(f: StepFn) -> list[tuple]:
+    """``(x, f(x), f just right of x)`` at each breakpoint, read with
+    ``__call__`` at the breakpoint and at a point of the gap right of it."""
+    bps = f.breakpoints
+    rights = [(a + b) / 2 for a, b in zip(bps, bps[1:])] + [bps[-1] + 1] if bps else []
+    return [(x, f(x), f(r)) for x, r in zip(bps, rights)]
+
+
+def test_kept_triples_equal_the_fields():
+    a = step_make([((0, 2, False, True), 3), ((2, 5, False, False), -1)], points=[(7, 4)])
+    b = step_from_values([0, 1, 3, 6], [2, 0, 5], [1, 2, 0, 0])
+    built = [
+        a, b,
+        step_make([(iset_make([(0, 1), (2, 3, False, False)]), 2)]),
+        step_make([(Piece(Fraction(1), False, Fraction(4), True), Fraction(1, 3))]),
+        step_make([({"lo": "1/2", "hi": 3, "hi_closed": False}, 5)], points=[("9/2", -2)]),
+        step_make([([1, 2, True, False], 1), ([2, 3], 1)]),
+        step_make([], points=[(1, 2), (3, 0)]),
+        indicator(0, 1, hi_closed=False, value=-3),
+        step_abs(step_sub(a, b)),
+        step_scale(0, a), step_scale(Fraction(-2, 3), a), step_scale(5, ZERO_FN),
+        *(op(a, b) for op in FUNCTIONS.values()),
+        *(op(a, a) for op in FUNCTIONS.values()),
+    ]
+    rng = random.Random(19)
+    for _ in range(100):
+        f, g = sample_step_fn(rng), sample_step_fn(rng)
+        built += [f, g, step_abs(f), step_scale(rng.randint(-3, 3), f)]
+        built += [op(f, g) for op in FUNCTIONS.values()]
+    grid = step2d_make([
+        RectTerm(Fraction(2), iset_make([(0, 3)]), iset_make([(1, 2, False, True)])),
+        RectTerm(Fraction(-1), iset_make([(1, 4, True, False)]), iset_make([(0, 3)])),
+    ])
+    constructed = [
+        ZERO_FN,
+        StepFn((Fraction(0), Fraction(1)), (Fraction(2),), (Fraction(2), Fraction(0))),
+        slice_at(grid, Fraction(3, 2)), slice_at(grid, 2), slice_at(grid, 5),
+        partial_integrate(grid),
+    ]
+    for f in built:
+        assert "_breaks" in vars(f) or f is ZERO_FN, f"{f} was built without its triples"
+    for f in built + constructed:
+        assert isinstance(f._breaks, tuple)
+        assert list(f._breaks) == breaks_by_calls(f), f
+        assert f._breaks == tuple(zip(f.breakpoints, f.point_values, f.open_values + (ZERO,)))
+    assert step_scale(0, a) is ZERO_FN and ZERO_FN._breaks == ()
+
+
+def test_kept_triples_leave_equality_hash_and_repr_alone():
+    built = step_join(indicator(0, 2), indicator(1, 3, False, True, value=2))
+    plain = StepFn(built.breakpoints, built.open_values, built.point_values)
+    assert "_breaks" in vars(built) and "_breaks" not in vars(plain)
+    for _ in range(2):  # before and after plain derives its triples
+        assert built == plain and hash(built) == hash(plain) and repr(built) == repr(plain)
+        assert plain._breaks == built._breaks
+    assert "_breaks" not in repr(built)
+    assert built.to_json_obj() == plain.to_json_obj()
