@@ -19,6 +19,7 @@ import csv
 import functools
 import io
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -64,17 +65,26 @@ class InputError(Exception):
 _INPUT_ERRORS = (KeyError, IndexError, ValueError, TypeError, ZeroDivisionError, RecursionError)
 
 
+def _finite(text: str) -> float:
+    """A JSON number read as a float, or a constant ``json`` reads beyond
+    JSON (``NaN``, ``Infinity``): only a finite value is a number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text}")
+    return value
+
+
 def _load_json(path: str, pointer: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_finite, parse_float=_finite)
     except FileNotFoundError:
         raise InputError(pointer, f"file not found: {path}")
     except OSError as exc:
         raise InputError(pointer, f"cannot read {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:
         raise InputError(pointer, f"not UTF-8 text: {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a json.JSONDecodeError, or a number _finite rejects
         raise InputError(pointer, f"invalid JSON in {path}: {exc}")
     except RecursionError:
         raise InputError(pointer, f"document nested too deeply: {path}")

@@ -2,23 +2,25 @@
 functions, partial integration, and the exact double-integral identity.
 
 A 2-D step function is stored on the full grid refinement of its rectangle
-terms: one value per open cell, plus values on the measure-zero grid lines
-and grid points so sections through a grid line stay exact.  Integrals
-ignore the line and point values, mirroring the 1-D convention.
+terms, over the product of its two axes' atoms.  Atom ``2i`` of an axis is
+grid coordinate ``i`` and atom ``2i + 1`` the open gap right of it, so one
+matrix holds the open cells (odd x odd), the measure-zero grid lines and the
+grid points, and sections through a grid line stay exact.  Integrals read
+the gap atoms only, mirroring the 1-D convention.
 
 Each axis is classified by the sweep kernel of :mod:`latval.intervals`: one
-merge of the terms' base-set breakpoints gives the grid and, per grid point,
-the bitmasks of the terms containing it and the open gap right of it.  Each
-distinct x mask is rastered into a row once per y axis.  The canonical grid
-drops a grid line where its values equal the cells on both sides; seen along
-one axis, a column is a breakpoint whose values are vectors, so the 1-D
-canonicaliser removes all redundant columns in one pass, and then all rows.
+merge of the terms' base-set breakpoints gives the grid and, per atom, the
+bitmask of the terms containing it.  Each distinct x mask is rastered into a
+row once.  The canonical grid drops a grid line where its values equal the
+cells on both sides; seen along one axis, a column is a breakpoint whose
+values are rows of atoms, so the 1-D canonicaliser removes all redundant
+columns in one pass, and then, on the transpose, all rows.
 
 A grid stores its values once, as integer numerators over one denominator
 whose gcd with all of them is 1, so equal grids have equal state.
 The kernels sum, compare and dot integers and make a ``Fraction`` only for
 what they return.  A sampled section is located on the integer coordinates,
-read from one row of the row-major matrices a grid keeps once made, and
+read from one row of the transposed matrix a grid keeps once made, and
 integrated on the integers too.  A grid is checked once, when ``StepFn2D`` is
 built from ``Fraction`` matrices; what is made from it is not checked again.
 """
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -67,17 +68,17 @@ def rect_term(coefficient, xs, ys) -> RectTerm:
     return RectTerm(rat(coefficient), iset_make(xs), iset_make(ys))
 
 
-def _axis_atoms(sets: Iterable[IntervalSet]) -> tuple[list[Fraction], list[int], list[int]]:
-    """The grid of the sets' endpoints and, per grid point, the bitmasks of
-    the sets containing the point and the open gap right of it.  Set ``t``
-    is swept with its bit ``1 << t`` for in and 0 for out, so a mask is a sum."""
+def _axis_atoms(sets: Iterable[IntervalSet]) -> tuple[list[Fraction], list[int]]:
+    """The grid of the sets' endpoints and, per atom of the grid, the bitmask
+    of the sets containing it: each grid point, then the open gap right of
+    it, and no gap right of the last.  Set ``t`` is swept with its bit
+    ``1 << t`` for in and 0 for out, so a mask is a sum."""
     operands = [[(x, at << t, gap << t) for x, at, gap in s._breaks] for t, s in enumerate(sets)]
-    grid, at_masks, gap_masks = [], [], []
+    grid, atoms = [], []
     for x, at, after in _sweep(operands, 0):
         grid.append(x)
-        at_masks.append(sum(at))
-        gap_masks.append(sum(after))
-    return grid, at_masks, gap_masks
+        atoms += sum(at), sum(after)
+    return grid, atoms[:-1]
 
 
 class _Memo(dict):
@@ -91,33 +92,43 @@ class _Memo(dict):
         return value
 
 
-# A grid's value matrices as integer numerators over ``den > 0``.
-_Ints = namedtuple("_Ints", "den cells vlines hlines points")
-
-
-def _map(fn, mat: Matrix) -> Matrix:
+def _map(fn, mat: Iterable) -> Matrix:
     """``fn`` of every value of ``mat``, in tuples made from lists (see ``_pick``)."""
     return tuple([tuple([fn(v) for v in row]) for row in mat])
+
+
+def _weave(even: Sequence, odd: Sequence) -> list:
+    """``even[0], odd[0], even[1], ...``: an axis' points and gaps in atom order."""
+    out = [*even, *odd]
+    out[::2], out[1::2] = even, odd
+    return out
 
 
 @dataclass(frozen=True, init=False)
 class StepFn2D:
     """Grid-canonical 2-D step function.
 
-    ``xs``/``ys`` are the grid coordinates.  ``cells[i][j]`` is the value on
-    the open cell, ``vlines[i][j]`` on {xs[i]} x (ys[j], ys[j+1]),
-    ``hlines[i][j]`` on (xs[i], xs[i+1]) x {ys[j]}, ``points[i][j]`` at the
-    grid point.  Zero outside the bounding box; the grid is minimal.  Only
-    ``_ints`` holds the values, so ``==`` and ``hash`` compare integers; the
-    four ``Fraction`` matrices are read-only views made on first use.
+    ``xs``/``ys`` are the grid coordinates.  ``_atoms[a][b]`` is the value,
+    as a numerator over ``_den``, on x atom ``a`` times y atom ``b``: atom
+    ``2i`` of an axis is its coordinate ``i``, atom ``2i + 1`` the open gap
+    right of it.  Zero outside the bounding box; the grid is minimal.  Only
+    ``_den`` and ``_atoms`` hold the values, so ``==`` and ``hash`` compare
+    integers.  ``cells[i][j]`` (the open cell), ``vlines[i][j]`` (on
+    {xs[i]} x (ys[j], ys[j+1])), ``hlines[i][j]`` (on (xs[i], xs[i+1]) x
+    {ys[j]}) and ``points[i][j]`` are read-only ``Fraction`` views of the
+    atoms of parities (1, 1), (0, 1), (1, 0) and (0, 0), made on first use.
     """
 
     xs: tuple[Fraction, ...]
     ys: tuple[Fraction, ...]
-    _ints: _Ints
+    _den: int
+    _atoms: Matrix
 
     cells, vlines, hlines, points = (
-        cached_property(lambda f, k=k: _map(f._frac.__getitem__, f._ints[k])) for k in range(1, 5)
+        cached_property(
+            lambda f, p=p, q=q: _map(f._frac.__getitem__, [r[q::2] for r in f._atoms[p::2]])
+        )
+        for p, q in ((1, 1), (0, 1), (1, 0), (0, 0))
     )
 
     def __init__(self, xs, ys, cells: Matrix, vlines: Matrix, hlines: Matrix, points: Matrix):
@@ -127,8 +138,8 @@ class StepFn2D:
             raise ValueError(f"a {nx}x{ny} grid needs lines on both axes or on neither")
         mats = cells, vlines, hlines, points
         cx, cy = max(0, nx - 1), max(0, ny - 1)
-        shapes = zip(_Ints._fields[1:], mats, (cx, nx, cx, nx), (cy, cy, ny, ny))
-        for name, mat, rows, cols in shapes:
+        names = "cells", "vlines", "hlines", "points"
+        for name, mat, rows, cols in zip(names, mats, (cx, nx, cx, nx), (cy, cy, ny, ny)):
             if len(mat) != rows or any(len(r) != cols for r in mat):
                 raise ValueError(f"inconsistent {name} shape for a {nx}x{ny} grid")
         if any(a >= b for c in (xs, ys) for a, b in zip(c, c[1:])):
@@ -136,14 +147,14 @@ class StepFn2D:
         # An lcm of reduced denominators is already canonical.
         den = math.lcm(*{v.denominator for m in mats for row in m for v in row})
         num = _Memo(lambda v: v[0] * (den // v[1])).__getitem__  # Fraction hashes are slow
-        ints = [_map(lambda v: num((v.numerator, v.denominator)), m) for m in mats]
-        self.__dict__.update(xs=xs, ys=ys, _ints=_Ints(den, *ints))
+        lines, gaps = map(_weave, points, vlines), map(_weave, hlines, cells)
+        atoms = _map(lambda v: num((v.numerator, v.denominator)), _weave([*lines], [*gaps]))
+        self.__dict__.update(xs=xs, ys=ys, _den=den, _atoms=atoms)
 
     @cached_property
     def _frac(self) -> _Memo:
         """``n -> Fraction(n, den)``, each numerator converted once."""
-        den = self._ints.den
-        return _Memo(lambda n: Fraction(n, den))
+        return _Memo(lambda n: Fraction(n, self._den))
 
     @cached_property
     def _axes(self) -> tuple:
@@ -151,10 +162,9 @@ class StepFn2D:
         return (*_over_lcm(self.xs), *_over_lcm(self.ys))
 
     @cached_property
-    def _rows(self) -> tuple[Matrix, ...]:
-        """The integer matrices row by row: ``cells``, ``hlines``, ``vlines``
-        and ``points`` with ``y`` as the first index."""
-        return _transposed(self._ints[1:], len(self.ys))
+    def _columns(self) -> Matrix:
+        """The atom matrix with ``y`` as the first index."""
+        return tuple(zip(*self._atoms))
 
     def __call__(self, x, y) -> Fraction:
         xn, xd, yn, yd = self._axes
@@ -162,8 +172,7 @@ class StepFn2D:
         if at_x is None or at_y is None:
             return ZERO
         (i, on_x), (j, on_y) = at_x, at_y
-        mat = self._ints[1 + on_x + 2 * on_y]  # cells, vlines, hlines or points
-        return self._frac[mat[i][j]]
+        return self._frac[self._atoms[2 * i + (not on_x)][2 * j + (not on_y)]]
 
     def is_zero(self) -> bool:
         return not self.xs
@@ -172,21 +181,20 @@ class StepFn2D:
 ZERO_2D = StepFn2D((), (), (), (), (), ())
 
 
-def _grid(xs: tuple, ys: tuple, den: int, mats: Sequence[Matrix]) -> StepFn2D:
+def _grid(xs: tuple, ys: tuple, den: int, atoms: Matrix) -> StepFn2D:
     """A ``StepFn2D`` made from a checked grid, not checked again, with the
     common factor of ``den`` and the numerators divided out.  The factor is
     a running gcd over the distinct numerators that stops at 1, and each
     distinct numerator is divided once."""
     g = den
     if den > 1:
-        for n in {n for m in mats for row in m for n in row}:
+        for n in {n for row in atoms for n in row}:
             g = math.gcd(g, n)
             if g == 1:
                 break
     if g > 1:
-        div = _Memo(lambda n: n // g).__getitem__
-        mats = [_map(div, m) for m in mats]
-    return _trusted(StepFn2D, xs=xs, ys=ys, _ints=_Ints(den // g, *mats))
+        atoms = _map(_Memo(lambda n: n // g).__getitem__, atoms)
+    return _trusted(StepFn2D, xs=xs, ys=ys, _den=den // g, _atoms=atoms)
 
 
 def _pick(seq: Sequence, indices: Iterable[int]) -> tuple:
@@ -197,51 +205,30 @@ def _pick(seq: Sequence, indices: Iterable[int]) -> tuple:
     return tuple([seq[i] for i in indices])
 
 
-def _kept(at: Iterable, right: Iterable, zero) -> list[int]:
-    """The indices of the breakpoints ``_canonical_breaks`` keeps, from the
-    values at each and right of each but the last (``zero`` follows it)."""
-    return [k for k, _, _ in _canonical_breaks(zip(count(), at, [*right, zero]), zero)]
-
-
-def _kept_columns(mats: Sequence[Matrix], ny: int) -> list[int]:
-    """The indices of the columns that are not redundant.  Along x a column
-    is a breakpoint with vector values: its line and points at x, its cells
-    and horizontal lines right of x."""
-    cells, vlines, hlines, points = mats
-    return _kept(zip(vlines, points), zip(cells, hlines), ((0,) * (ny - 1), (0,) * ny))
-
-
-def _columns(mats: Sequence[Matrix], kept: list[int]) -> tuple[Matrix, ...]:
-    """The four matrices on the ``kept`` columns.  A dropped column repeats
-    the cells left of it, so a kept column's cells and horizontal lines reach
-    to the next kept column, and none follow the last."""
-    cells, vlines, hlines, points = mats
-    cut = kept[:-1]
-    return _pick(cells, cut), _pick(vlines, kept), _pick(hlines, cut), _pick(points, kept)
-
-
-def _transposed(mats: Sequence[Matrix], ny: int) -> tuple[Matrix, ...]:
-    """The four matrices of the transposed grid, for a grid of ``ny`` rows."""
-    cells, vlines, hlines, points = mats
-
-    def t(mat, cols):  # a matrix with no rows transposes to ``cols`` empty rows
-        return tuple(zip(*mat)) or ((),) * cols
-
-    return t(cells, ny - 1), t(hlines, ny), t(vlines, ny - 1), t(points, ny)
+def _kept(atoms: Sequence, zero) -> list[int]:
+    """The indices of the breakpoints ``_canonical_breaks`` keeps, breakpoint
+    ``k`` having the value ``atoms[2k]`` at it and ``atoms[2k + 1]`` right of
+    it (``zero`` right of the last)."""
+    breaks = zip(count(), atoms[::2], [*atoms[1::2], zero])
+    return [k for k, _, _ in _canonical_breaks(breaks, zero)]
 
 
 def _canonical_2d(f: StepFn2D) -> StepFn2D:
     """The minimal grid of ``f``: redundant columns go, then redundant rows
-    (the columns of the transpose).  Dropping a line leaves every other
-    line's test as it was, so neither pass needs to look again."""
-    xs, ys, mats = f.xs, f.ys, f._ints[1:]
+    (the columns of the transpose).  A column is a breakpoint along x whose
+    values are rows of atoms; a dropped column repeats the gap left of it, so
+    a kept column's gap reaches to the next kept column, and none follows the
+    last.  Dropping a line leaves every other line's test as it was, so
+    neither pass needs to look again."""
+    xs, ys, atoms = f.xs, f.ys, f._atoms
     for _ in "xy":
-        kept = _kept_columns(mats, len(ys))
+        kept = _kept(atoms, (0,) * (2 * len(ys) - 1))
         if not kept:
             return ZERO_2D
-        mats = _transposed(_columns(mats, kept), len(ys))
+        rows = [a for k in kept for a in (2 * k, 2 * k + 1)][:-1]  # no gap after the last
+        atoms = tuple(zip(*_pick(atoms, rows)))
         xs, ys = ys, _pick(xs, kept)
-    return _grid(xs, ys, f._ints.den, mats)
+    return _grid(xs, ys, f._den, atoms)
 
 
 def step2d_make(terms: Iterable[RectTerm]) -> StepFn2D:
@@ -252,8 +239,8 @@ def step2d_make(terms: Iterable[RectTerm]) -> StepFn2D:
     fall out of the canonical minimization.
     """
     terms = list(terms)
-    xs, x_at, x_gap = _axis_atoms(t.base_x for t in terms)
-    ys, y_at, y_gap = _axis_atoms(t.base_y for t in terms)
+    xs, x_atoms = _axis_atoms(t.base_x for t in terms)
+    ys, y_atoms = _axis_atoms(t.base_y for t in terms)
     nums, den = _over_lcm([t.coefficient for t in terms])
 
     def mask_sum(mask: int) -> int:
@@ -265,42 +252,36 @@ def step2d_make(terms: Iterable[RectTerm]) -> StepFn2D:
         return total
 
     value = _Memo(mask_sum).__getitem__
-    x_gap, y_gap = x_gap[:-1], y_gap[:-1]  # nothing is right of the last line
-    # Each distinct x mask is rastered once per y axis: many masks repeat.
-    gap_row = _Memo(lambda mx: tuple(map(value, map(mx.__and__, y_gap))))
-    at_row = _Memo(lambda mx: tuple(map(value, map(mx.__and__, y_at))))
-    cells, vlines = _pick(gap_row, x_gap), _pick(gap_row, x_at)
-    ints = _Ints(den, cells, vlines, _pick(at_row, x_gap), _pick(at_row, x_at))
-    return _canonical_2d(_trusted(StepFn2D, xs=tuple(xs), ys=tuple(ys), _ints=ints))
+    # Each distinct x mask is rastered once: many masks repeat.
+    row = _Memo(lambda mx: tuple(map(value, map(mx.__and__, y_atoms))))
+    raw = _trusted(StepFn2D, xs=tuple(xs), ys=tuple(ys), _den=den, _atoms=_pick(row, x_atoms))
+    return _canonical_2d(raw)
 
 
-def _section(bps: Sequence[Fraction], kept: list[int], open_value, point_value) -> StepFn:
+def _section(bps: Sequence[Fraction], kept: list[int], value) -> StepFn:
     """The unchecked step function on ``bps[k]`` for ``k`` in ``kept``, with
-    ``point_value(k)`` at and ``open_value(k)`` right of each but the last."""
+    ``value(2k)`` at and ``value(2k + 1)`` right of each but the last."""
     if not kept:
         return ZERO_FN
     return _trusted(
         StepFn,
         breakpoints=_pick(bps, kept),  # tuples from lists, as in _pick
-        open_values=tuple([open_value(k) for k in kept[:-1]]),
-        point_values=tuple([point_value(k) for k in kept]),
+        open_values=tuple([value(2 * k + 1) for k in kept[:-1]]),
+        point_values=tuple([value(2 * k) for k in kept]),
     )
 
 
 def _integrate_across(
-    across: Sequence[int], wd: int, along: tuple, strips: Iterable, lines: Iterable, den: int
+    across: Sequence[int], wd: int, along: tuple, rows: Iterable, den: int
 ) -> StepFn:
-    """The step function on ``along`` whose value on each open strip and at
-    each line is the integral across the coordinates ``across / wd`` of its
-    integer values over ``den``: integer dot products with the widths, and a
-    ``Fraction`` for each breakpoint kept."""
-    if len(across) < 2:  # no measure anywhere
-        return ZERO_FN
+    """The step function on ``along`` whose value on each of its atoms is the
+    integral across the coordinates ``across / wd`` of that atom's row of
+    integer values over ``den``: integer dot products of the row's gap atoms
+    with the widths, and a ``Fraction`` for each breakpoint kept."""
     widths = _widths(across)
-    ovals = [sum(map(mul, strip, widths)) for strip in strips]
-    pvals = [sum(map(mul, line, widths)) for line in lines]
-    d, kept = den * wd, _kept(pvals, ovals, 0)
-    return _section(along, kept, lambda k: Fraction(ovals[k], d), lambda k: Fraction(pvals[k], d))
+    sums = [sum(map(mul, row[1::2], widths)) for row in rows]
+    d = den * wd
+    return _section(along, _kept(sums, 0), lambda a: Fraction(sums[a], d))
 
 
 def partial_integrate(f: StepFn2D) -> StepFn:
@@ -310,36 +291,34 @@ def partial_integrate(f: StepFn2D) -> StepFn:
     values; on each grid line it has the horizontal-line values.  Point and
     vertical-line values carry no x-measure and drop out.
     """
-    (xn, xd, _, _), (cells, hlines, _, _) = f._axes, f._rows
-    return _integrate_across(xn, xd, f.ys, cells, hlines, f._ints.den)
+    xn, xd, _, _ = f._axes
+    return _integrate_across(xn, xd, f.ys, f._columns, f._den)
 
 
-def _section_row(f: StepFn2D, y: Fraction) -> tuple[list[int], tuple, tuple]:
+def _section_row(f: StepFn2D, y: Fraction) -> tuple[list[int], tuple]:
     """The section x -> f(x, y) on the grid's integers: the columns ``_kept``
-    keeps, and the numerators right of and at each column, read from one
-    row of the row-major matrices."""
+    keeps, and the numerators on the x atoms, one row of ``_columns``."""
     _, _, yn, yd = f._axes
     where = _locate(yn, yd, y)
     if where is None:  # outside the grid, or no grid
-        return [], (), ()
+        return [], ()
     j, on_line = where
-    cells, hlines, vlines, points = f._rows
-    opens, at = (hlines[j], points[j]) if on_line else (cells[j], vlines[j])
-    return _kept(at, opens, 0), opens, at
+    atoms = f._columns[2 * j + (not on_line)]
+    return _kept(atoms, 0), atoms
 
 
 def slice_at(f: StepFn2D, y) -> StepFn:
     """The exact section x -> f(x, y)."""
-    kept, opens, at = _section_row(f, rat(y))
-    return _section(f.xs, kept, lambda k: f._frac[opens[k]], lambda k: f._frac[at[k]])
+    kept, atoms = _section_row(f, rat(y))
+    return _section(f.xs, kept, lambda a: f._frac[atoms[a]])
 
 
 def double_integral(f: StepFn2D) -> Fraction:
     """Direct cell sum: coefficient times area, lines and points ignored."""
     xn, xd, yn, yd = f._axes
-    ints, heights = f._ints, _widths(yn)
-    total = sum(w * sum(map(mul, row, heights)) for w, row in zip(_widths(xn), ints.cells))
-    return Fraction(total, ints.den * xd * yd)
+    heights, cells = _widths(yn), f._atoms[1::2]
+    total = sum(w * sum(map(mul, row[1::2], heights)) for w, row in zip(_widths(xn), cells))
+    return Fraction(total, f._den * xd * yd)
 
 
 def sample_ys(f: StepFn2D, rng: random.Random, count: int) -> list[Fraction]:
@@ -381,9 +360,9 @@ def fubini_check(f: StepFn2D, sampled_y: Iterable | None = None) -> FubiniReport
     """
     fx = partial_integrate(f)
     lhs, rhs = phi_S(fx), double_integral(f)
-    ints, (xn, xd, yn, yd) = f._ints, f._axes
-    # partial_integrate(transpose(f)), without the transposed matrices
-    lhs_y = phi_S(_integrate_across(yn, yd, f.xs, ints.cells, ints.vlines, ints.den))
+    xn, xd, yn, yd = f._axes
+    # partial_integrate(transpose(f)), without the transposed matrix
+    lhs_y = phi_S(_integrate_across(yn, yd, f.xs, f._atoms, f._den))
     report = FubiniReport(lhs=lhs, rhs=rhs, lhs_y_first=lhs_y)
     # A witness is formatted only for a failure: str() of a passing integral
     # may be past the interpreter's limit on integer digits.
@@ -393,9 +372,9 @@ def fubini_check(f: StepFn2D, sampled_y: Iterable | None = None) -> FubiniReport
     # phi_X(slice): kept columns times merged widths, not partial_integrate's sums
     for y in sampled_y or ():
         y = rat(y)
-        kept, opens, _ = _section_row(f, y)
-        merged = sum(opens[a] * (xn[b] - xn[a]) for a, b in zip(kept, kept[1:]))
-        at, along = fx(y), Fraction(merged, ints.den * xd)
+        kept, atoms = _section_row(f, y)
+        merged = sum(atoms[2 * a + 1] * (xn[b] - xn[a]) for a, b in zip(kept, kept[1:]))
+        at, along = fx(y), Fraction(merged, f._den * xd)
         report.slices.append((y, at, along))
         witness = "" if at == along else f"y={y} fx={at} slice-integral={along}"
         report.record("F_X(f)(y) = phi_X(slice)", at == along, witness)
@@ -403,7 +382,7 @@ def fubini_check(f: StepFn2D, sampled_y: Iterable | None = None) -> FubiniReport
 
 
 def transpose(f: StepFn2D) -> StepFn2D:
-    return _grid(f.ys, f.xs, f._ints.den, f._rows)
+    return _trusted(StepFn2D, xs=f.ys, ys=f.xs, _den=f._den, _atoms=f._columns)
 
 
 def rectset_measure(rects: Sequence[tuple[IntervalSet, IntervalSet]]) -> Fraction:
@@ -415,13 +394,13 @@ def rectset_measure(rects: Sequence[tuple[IntervalSet, IntervalSet]]) -> Fractio
     """
     if not rects:
         return ZERO
-    xs, _, x_gap = _axis_atoms(a for a, _ in rects)
-    ys, _, y_gap = _axis_atoms(b for _, b in rects)
+    xs, x_atoms = _axis_atoms(a for a, _ in rects)
+    ys, y_atoms = _axis_atoms(b for _, b in rects)
     (xn, xd), (yn, yd) = _over_lcm(xs), _over_lcm(ys)
-    heights = _widths(yn)
+    strips = list(zip(_widths(yn), y_atoms[1::2]))
     total = 0
-    for w, xmask in zip(_widths(xn), x_gap):
-        total += w * sum(h for h, ymask in zip(heights, y_gap) if xmask & ymask)
+    for w, xmask in zip(_widths(xn), x_atoms[1::2]):
+        total += w * sum(h for h, ymask in strips if xmask & ymask)
     return Fraction(total, xd * yd)
 
 

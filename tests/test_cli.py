@@ -423,6 +423,19 @@ BAD_DOCS = {
     "null-label": {"carrier": [None], "leq": [], "phi": {"None": "0"}},
     "true-label": {"carrier": [True], "leq": [], "phi": {"True": "0"}},
     "false-label": {"carrier": ["a", False], "leq": [], "phi": {"a": "0", "False": "1"}},
+    # json.dumps writes these floats as NaN and Infinity, which are no JSON numbers
+    "nan-label": {
+        "carrier": [float("nan"), 1], "leq": [[float("nan"), 1]], "phi": {"nan": "0", "1": "1"}
+    },
+    "infinity-label": {
+        "carrier": [float("inf"), 1], "leq": [[float("inf"), 1]], "phi": {"inf": "0", "1": "1"}
+    },
+}
+# Documents written as raw bytes: not UTF-8, or a number no float can hold.
+RAW_DOCS = {
+    "not-utf8": b'[{"lo": "0", "hi": "1\xff"}]',
+    "1e400-label": b'{"carrier": [1e400, 1], "leq": [[1e400, 1]], "phi": {"inf": "0", "1": "1"}}',
+    "1e400-endpoint-set": b'[{"lo": "0", "hi": 1e400}]',
 }
 
 
@@ -498,6 +511,10 @@ BAD_DOCS = {
         (["quotient", "--system", "null-label"], "--system:carrier"),
         (["quotient", "--system", "true-label"], "--system:carrier"),
         (["quotient", "--system", "false-label"], "--system:carrier"),
+        (["quotient", "--system", "nan-label"], "--system"),
+        (["quotient", "--system", "infinity-label"], "--system"),
+        (["quotient", "--system", "1e400-label"], "--system"),
+        (["measure", "--set", "1e400-endpoint-set"], "--set"),
     ],
 )
 def test_bad_document_is_input_error(argv, pointer, tmp_path, capsys):
@@ -505,8 +522,9 @@ def test_bad_document_is_input_error(argv, pointer, tmp_path, capsys):
     for name, doc in BAD_DOCS.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(doc))
-    paths["not-utf8"] = tmp_path / "not-utf8.json"
-    paths["not-utf8"].write_bytes(b'[{"lo": "0", "hi": "1\xff"}]')
+    for name, raw in RAW_DOCS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_bytes(raw)
     assert main([str(paths.get(a, a)) for a in argv]) == 2
     out, err = capsys.readouterr()
     assert out == ""

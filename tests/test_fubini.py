@@ -426,8 +426,9 @@ def reference_double_integral(f: StepFn2D) -> Fraction:
 def reference_rectset_measure(rects) -> Fraction:
     if not rects:
         return Fraction(0)
-    xs, _, x_gap = _axis_atoms(a for a, _ in rects)
-    ys, _, y_gap = _axis_atoms(b for _, b in rects)
+    xs, x_atoms = _axis_atoms(a for a, _ in rects)
+    ys, y_atoms = _axis_atoms(b for _, b in rects)
+    x_gap, y_gap = x_atoms[1::2], y_atoms[1::2]
     total = Fraction(0)
     for i in range(len(xs) - 1):
         height = sum(
@@ -531,20 +532,33 @@ def reference_transpose(f: StepFn2D) -> StepFn2D:
 
 def _drop_columns(f: StepFn2D) -> StepFn2D:
     """Remove every grid column whose vertical line equals the cells, and
-    whose points equal the horizontal lines, on both sides."""
-    mats = f._ints[1:]
-    kept = fubini._kept_columns(mats, len(f.ys))
+    whose points equal the horizontal lines, on both sides (zero outside the
+    grid).  Dropping a column joins two equal sides, so no other column's
+    test changes and one pass over the public views is exact."""
+    zero_cells, zero_h = (Fraction(0),) * max(0, len(f.ys) - 1), (Fraction(0),) * len(f.ys)
+    cells, hlines = [zero_cells, *f.cells, zero_cells], [zero_h, *f.hlines, zero_h]
+    kept = [
+        i for i in range(len(f.xs))
+        if not cells[i] == f.vlines[i] == cells[i + 1]
+        or not hlines[i] == f.points[i] == hlines[i + 1]
+    ]
     if not kept:
         return ZERO_2D
-    return fubini._grid(fubini._pick(f.xs, kept), f.ys, f._ints.den, fubini._columns(mats, kept))
+    right = kept[:-1]  # a kept column's cells reach to the next kept one
+    return StepFn2D(
+        tuple(f.xs[i] for i in kept), f.ys,
+        tuple(cells[i + 1] for i in right), tuple(f.vlines[i] for i in kept),
+        tuple(hlines[i + 1] for i in right), tuple(f.points[i] for i in kept),
+    )
 
 
 def reference_step2d_make(terms) -> StepFn2D:
     terms = list(terms)
     if not terms:
         return ZERO_2D
-    xs, x_at, x_gap = _axis_atoms(t.base_x for t in terms)
-    ys, y_at, y_gap = _axis_atoms(t.base_y for t in terms)
+    xs, x_atoms = _axis_atoms(t.base_x for t in terms)
+    ys, y_atoms = _axis_atoms(t.base_y for t in terms)
+    x_at, x_gap, y_at, y_gap = x_atoms[::2], x_atoms[1::2], y_atoms[::2], y_atoms[1::2]
     sums: dict[int, Fraction] = {}
 
     def value(mask: int) -> Fraction:
@@ -557,7 +571,6 @@ def reference_step2d_make(terms) -> StepFn2D:
     def grid(x_masks, y_masks):
         return tuple(tuple(value(mx & my) for my in y_masks) for mx in x_masks)
 
-    x_gap, y_gap = x_gap[:-1], y_gap[:-1]
     raw = StepFn2D(
         tuple(xs), tuple(ys),
         grid(x_gap, y_gap), grid(x_at, y_gap), grid(x_gap, y_at), grid(x_at, y_at),
@@ -780,15 +793,15 @@ def test_sections_and_values_on_one_line_grids():
         for y in probes(f.ys):
             want = reference_slice_at(f, y)
             assert slice_at(f, y) == want
-            kept, opens, at = fubini._section_row(f, y)
+            kept, atoms = fubini._section_row(f, y)
             assert [f.xs[k] for k in kept] == list(want.breakpoints)
-            assert [f._frac[at[k]] for k in kept] == list(want.point_values)
-            assert [f._frac[opens[k]] for k in kept[:-1]] == list(want.open_values)
+            assert [f._frac[atoms[2 * k]] for k in kept] == list(want.point_values)
+            assert [f._frac[atoms[2 * k + 1]] for k in kept[:-1]] == list(want.open_values)
             for x in probes(f.xs):
                 assert f(x, y) == reference_value(f, x, y), (x, y)
                 checked += 1
         assert transpose(f) == reference_transpose(f)
-    assert ZERO_2D(0, 0) == 0 and fubini._section_row(ZERO_2D, Fraction(0)) == ([], (), ())
+    assert ZERO_2D(0, 0) == 0 and fubini._section_row(ZERO_2D, Fraction(0)) == ([], ())
     assert checked > 1500
 
 
@@ -797,17 +810,19 @@ def test_sections_and_values_on_one_line_grids():
 
 
 def assert_integer_view(f: StepFn2D) -> None:
-    ints = f._ints
-    assert type(ints.den) is int and ints.den > 0
-    for name in ("cells", "vlines", "hlines", "points"):
-        values, nums = getattr(f, name), getattr(ints, name)
-        assert len(nums) == len(values), name
-        for value_row, num_row in zip(values, nums):
-            assert len(num_row) == len(value_row), name
-            for n, v in zip(num_row, value_row):
-                assert type(n) is int and Fraction(n, ints.den) == v, name
-    numerators = [n for m in ints[1:] for row in m for n in row]
-    assert math.gcd(ints.den, *numerators) == 1
+    den, atoms, nx, ny = f._den, f._atoms, len(f.xs), len(f.ys)
+    assert type(den) is int and den > 0
+    assert len(atoms) == max(0, 2 * nx - 1) and all(len(row) == 2 * ny - 1 for row in atoms)
+    numerators = [n for row in atoms for n in row]
+    assert all(type(n) is int for n in numerators)
+    assert math.gcd(den, *numerators) == 1
+    # atom 2i of an axis is coordinate i, atom 2i + 1 the open gap right of it
+    for name, p, q in (("cells", 1, 1), ("vlines", 0, 1), ("hlines", 1, 0), ("points", 0, 0)):
+        view = getattr(f, name)
+        assert len(view) == max(0, nx - p) and all(len(row) == ny - q for row in view), name
+        assert [list(row) for row in view] == [
+            [Fraction(n, den) for n in row[q::2]] for row in atoms[p::2]
+        ], name
 
 
 def test_integer_view_holds_the_values():
@@ -831,6 +846,21 @@ def test_integer_view_holds_the_values():
         assert_integer_view(f)
 
 
+def test_fraction_views_are_the_constructor_matrices():
+    # the constructor interleaves its four matrices into one atom matrix, and
+    # the views slice them back out: each comes back as it went in
+    rng = random.Random(21)
+    shapes = [(0, 0), (1, 1), (1, 4), (4, 1)]
+    shapes += [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(40)]
+    for nx, ny in shapes:
+        mats = [
+            tuple(tuple(random_rational(rng, 64) for _ in range(cols)) for _ in range(rows))
+            for rows, cols in ((nx - 1, ny - 1), (nx, ny - 1), (nx - 1, ny), (nx, ny))
+        ]
+        f = StepFn2D(tuple(map(Fraction, range(nx))), tuple(map(Fraction, range(ny))), *mats)
+        assert [f.cells, f.vlines, f.hlines, f.points] == mats, (nx, ny)
+
+
 def test_grids_over_different_denominators_are_equal():
     thirds = [
         rect_term(Fraction(1, 3), [(0, 1)], [(0, 2)]),
@@ -839,7 +869,7 @@ def test_grids_over_different_denominators_are_equal():
         rect_term(Fraction(1, 6), [(1, 3)], [(1, 2, False, True)]),
     ]
     f, g = step2d_make(thirds), reference_step2d_make(thirds)
-    assert (f._ints.den, g._ints.den) == (1, 1) and f._ints == g._ints
+    assert (f._den, g._den) == (1, 1) and f._atoms == g._atoms
     assert f == g and hash(f) == hash(g) and {f: 1}[g] == 1
     rng = random.Random(13)
     for k in range(30):
@@ -877,7 +907,7 @@ def test_fubini_check_passes_past_the_integer_digit_limit():
 def test_fubini_check_witnesses_of_failures(monkeypatch):
     f = step2d_make([rect_term(2, [(0, 3)], [(1, 2)])])
     monkeypatch.setattr(fubini, "double_integral", lambda f: Fraction(7))
-    monkeypatch.setattr(fubini, "_section_row", lambda f, y: ([], [], []))  # a zero section
+    monkeypatch.setattr(fubini, "_section_row", lambda f, y: ([], []))  # a zero section
     report = fubini_check(f, sampled_y=[Fraction(3, 2), 5])
     assert report.to_dict() == {
         "phi_Y o F_X = mu_XY": {"pass": 0, "fail": 1, "counterexample": "lhs=6 rhs=7"},
