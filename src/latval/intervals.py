@@ -31,6 +31,7 @@ the sweep: pieces and sets made from its output skip ``__post_init__``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -241,19 +242,19 @@ def _combine(a: IntervalSet, b: IntervalSet, keep) -> IntervalSet:
 
 
 def iset_meet(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return _combine(a, b, lambda x, y: x and y)
+    return _combine(a, b, operator.and_)
 
 
 def iset_join(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return _combine(a, b, lambda x, y: x or y)
+    return _combine(a, b, operator.or_)
 
 
 def iset_diff(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return _combine(a, b, lambda x, y: x and not y)
+    return _combine(a, b, operator.gt)
 
 
 def iset_symmdiff(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return _combine(a, b, lambda x, y: x != y)
+    return _combine(a, b, operator.ne)
 
 
 _PIECE_KEYS = frozenset({"lo", "hi", "lo_closed", "hi_closed"})

@@ -3,9 +3,9 @@ the opposite and product combinators."""
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
-from fractions import Fraction
 from typing import Any, Hashable, Iterable, Sequence
 
 MAX_FINITE_CARRIER = 64
@@ -187,10 +187,6 @@ def check_distributive(lat: FiniteLattice):
     return True, None
 
 
-RATIONAL_CHAIN = Lattice(
-    "rational-chain", lambda a: isinstance(a, Fraction), "a Fraction", min, max, operator.le
-)
-
 DIVISIBILITY = Lattice(
     "divisibility",
     lambda a: isinstance(a, int) and not isinstance(a, bool) and a >= 1,
@@ -215,37 +211,39 @@ def finite_subset_lattice(ground: Iterable[Hashable]) -> Lattice:
 
 
 def opposite(lat: Lattice) -> Lattice:
-    """The same carrier with its order reversed, so meet and join trade
-    places.  An involution: the opposite of an opposite is the lattice."""
+    """A copy of ``lat`` with its order reversed, so meet and join trade
+    places: a group stays a group and a finite lattice keeps its carrier.
+    An involution: the opposite of an opposite is the lattice."""
     if lat.opposite_of is not None:
         return lat.opposite_of
     inner_leq = lat._leq
-    opp = Lattice(
-        f"opposite({lat.name})", lat.member, lat.what,
-        lat._join, lat._meet, lambda a, b: inner_leq(b, a), lat.fmt,
-    )
+    opp = copy.copy(lat)
+    opp.name = f"opposite({lat.name})"
+    opp._meet, opp._join = lat._join, lat._meet
+    opp._leq = lambda a, b: inner_leq(b, a)
     opp.opposite_of = lat
     return opp
 
 
-def product_lattice(left: Lattice, right: Lattice) -> Lattice:
-    """Componentwise order on pairs.
+def product_lattice(*factors: Lattice) -> Lattice:
+    """Componentwise order on tuples with one entry per factor.
 
     Its table composes the factors' table functions, so each operand is
-    checked once: one member test, for a 2-tuple of members.
+    checked once: one member test, for a tuple of members.
     """
-    lmember, rmember = left.member, right.member
-    lmeet, ljoin, lleq = left._meet, left._join, left._leq
-    rmeet, rjoin, rleq = right._meet, right._join, right._leq
-    name = f"product({left.name}, {right.name})"
+    n = len(factors)
+    members = [f.member for f in factors]
+    meets, joins = [f._meet for f in factors], [f._join for f in factors]
+    leqs = [f._leq for f in factors]
+    name = "product(" + ", ".join(f.name for f in factors) + ")"
     return Lattice(
         name,
-        lambda a: isinstance(a, tuple) and len(a) == 2 and lmember(a[0]) and rmember(a[1]),
+        lambda a: isinstance(a, tuple) and len(a) == n and all(m(x) for m, x in zip(members, a)),
         f"a member of {name}",
-        lambda a, b: (lmeet(a[0], b[0]), rmeet(a[1], b[1])),
-        lambda a, b: (ljoin(a[0], b[0]), rjoin(a[1], b[1])),
-        lambda a, b: lleq(a[0], b[0]) and rleq(a[1], b[1]),
-        lambda a: f"({left.fmt(a[0])}, {right.fmt(a[1])})",
+        lambda a, b: tuple(f(x, y) for f, x, y in zip(meets, a, b)),
+        lambda a, b: tuple(f(x, y) for f, x, y in zip(joins, a, b)),
+        lambda a, b: all(f(x, y) for f, x, y in zip(leqs, a, b)),
+        lambda a: "(" + ", ".join(f.fmt(x) for f, x in zip(factors, a)) + ")",
     )
 
 

@@ -3,10 +3,11 @@
 Everything is built on ``fractions.Fraction`` so all comparisons and
 identities below are exact.  Three concrete groups are provided: the
 rationals, the lexicographic plane and the strictly positive rationals under
-multiplication ordered by divisibility; ``product_group`` and
-``opposite_group`` build finite products and order reversals of groups.
-Orders may be partial (products, divisibility), but every group here is
-lattice ordered, so ``meet`` and ``join`` are always defined.
+multiplication ordered by divisibility; ``product_group`` builds finite
+products, and ``lattice.opposite`` reverses the order of a group.  Orders
+may be partial (products, divisibility), but every group here is lattice
+ordered, so a ``Group`` is a ``Lattice`` and ``meet`` and ``join`` are
+always defined.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
+from .lattice import Lattice, product_lattice
 from .report import CheckReport
 
 class ShapeError(TypeError):
-    """Operands of mismatched tag or ambient shape."""
+    """A value that ``rat`` cannot read as a rational."""
 
 
 def rat(value) -> Fraction:
@@ -114,74 +116,44 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-class Group:
+class Group(Lattice):
     """A lattice-ordered Abelian group of exact elements, given by a table.
 
-    ``check`` raises ``ShapeError`` on anything that is not an element.  The
-    table functions ``add``, ``neg``, ``leq``, ``meet`` and ``join`` assume
-    elements; the methods of the same names check their operands and then
-    call them.  ``zero`` is the identity, ``sample`` draws an element from a
-    ``random.Random`` and ``fmt`` renders one.
+    To a ``Lattice`` it adds the table functions ``add`` and ``neg``, which
+    assume elements, the identity ``zero`` and ``sample``, which draws an
+    element from a ``random.Random``.  The methods ``add``, ``neg`` and
+    ``sub`` check their operands as ``meet`` does, and then call the table.
     """
 
-    def __init__(self, name: str, check, add, neg, zero, leq, meet, join, sample, fmt=str):
-        self.name = name
-        self.check_element = check
+    def __init__(self, name: str, member, what: str, meet, join, leq, add, neg, zero, sample,
+                 fmt=str):
+        super().__init__(name, member, what, meet, join, leq, fmt)
         self._add, self._neg, self._zero = add, neg, zero
-        self._leq, self._meet, self._join = leq, meet, join
         self.sample = sample
-        self.fmt = fmt
 
     def add(self, x, y):
-        self.check_element(x), self.check_element(y)
+        self._check(x, y)
         return self._add(x, y)
 
     def neg(self, x):
-        self.check_element(x)
+        self._check(x, x)
         return self._neg(x)
 
     def zero(self):
         return self._zero
 
-    def leq(self, x, y) -> bool:
-        self.check_element(x), self.check_element(y)
-        return self._leq(x, y)
-
-    def meet(self, x, y):
-        self.check_element(x), self.check_element(y)
-        return self._meet(x, y)
-
-    def join(self, x, y):
-        self.check_element(x), self.check_element(y)
-        return self._join(x, y)
-
     def sub(self, x, y):
-        self.check_element(x), self.check_element(y)
+        self._check(x, y)
         return self._add(x, self._neg(y))
-
-    def equal(self, x, y) -> bool:
-        self.check_element(x), self.check_element(y)
-        return self._leq(x, y) and self._leq(y, x)
 
     def is_zero(self, x) -> bool:
         return self.equal(x, self._zero)
 
 
-def _instances_of(cls) -> Callable[[object], None]:
-    """The element check of a group whose elements are the ``cls`` values."""
-
-    def check(x) -> None:
-        if not isinstance(x, cls):
-            raise ShapeError(f"expected a {cls.__name__}, got {x!r}")
-
-    return check
-
-
 RATIONALS = Group(
-    "rational",
-    check=_instances_of(Fraction),
+    "rational", lambda x: isinstance(x, Fraction), "a Fraction",
+    meet=min, join=max, leq=operator.le,
     add=operator.add, neg=operator.neg, zero=Fraction(0),
-    leq=operator.le, meet=min, join=max,
     sample=lambda rng: Fraction(rng.randint(-400, 400), rng.randint(1, 40)),
 )
 
@@ -192,14 +164,13 @@ def _lex_leq(x: LexPair, y: LexPair) -> bool:
 
 # The rational plane under componentwise addition, ordered lexicographically.
 LEX_PLANE = Group(
-    "lex-plane",
-    check=_instances_of(LexPair),
+    "lex-plane", lambda x: isinstance(x, LexPair), "a LexPair",
+    meet=lambda x, y: x if _lex_leq(x, y) else y,
+    join=lambda x, y: y if _lex_leq(x, y) else x,
+    leq=_lex_leq,
     add=lambda x, y: LexPair(x.first + y.first, x.second + y.second),
     neg=lambda x: LexPair(-x.first, -x.second),
     zero=LexPair(Fraction(0), Fraction(0)),
-    leq=_lex_leq,
-    meet=lambda x, y: x if _lex_leq(x, y) else y,
-    join=lambda x, y: y if _lex_leq(x, y) else x,
     sample=lambda rng: LexPair(
         Fraction(rng.randint(-20, 20), rng.randint(1, 8)),
         Fraction(rng.randint(-400, 400), rng.randint(1, 40)),
@@ -233,60 +204,32 @@ def _div_join(x: DivPos, y: DivPos) -> DivPos:
 # q precedes r when r/q is a positive integer, so meet and join are the
 # divisibility gcd and lcm (componentwise min/max of prime exponents).
 DIV_POS = Group(
-    "div-pos",
-    check=_instances_of(DivPos),
+    "div-pos", lambda x: isinstance(x, DivPos), "a DivPos",
+    meet=_div_meet, join=_div_join, leq=_div_leq,
     add=_div_add,
     neg=lambda x: DivPos.from_exponents({p: -e for p, e in x.exponents}),
     zero=DivPos(()),
-    leq=_div_leq, meet=_div_meet, join=_div_join,
     sample=lambda rng: DivPos.from_int(rng.randint(1, 500)),
 )
-
-
-def _componentwise(fns):
-    return lambda x, y: tuple(f(a, b) for f, a, b in zip(fns, x, y))
 
 
 def product_group(factors: Iterable[Group]) -> Group:
     """Finite product with componentwise operations and order.
 
-    Its table composes the factors' table functions, so each operand is
-    checked once, by the product's check, which runs the factors' checks.
+    ``product_lattice`` gives its order and its element check; the group
+    table composes the factors' table functions, so each operand is checked
+    once.
     """
     factors = tuple(factors)
-    checks = [g.check_element for g in factors]
-    negs = [g._neg for g in factors]
-    leqs = [g._leq for g in factors]
-
-    def check(x) -> None:
-        if not isinstance(x, tuple) or len(x) != len(factors):
-            raise ShapeError(f"expected a {len(factors)}-tuple, got {x!r}")
-        for c, a in zip(checks, x):
-            c(a)
-
+    lat = product_lattice(*factors)
+    adds, negs = [g._add for g in factors], [g._neg for g in factors]
     return Group(
-        "product(" + ", ".join(g.name for g in factors) + ")",
-        check=check,
-        add=_componentwise([g._add for g in factors]),
+        lat.name, lat.member, lat.what, lat._meet, lat._join, lat._leq,
+        add=lambda x, y: tuple(f(a, b) for f, a, b in zip(adds, x, y)),
         neg=lambda x: tuple(f(a) for f, a in zip(negs, x)),
         zero=tuple(g._zero for g in factors),
-        leq=lambda x, y: all(f(a, b) for f, a, b in zip(leqs, x, y)),
-        meet=_componentwise([g._meet for g in factors]),
-        join=_componentwise([g._join for g in factors]),
         sample=lambda rng: tuple(g.sample(rng) for g in factors),
-        fmt=lambda x: "(" + ", ".join(g.fmt(a) for g, a in zip(factors, x)) + ")",
-    )
-
-
-def opposite_group(inner: Group) -> Group:
-    """The same group with its order reversed, so meet and join trade places."""
-    inner_leq = inner._leq
-    return Group(
-        f"opposite({inner.name})",
-        check=inner.check_element,
-        add=inner._add, neg=inner._neg, zero=inner._zero,
-        leq=lambda x, y: inner_leq(y, x), meet=inner._join, join=inner._meet,
-        sample=inner.sample, fmt=inner.fmt,
+        fmt=lat.fmt,
     )
 
 
@@ -298,15 +241,8 @@ GROUPS: dict[str, Group] = {
 }
 
 
-def group_by_name(name: str) -> Group:
-    try:
-        return GROUPS[name]
-    except KeyError:
-        raise KeyError(f"unknown group descriptor {name!r}") from None
-
-
-def check_group_axioms(descriptor: str | Group, samples: int, seed: int) -> CheckReport:
-    """Sampled checks of the ordered-group laws on one of the built-in groups.
+def check_group_axioms(group: Group, samples: int, seed: int) -> CheckReport:
+    """Sampled checks of the ordered-group laws on a group.
 
     Covers commutativity/associativity/inverses, translation invariance of
     the order in both directions, order reversal under negation, and the
@@ -314,7 +250,6 @@ def check_group_axioms(descriptor: str | Group, samples: int, seed: int) -> Chec
     On the divisibility group the meet+join identity is additionally checked
     against integer gcd/lcm on integer samples.
     """
-    group = descriptor if isinstance(descriptor, Group) else group_by_name(descriptor)
     rng = random.Random(seed)
     report = CheckReport()
     zero = group.zero()

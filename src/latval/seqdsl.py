@@ -4,7 +4,8 @@ Templates are strings over a fixed affine grammar: each coordinate is a sum
 of terms ``p/q``, ``p/q/n``, ``p/q*n`` or ``n``, so a coordinate evaluates
 to c0 + cinv/n + clin*n at stage n.  Interval templates are unions of
 ``[lo, hi]`` pairs separated by ``u`` (or the union sign); step templates
-are ``(coef)*1_[lo, hi]``.  Explicit per-stage lists are also accepted.
+are terms ``(coef)*1_[lo, hi]`` joined by ``+``.  A template must match the
+grammar as a whole.  Explicit per-stage lists are also accepted.
 """
 
 from __future__ import annotations
@@ -30,27 +31,26 @@ class AffineExpr:
 
 
 def parse_affine(text: str) -> AffineExpr:
-    chunks = re.findall(r"[+-]?[^+-]+", text.replace(" ", ""))
+    """Read terms ``p/q``, ``p/q/n``, ``p/q*n`` or ``n`` joined by ``+`` or
+    ``-``, the first with an optional sign; any other text, an empty term
+    among it, is a ``ValueError``."""
+    parts = re.split(r"([+-])", text)
+    if len(parts) > 1 and not parts[0].strip():  # a leading sign
+        del parts[0]
+    else:
+        parts.insert(0, "+")
     const = inv = lin = Fraction(0)
-    for chunk in chunks:
-        sign = Fraction(1)
-        if chunk[0] in "+-":
-            sign = Fraction(-1) if chunk[0] == "-" else Fraction(1)
-            chunk = chunk[1:]
-        var = None
-        if chunk.endswith("/n"):
-            var, chunk = "inv", chunk[:-2]
-        elif chunk.endswith("*n"):
-            var, chunk = "lin", chunk[:-2]
-        elif chunk == "n":
-            var, chunk = "lin", ""
-        coef = rat(chunk) if chunk else Fraction(1)
-        if var == "inv":
-            inv += sign * coef
-        elif var == "lin":
-            lin += sign * coef
-        else:
-            const += sign * coef
+    for sign, term in zip(parts[0::2], parts[1::2]):
+        if not term.strip():
+            raise ValueError(f"empty term in {text!r}")
+        sign = -1 if sign == "-" else 1
+        var = re.fullmatch(r"\s*(?:(.+?)\s*([/*])\s*)?n\s*", term)
+        if var is None:
+            const += sign * rat(term)
+        elif var[2] == "/":
+            inv += sign * rat(var[1])
+        else:  # ``p/q*n`` or a bare ``n``
+            lin += sign * rat(var[1] or "1")
     return AffineExpr(const, inv, lin)
 
 
@@ -71,10 +71,11 @@ def parse_interval_template(text: str) -> Callable[[int], IntervalSet]:
 
 
 def parse_step_template(text: str) -> Callable[[int], StepFn]:
-    """Sums of ``(coef)*1_[lo, hi]`` with affine fields."""
-    terms = re.findall(r"\((?P<c>[^)]+)\)\s*\*\s*1_\[(?P<lo>[^,]+),(?P<hi>[^\]]+)\]", text)
-    if not terms:
+    """Terms ``(coef)*1_[lo, hi]`` joined by ``+``, with affine fields."""
+    term = r"\s*\(([^)]+)\)\s*\*\s*1_\[([^,\]]+),([^\]]+)\]\s*"
+    if not re.fullmatch(rf"{term}(?:\+{term})*", text):
         raise ValueError(f"bad step template {text!r}")
+    terms = re.findall(term, text)
     parsed = [(parse_affine(c), parse_affine(lo), parse_affine(hi)) for c, lo, hi in terms]
 
     def producer(n: int) -> StepFn:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .lattice import FiniteLattice, Lattice, finite_lattice_build, opposite, product_lattice
-from .oag import Group, opposite_group, product_group
+from .oag import Group, product_group
 from .report import CheckReport
 
 
@@ -266,7 +266,7 @@ def transform_opposite(phi: Valuation) -> Valuation:
     """The same map viewed on the opposite lattice into the opposite group."""
     return Valuation(
         domain=opposite(phi.domain),
-        group=opposite_group(phi.group),
+        group=opposite(phi.group),
         fn=phi.fn,
         name=f"op({phi.name})",
         sampler=phi.sampler,

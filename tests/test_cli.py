@@ -388,6 +388,8 @@ BAD_DOCS = {
     "string-carrier": {"carrier": "ab", "leq": [["a", "b"]], "phi": {"a": "0", "b": "1"}},
     "number-interval-template": {"kind": "interval", "template": 5},
     "list-step-template": {"kind": "step", "template": ["(1)*1_[0, 1]"]},
+    # step terms are joined by "+", so this is no sum with phi -1
+    "minus-step-template": {"kind": "step", "template": "(1)*1_[0, 1] - (2)*1_[0, 1]"},
     # nested values are JSON values, never JSON text or lists of characters
     "string-child-tree": {"node": ['{"node": [{"node": []}]}']},
     "string-piece-set": ["05"],
@@ -515,6 +517,7 @@ RAW_DOCS = {
         (["quotient", "--system", "infinity-label"], "--system"),
         (["quotient", "--system", "1e400-label"], "--system"),
         (["measure", "--set", "1e400-endpoint-set"], "--set"),
+        (["converge-trace", "--seq", "minus-step-template", "--depth", "1"], "--seq"),
     ],
 )
 def test_bad_document_is_input_error(argv, pointer, tmp_path, capsys):

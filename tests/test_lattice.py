@@ -8,10 +8,10 @@ from latval.instances import INTERVAL_SETS, STEP_FNS, gf2_subspace_lattice
 from latval.intervals import interval
 from latval.lattice import (
     DIVISIBILITY,
+    FiniteLattice,
     ForeignElement,
     NotALattice,
     NotAPartialOrder,
-    RATIONAL_CHAIN,
     chain_lattice,
     check_distributive,
     diamond_m3,
@@ -21,6 +21,16 @@ from latval.lattice import (
     opposite,
     powerset_lattice,
     product_lattice,
+)
+from latval.oag import (
+    DIV_POS,
+    GROUPS,
+    LEX_PLANE,
+    RATIONALS,
+    DivPos,
+    Group,
+    LexPair,
+    product_group,
 )
 from latval.stepfn import indicator
 
@@ -90,7 +100,7 @@ def test_distributivity_verdicts():
 
 
 def test_rational_chain():
-    chain = RATIONAL_CHAIN
+    chain = RATIONALS
     assert chain.meet(Fraction(3), Fraction(5)) == 3
     assert chain.join(Fraction(3), Fraction(5)) == 5
 
@@ -113,6 +123,30 @@ def test_opposite_swaps_and_is_involution():
         assert dbl.leq(a, b) == m3.leq(a, b)
 
 
+def test_opposite_keeps_the_kind_of_structure():
+    opp = opposite(LEX_PLANE)
+    assert isinstance(opp, Group) and opp.name == "opposite(lex-plane)"
+    assert opp.leq(LexPair(Fraction(1), Fraction(0)), LexPair(Fraction(0), Fraction(9)))
+    for group in GROUPS.values():
+        assert opposite(opposite(group)) is group
+    chain = chain_lattice(3)
+    opp_chain = opposite(chain)
+    assert isinstance(opp_chain, FiniteLattice)
+    assert opp_chain.carrier == (0, 1, 2) and len(opp_chain) == 3
+    assert opp_chain.meet(0, 2) == 2 and opp_chain.join(0, 2) == 0
+    assert chain.meet(0, 2) == 0  # the original is untouched
+
+
+def test_product_lattice_of_three_factors():
+    prod = product_lattice(chain_lattice(2), DIVISIBILITY, RATIONALS)
+    a, b = (0, 4, Fraction(1)), (1, 6, Fraction(-1))
+    assert prod.meet(a, b) == (0, 2, Fraction(-1))
+    assert prod.join(a, b) == (1, 12, Fraction(1))
+    assert not prod.leq(a, b) and not prod.leq(b, a)
+    assert prod.leq(prod.meet(a, b), prod.join(a, b))
+    assert prod.fmt(b) == "(1, 6, -1)"
+
+
 def test_product_lattice_componentwise():
     prod = product_lattice(chain_lattice(3), diamond_m3())
     a, b = (0, "a"), (2, "b")
@@ -131,7 +165,7 @@ def test_absorption_on_sampled_pairs():
     for lat, sample in [
         (diamond_m3(), lambda: rng.choice(diamond_m3().carrier)),
         (DIVISIBILITY, lambda: rng.randint(1, 400)),
-        (RATIONAL_CHAIN, lambda: Fraction(rng.randint(-50, 50), rng.randint(1, 9))),
+        (RATIONALS, lambda: Fraction(rng.randint(-50, 50), rng.randint(1, 9))),
     ]:
         for _ in range(200):
             a, b = sample(), sample()
@@ -155,8 +189,11 @@ def test_finite_subsets():
     assert lat.join(a, b) == {1, 2, 3}
 
 
-# Each checked lattice, one of its elements, a foreign operand, and the
-# <what> of the message "<foreign!r> is not <what>" it raises.
+ORIGIN = LexPair(Fraction(0), Fraction(0))
+LEX_BY_OPP_DIV = product_group([LEX_PLANE, opposite(DIV_POS)])
+
+# Each checked lattice or group, one of its elements, a foreign operand, and
+# the <what> of the message "<foreign!r> is not <what>" it raises.
 CHECKED = [
     (INTERVAL_SETS, interval(0, 1), indicator(0, 1), "an IntervalSet"),
     (STEP_FNS, indicator(0, 1), interval(0, 1), "a StepFn"),
@@ -170,7 +207,7 @@ CHECKED = [
     (DIVISIBILITY, 6, Fraction(1, 2), "a positive integer"),
     (finite_subset_lattice(range(5)), frozenset({1}), frozenset({9}), "a subset of the ground set"),
     (chain_lattice(3), 1, 99, "in the carrier"),
-    (RATIONAL_CHAIN, Fraction(1, 2), 0.5, "a Fraction"),
+    (RATIONALS, Fraction(1, 2), 0.5, "a Fraction"),
     (opposite(DIVISIBILITY), 6, 0, "a positive integer"),
     (
         product_lattice(chain_lattice(3), diamond_m3()),
@@ -183,6 +220,27 @@ CHECKED = [
     (chain_lattice(3), 2, True, "in the carrier"),
     (chain_lattice(3), 0, 1.0, "in the carrier"),
     (DIVISIBILITY, 4, True, "a positive integer"),
+    (
+        product_lattice(chain_lattice(2), DIVISIBILITY, RATIONALS),
+        (0, 4, Fraction(1)),
+        (0, 4),
+        "a member of product(finite, divisibility, rational)",
+    ),
+    (LEX_PLANE, ORIGIN, Fraction(1), "a LexPair"),
+    (DIV_POS, DivPos.from_int(6), 6, "a DivPos"),
+    (
+        GROUPS["rational-pair"],
+        (Fraction(1), Fraction(2)),
+        (Fraction(1),),
+        "a member of product(rational, rational)",
+    ),
+    (opposite(LEX_PLANE), ORIGIN, Fraction(1), "a LexPair"),
+    (
+        LEX_BY_OPP_DIV,
+        (ORIGIN, DivPos.from_int(2)),
+        (ORIGIN, Fraction(2)),
+        "a member of product(lex-plane, opposite(div-pos))",
+    ),
 ]
 
 

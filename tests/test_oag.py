@@ -3,19 +3,20 @@ from fractions import Fraction
 
 import pytest
 
+from latval.lattice import ForeignElement, opposite
 from latval.oag import (
     DIV_POS,
+    GROUPS,
     LEX_PLANE,
     RATIONALS,
     DivPos,
+    Group,
     LexPair,
-    opposite_group,
     product_group,
-    ShapeError,
     check_group_axioms,
-    group_by_name,
     rat,
 )
+from test_lattice import CHECKED, LEX_BY_OPP_DIV
 
 
 def test_rational_add_exact():
@@ -55,9 +56,9 @@ def test_divpos_order_is_integer_multiplier():
 
 
 def test_tag_mismatch_rejected():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ForeignElement):
         RATIONALS.add(Fraction(1), LexPair(Fraction(0), Fraction(0)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ForeignElement):
         LEX_PLANE.leq(LexPair(Fraction(0), Fraction(0)), Fraction(1))
 
 
@@ -67,53 +68,34 @@ def test_serialization_forms():
     assert LEX_PLANE.fmt(LexPair(Fraction(1, 2), Fraction(-2))) == "(1/2, -2)"
 
 
-LEX_BY_OPP_DIV = product_group([LEX_PLANE, opposite_group(DIV_POS)])
-
-
 @pytest.mark.parametrize(
-    "descriptor",
-    ["rational", "lex-plane", "div-pos", "rational-pair"]
-    + [pytest.param(g, id=g.name) for g in (opposite_group(LEX_PLANE), LEX_BY_OPP_DIV)],
+    "group",
+    [pytest.param(GROUPS[name], id=name) for name in GROUPS]
+    + [pytest.param(g, id=g.name) for g in (opposite(LEX_PLANE), LEX_BY_OPP_DIV)],
 )
-def test_group_axioms_all_pass(descriptor):
-    report = check_group_axioms(descriptor, samples=300, seed=7)
+def test_group_axioms_all_pass(group):
+    report = check_group_axioms(group, samples=300, seed=7)
     assert report.ok, report.failing()
 
 
-ORIGIN = LexPair(Fraction(0), Fraction(0))
-# (group, an element, an operand foreign to it, the message it is rejected with)
-FOREIGN = [
-    (RATIONALS, Fraction(1), ORIGIN,
-     "expected a Fraction, got LexPair(first=Fraction(0, 1), second=Fraction(0, 1))"),
-    (LEX_PLANE, ORIGIN, Fraction(1), "expected a LexPair, got Fraction(1, 1)"),
-    (DIV_POS, DivPos.from_int(6), 6, "expected a DivPos, got 6"),
-    (group_by_name("rational-pair"), (Fraction(1), Fraction(2)), (Fraction(1),),
-     "expected a 2-tuple, got (Fraction(1, 1),)"),
-    (opposite_group(LEX_PLANE), ORIGIN, Fraction(1), "expected a LexPair, got Fraction(1, 1)"),
-    (LEX_BY_OPP_DIV, (ORIGIN, DivPos.from_int(2)), (ORIGIN, Fraction(2)),
-     "expected a DivPos, got Fraction(2, 1)"),
-]
+# The groups' rows of the one table of checked structures
+FOREIGN = [row for row in CHECKED if isinstance(row[0], Group)]
 
 
 @pytest.mark.parametrize("op", ["add", "neg", "leq", "meet", "join", "sub", "equal"])
 @pytest.mark.parametrize(
-    "group, element, foreign, message", FOREIGN, ids=[case[0].name for case in FOREIGN]
+    "group, element, foreign, what", FOREIGN, ids=[case[0].name for case in FOREIGN]
 )
-def test_foreign_operand_rejected(group, element, foreign, message, op):
+def test_foreign_operand_rejected(group, element, foreign, what, op):
     calls = [(foreign,)] if op == "neg" else [(element, foreign), (foreign, element)]
     for operands in calls:
-        with pytest.raises(ShapeError) as exc:
+        with pytest.raises(ForeignElement) as exc:
             getattr(group, op)(*operands)
-        assert str(exc.value) == message
-
-
-def test_group_axioms_unknown_descriptor():
-    with pytest.raises(KeyError):
-        group_by_name("nope")
+        assert str(exc.value) == f"{foreign!r} is not {what}"
 
 
 def test_opposite_group_reverses_order():
-    opp = opposite_group(RATIONALS)
+    opp = opposite(RATIONALS)
     assert opp.leq(Fraction(2), Fraction(1))
     assert opp.meet(Fraction(1), Fraction(2)) == 2
     report = check_group_axioms(opp, samples=200, seed=3)

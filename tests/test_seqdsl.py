@@ -3,7 +3,12 @@ from fractions import Fraction
 import pytest
 
 from latval.intervals import interval, iset_make
-from latval.seqdsl import parse_affine, producer_from_json
+from latval.seqdsl import (
+    parse_affine,
+    parse_interval_template,
+    parse_step_template,
+    producer_from_json,
+)
 
 
 def test_affine_terms():
@@ -14,6 +19,43 @@ def test_affine_terms():
     assert parse_affine("3/2*n").at(2) == 3
     assert parse_affine("-1/2").at(9) == Fraction(-1, 2)
     assert parse_affine("1/2/n").at(2) == Fraction(1, 4)
+    assert parse_affine(" -n + 3/2 * n ").at(4) == 2
+
+
+@pytest.mark.parametrize(
+    "template",
+    [
+        "[ , 1]",  # an empty endpoint is not 0
+        "[+, 1]",
+        "[0, 1 2]",  # not 12
+        "[0, 1++2]",  # not 3
+        "[0, 1 + /n]",
+        "[0, 2n]",
+    ],
+)
+def test_malformed_interval_template_rejected(template):
+    with pytest.raises(ValueError):
+        parse_interval_template(template)
+
+
+@pytest.mark.parametrize(
+    "template",
+    [
+        "(1)*1_[0, 1] - (2)*1_[0, 1]",  # terms are joined by "+"; negate a coefficient
+        "(1)*1_[0, 1] + (5)*1_[0, 1",  # an unclosed trailing term
+        "junk (1)*1_[0, 1]",
+        "(1)*1_[0, 1] (2)*1_[0, 1]",
+        "(1 2)*1_[0, 1]",
+    ],
+)
+def test_malformed_step_template_rejected(template):
+    with pytest.raises(ValueError):
+        parse_step_template(template)
+
+
+def test_step_template_sums_terms():
+    f = parse_step_template(" (1)*1_[0, 1] + (-2) * 1_[1/2, n] ")(3)
+    assert f(Fraction(1, 4)) == 1 and f(Fraction(3, 4)) == -1 and f(2) == -2
 
 
 def test_interval_template():

@@ -12,8 +12,8 @@ from latval.instances import (
     step_integral,
 )
 from latval.intervals import interval, iset_join, measure, singleton
-from latval.lattice import Lattice, chain_lattice, diamond_m3, finite_lattice_build
-from latval.oag import opposite_group, RATIONALS
+from latval.lattice import Lattice, chain_lattice, diamond_m3, finite_lattice_build, opposite
+from latval.oag import RATIONALS
 from latval.report import CheckReport
 from latval.stepfn import indicator, step_add, step_make
 from latval.valuation import (
@@ -267,8 +267,9 @@ def test_quotient_ill_defined_detected():
 def test_transform_opposite_is_valuation():
     opp = transform_opposite(interval_measure)
     assert check_valuation(opp, 300, 31).ok
-    # double opposite is the original domain again
+    # double opposite is the original domain and group again
     assert transform_opposite(opp).domain is interval_measure.domain
+    assert transform_opposite(opp).group is interval_measure.group
 
 
 def test_transform_product_is_valuation():
@@ -280,7 +281,7 @@ def test_transform_product_is_valuation():
 
 def test_transform_compose_negate_into_opposite():
     # g = negate is a positive homomorphism into the opposite group
-    neg_group = opposite_group(RATIONALS)
+    neg_group = opposite(RATIONALS)
     composed = transform_compose(
         interval_measure,
         f_lathom=lambda a: a,
