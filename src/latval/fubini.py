@@ -37,11 +37,11 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .instances import mu_S, phi_S, sample_interval_set
-from .intervals import IntervalSet, _canonical_breaks, _sweep, _trusted
+from .intervals import IntervalSet, _Memo, _canonical_breaks, _sums, _trusted
 from .intervals import iset_from_json, iset_make
 from .oag import rat
 from .report import CheckReport
-from .stepfn import StepFn, ZERO_FN, _locate, _over_lcm, _widths
+from .stepfn import StepFn, ZERO_FN, _locate, _over_lcm
 
 ZERO = Fraction(0)
 
@@ -75,21 +75,15 @@ def _axis_atoms(sets: Iterable[IntervalSet]) -> tuple[list[Fraction], list[int]]
     ``1 << t`` for in and 0 for out, so a mask is a sum."""
     operands = [[(x, at << t, gap << t) for x, at, gap in s._breaks] for t, s in enumerate(sets)]
     grid, atoms = [], []
-    for x, at, after in _sweep(operands, 0):
+    for x, at, after in _sums(operands):
         grid.append(x)
-        atoms += sum(at), sum(after)
+        atoms += at, after
     return grid, atoms[:-1]
 
 
-class _Memo(dict):
-    """``fn`` with its results kept: a missing key is computed once."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __missing__(self, key):
-        self[key] = value = self.fn(key)
-        return value
+def _widths(nums: Sequence[int]) -> list[int]:
+    """The gaps between consecutive integer coordinates."""
+    return [b - a for a, b in zip(nums, nums[1:])]
 
 
 def _map(fn, mat: Iterable) -> Matrix:
@@ -367,7 +361,7 @@ def fubini_check(f: StepFn2D, sampled_y: Iterable | None = None) -> FubiniReport
     # A witness is formatted only for a failure: str() of a passing integral
     # may be past the interpreter's limit on integer digits.
     for name, left in (("phi_Y o F_X = mu_XY", lhs), ("y-first order agrees", lhs_y)):
-        report.record(name, left == rhs, "" if left == rhs else f"lhs={left} rhs={rhs}")
+        report.record(name, left == rhs, lambda: f"lhs={left} rhs={rhs}")
 
     # phi_X(slice): kept columns times merged widths, not partial_integrate's sums
     for y in sampled_y or ():
@@ -376,8 +370,9 @@ def fubini_check(f: StepFn2D, sampled_y: Iterable | None = None) -> FubiniReport
         merged = sum(atoms[2 * a + 1] * (xn[b] - xn[a]) for a, b in zip(kept, kept[1:]))
         at, along = fx(y), Fraction(merged, f._den * xd)
         report.slices.append((y, at, along))
-        witness = "" if at == along else f"y={y} fx={at} slice-integral={along}"
-        report.record("F_X(f)(y) = phi_X(slice)", at == along, witness)
+        report.record(
+            "F_X(f)(y) = phi_X(slice)", at == along, lambda: f"y={y} fx={at} slice-integral={along}"
+        )
     return report
 
 

@@ -14,7 +14,11 @@ the union and on the open gap right of it, so no gap needs a probe point;
 the Boolean operation is applied to both values, ``_canonical_breaks`` drops
 the breakpoints where nothing changes, and what is left reassembles into
 canonical pieces.  ``stepfn`` and ``fubini`` use the same two functions for
-step functions and for the lines of 2-D grids.  ``_descriptor_breaks`` reads
+step functions and for the lines of 2-D grids.  The sweep also names the
+operands that have a breakpoint at each ``x``, so the readers of many
+operands (``iset_make``, ``fubini._axis_atoms`` through ``_sums``, and
+``stepfn.step_make``) keep running totals and take time linear in the
+breakpoints, not in breakpoints times operands.  ``_descriptor_breaks`` reads
 a descriptor straight into its breakpoints for ``iset_make`` and
 ``stepfn.step_make``.  A set keeps the breakpoints it was built from
 (``IntervalSet._breaks``), as a step function keeps its triples, so
@@ -161,6 +165,17 @@ def _trusted(cls, **fields):
     return obj
 
 
+class _Memo(dict):
+    """``fn`` with its results kept: a missing key is computed once."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        self[key] = value = self.fn(key)
+        return value
+
+
 def singleton(x) -> IntervalSet:
     return interval(x, x)
 
@@ -169,10 +184,13 @@ def _sweep(operands: Sequence[Sequence[tuple]], zero) -> Iterator[tuple]:
     """Merge the operands' breakpoint lists in one left-to-right pass.
 
     An operand is a sorted list of ``(x, value at x, value right of x)`` and
-    is ``zero`` left of its first breakpoint.  Yields ``(x, at, after)`` for
-    each distinct ``x`` of the union in increasing order: ``at[i]`` and
-    ``after[i]`` are operand ``i``'s values at ``x`` and on the open gap
-    right of it.  Both lists are reused: read them before advancing.
+    is ``zero`` left of its first breakpoint.  Yields ``(x, at, after,
+    touched)`` for each distinct ``x`` of the union in increasing order:
+    ``at[i]`` and ``after[i]`` are operand ``i``'s values at ``x`` and on the
+    open gap right of it, and ``touched`` lists the operands with a
+    breakpoint at ``x``, in index order, so a caller can keep running totals
+    in time linear in the breakpoints.  The lists are reused: read them
+    before advancing.
     """
     events = sorted(
         ((b[0].numerator << 64) // b[0].denominator, b[0], i, b[1], b[2])
@@ -185,7 +203,7 @@ def _sweep(operands: Sequence[Sequence[tuple]], zero) -> Iterator[tuple]:
     k = x = None
     for ek, ex, i, v_at, v_after in events:
         if touched and (ek != k or (ex is not x and ex != x)):
-            yield x, at, after
+            yield x, at, after, touched
             for j in touched:
                 at[j] = after[j]
             touched.clear()
@@ -194,7 +212,22 @@ def _sweep(operands: Sequence[Sequence[tuple]], zero) -> Iterator[tuple]:
         after[i] = v_after
         touched.append(i)
     if touched:
-        yield x, at, after
+        yield x, at, after, touched
+
+
+def _sums(operands: Sequence[Sequence[tuple]]) -> Iterator[tuple]:
+    """``(x, sum(at), sum(after))`` for each ``x`` of ``_sweep(operands, 0)``,
+    from a running sum that only the touched operands move: booleans sum to
+    the count of operands in, disjoint bits to a mask."""
+    gap = [0] * len(operands)  # each operand's value left of x
+    total = 0
+    for x, at, after, touched in _sweep(operands, 0):
+        here = total
+        for j in touched:
+            here += at[j] - gap[j]
+            total += after[j] - gap[j]
+            gap[j] = after[j]
+        yield x, here, total
 
 
 def _canonical_breaks(breaks: Iterable[tuple], zero) -> list[tuple]:
@@ -237,7 +270,7 @@ def _from_breaks(breaks: Iterable[tuple]) -> IntervalSet:
 def _combine(a: IntervalSet, b: IntervalSet, keep) -> IntervalSet:
     return _from_breaks(
         (x, keep(*at), keep(*after))
-        for x, at, after in _sweep((a._breaks, b._breaks), False)
+        for x, at, after, _ in _sweep((a._breaks, b._breaks), False)
     )
 
 
@@ -286,7 +319,7 @@ def iset_make(raw: Iterable) -> IntervalSet:
     every form.  Overlapping and adjacent pieces are merged.
     """
     parts = [_descriptor_breaks(d) for d in raw]
-    return _from_breaks((x, any(at), any(after)) for x, at, after in _sweep(parts, False))
+    return _from_breaks((x, here > 0, after > 0) for x, here, after in _sums(parts))
 
 
 def iset_from_json(doc: list) -> IntervalSet:

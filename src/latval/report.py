@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 
 @dataclass
@@ -11,13 +12,15 @@ class PropertyResult:
     failed: int = 0
     counterexample: str | None = None
 
-    def record(self, ok: bool, witness: str = "") -> None:
+    def record(self, ok: bool, witness: str | Callable[[], str] = "") -> None:
+        """Count one outcome.  A callable witness is formatted only for the
+        first failure, the one that is kept."""
         if ok:
             self.passed += 1
         else:
             self.failed += 1
             if self.counterexample is None:
-                self.counterexample = witness
+                self.counterexample = witness() if callable(witness) else witness
 
     @property
     def ok(self) -> bool:
@@ -33,7 +36,7 @@ class CheckReport:
     def prop(self, name: str) -> PropertyResult:
         return self.results.setdefault(name, PropertyResult())
 
-    def record(self, name: str, ok: bool, witness: str = "") -> None:
+    def record(self, name: str, ok: bool, witness: str | Callable[[], str] = "") -> None:
         self.prop(name).record(ok, witness)
 
     @property

@@ -2,10 +2,12 @@
 
 Templates are strings over a fixed affine grammar: each coordinate is a sum
 of terms ``p/q``, ``p/q/n``, ``p/q*n`` or ``n``, so a coordinate evaluates
-to c0 + cinv/n + clin*n at stage n.  Interval templates are unions of
-``[lo, hi]`` pairs separated by ``u`` (or the union sign); step templates
-are terms ``(coef)*1_[lo, hi]`` joined by ``+``.  A template must match the
-grammar as a whole.  Explicit per-stage lists are also accepted.
+to c0 + cinv/n + clin*n at stage n.  A numeral is ``p`` or ``p/q`` in
+decimal digits; ``0.5`` and ``1e3`` are not numerals here.  Interval
+templates are unions of ``[lo, hi]`` pairs separated by ``u`` (or the union
+sign); step templates are terms ``(coef)*1_[lo, hi]`` joined by ``+``.  A
+template must match the grammar as a whole.  Explicit per-stage lists are
+also accepted.
 """
 
 from __future__ import annotations
@@ -30,10 +32,15 @@ class AffineExpr:
         return self.const + self.inv / n + self.lin * n
 
 
+# One term: a numeral ``p`` or ``p/q`` in ASCII digits, alone, over ``n`` or
+# times ``n``, or a bare ``n``.  The sign is the ``+`` or ``-`` before it.
+_TERM = re.compile(r"\s*(?:([0-9]+(?:/[0-9]+)?)(?:\s*([/*])\s*n)?|n)\s*")
+
+
 def parse_affine(text: str) -> AffineExpr:
     """Read terms ``p/q``, ``p/q/n``, ``p/q*n`` or ``n`` joined by ``+`` or
-    ``-``, the first with an optional sign; any other text, an empty term
-    among it, is a ``ValueError``."""
+    ``-``, the first with an optional sign; any other text, an empty term or
+    a numeral such as ``0.5`` or ``1e3`` among it, is a ``ValueError``."""
     parts = re.split(r"([+-])", text)
     if len(parts) > 1 and not parts[0].strip():  # a leading sign
         del parts[0]
@@ -41,16 +48,17 @@ def parse_affine(text: str) -> AffineExpr:
         parts.insert(0, "+")
     const = inv = lin = Fraction(0)
     for sign, term in zip(parts[0::2], parts[1::2]):
-        if not term.strip():
-            raise ValueError(f"empty term in {text!r}")
-        sign = -1 if sign == "-" else 1
-        var = re.fullmatch(r"\s*(?:(.+?)\s*([/*])\s*)?n\s*", term)
-        if var is None:
-            const += sign * rat(term)
-        elif var[2] == "/":
-            inv += sign * rat(var[1])
-        else:  # ``p/q*n`` or a bare ``n``
-            lin += sign * rat(var[1] or "1")
+        m = _TERM.fullmatch(term)
+        if m is None:
+            raise ValueError(f"bad term {term.strip()!r} in {text!r}")
+        num, op = m.groups()
+        value = rat(num or "1") * (-1 if sign == "-" else 1)
+        if op == "/":
+            inv += value
+        elif op or num is None:  # ``p/q*n`` or a bare ``n``
+            lin += value
+        else:
+            const += value
     return AffineExpr(const, inv, lin)
 
 

@@ -18,6 +18,15 @@ v.numerator * u.denominator``, as denominators are positive).
 A step function keeps the triples ``(x, f(x), value right of x)`` it was
 built from (``StepFn._breaks``), as a set keeps its breakpoints: every
 builder hands ``_canonical`` one list of triples, and it stores those kept.
+``step_make`` reads any number of parts in one sweep, with a running count
+of the parts that assign a value on the current gap.
+
+The integral is summed by parts, ``sum(x_i * (v_{i-1} - v_i))`` over the
+triples with ``v_i`` the value right of ``x_i``, on integer numerator and
+denominator pairs added in a balanced tree, so no sum is put over the common
+denominator of all the breakpoints.  A step document is read with each
+distinct value string parsed once, so equal values are one object and the
+sweeps' identity tests catch them.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .intervals import _canonical_breaks, _descriptor_breaks, _sweep, _trusted
+from .intervals import _Memo, _canonical_breaks, _descriptor_breaks, _sweep, _trusted
 from .oag import rat
 
 ZERO = Fraction(0)
@@ -42,7 +51,8 @@ def _check_shape(bps: Sequence, ovals: Sequence, pvals: Sequence) -> None:
             f"{n} breakpoints need {max(0, n - 1)} open and {n} point values,"
             f" got {len(ovals)} and {len(pvals)}"
         )
-    if any(bps[i] >= bps[i + 1] for i in range(n - 1)):
+    pairs = zip(bps, bps[1:])
+    if any(a.numerator * b.denominator >= b.numerator * a.denominator for a, b in pairs):
         raise ValueError("breakpoints must be strictly increasing")
 
 
@@ -116,7 +126,11 @@ def _canonical(breaks: list[tuple]) -> StepFn:
 def step_from_values(
     bps: Sequence[Fraction], ovals: Sequence[Fraction], pvals: Sequence[Fraction]
 ) -> StepFn:
-    bps, ovals, pvals = [rat(s) for s in bps], [rat(v) for v in ovals], [rat(v) for v in pvals]
+    """The canonical ``StepFn`` of three arrays of rationals.  Each distinct
+    string among them is parsed once, so equal values read from one document
+    are one object; any other value goes to ``rat`` as it is."""
+    memo, arrays = _Memo(rat), (bps, ovals, pvals)
+    bps, ovals, pvals = ([memo[v] if type(v) is str else rat(v) for v in a] for a in arrays)
     _check_shape(bps, ovals, pvals)
     return _canonical(list(zip(bps, pvals, [*ovals, ZERO])))
 
@@ -125,15 +139,21 @@ class ConflictingAssignment(ValueError):
     pass
 
 
-def _assigned(values: Sequence, x: Fraction) -> Fraction:
-    """The one value assigned among ``values`` (``None`` is unassigned)."""
-    found = None
-    for v in values:
+def _assigned(value, count: int, values: Sequence, touched: Sequence, x: Fraction) -> tuple:
+    """``(value, count)`` once the touched operands' ``values`` join ``count``
+    operands that hold ``value`` (``None`` is unassigned).  A second distinct
+    value is a conflict, named by the first two distinct among ``values``."""
+    for j in touched:
+        v = values[j]
         if v is not None:
-            if found is not None and found != v:
+            if not count:
+                value = v
+            elif v is not value and v != value:
+                found = next(u for u in values if u is not None)
+                v = next(u for u in values if u is not None and u != found)
                 raise ConflictingAssignment(f"conflicting values {found} and {v} at {x}")
-            found = v
-    return ZERO if found is None else found
+            count += 1
+    return value, count
 
 
 def step_make(parts: Iterable, points: Iterable = ()) -> StepFn:
@@ -152,9 +172,18 @@ def step_make(parts: Iterable, points: Iterable = ()) -> StepFn:
             for x, at, after in _descriptor_breaks(desc)
         ])
     operands += [[(rat(x), rat(v), None)] for x, v in points]
-    return _canonical([
-        (x, _assigned(at, x), _assigned(after, x)) for x, at, after in _sweep(operands, None)
-    ])
+    breaks = []
+    gap = [None] * len(operands)  # each operand's value left of x
+    value, count = ZERO, 0  # the value assigned there, and how many assign it
+    for x, at, after, touched in _sweep(operands, None):
+        for j in touched:
+            if gap[j] is not None:
+                count -= 1
+            gap[j] = after[j]
+        here, n = _assigned(value, count, at, touched, x)
+        value, count = _assigned(value, count, after, touched, x)
+        breaks.append((x, here if n else ZERO, value if count else ZERO))
+    return _canonical(breaks)
 
 
 def indicator(lo, hi, lo_closed: bool = True, hi_closed: bool = True, value=1) -> StepFn:
@@ -163,7 +192,8 @@ def indicator(lo, hi, lo_closed: bool = True, hi_closed: bool = True, value=1) -
 
 def _pointwise(f: StepFn, g: StepFn, combine) -> StepFn:
     return _canonical([
-        (x, combine(*at), combine(*after)) for x, at, after in _sweep((f._breaks, g._breaks), ZERO)
+        (x, combine(*at), combine(*after))
+        for x, at, after, _ in _sweep((f._breaks, g._breaks), ZERO)
     ])
 
 
@@ -181,7 +211,7 @@ def _extreme(f: StepFn, g: StepFn, upper: bool) -> StepFn:
     the sweep takes ``g`` first, so each pair ``p, q`` keeps ``q`` if ``p <= q``."""
     breaks = []
     first, second = (g, f) if upper else (f, g)
-    for x, (p, q), (r, s) in _sweep((first._breaks, second._breaks), ZERO):
+    for x, (p, q), (r, s), _ in _sweep((first._breaks, second._breaks), ZERO):
         le_at = p is q or p.numerator * q.denominator <= q.numerator * p.denominator
         le_after = r is s or r.numerator * s.denominator <= s.numerator * r.denominator
         breaks.append((x, q if le_at == upper else p, s if le_after == upper else r))
@@ -207,7 +237,7 @@ def step_abs(f: StepFn) -> StepFn:
 
 def step_leq(f: StepFn, g: StepFn) -> bool:
     """Pointwise order, decided on the common refinement."""
-    for _, (p, q), (r, s) in _sweep((f._breaks, g._breaks), ZERO):
+    for _, (p, q), (r, s), _ in _sweep((f._breaks, g._breaks), ZERO):
         if p is not q and p.numerator * q.denominator > q.numerator * p.denominator:
             return False
         if r is not s and r.numerator * s.denominator > s.numerator * r.denominator:
@@ -235,22 +265,35 @@ def _locate(nums: Sequence[int], d: int, x: Fraction) -> tuple[int, bool] | None
     return i, at
 
 
-def _widths(nums: Sequence[int]) -> list[int]:
-    """The gaps between consecutive integer coordinates."""
-    return [b - a for a, b in zip(nums, nums[1:])]
-
-
-def _dot(values: Sequence[Fraction], weights: Sequence[int], wd: int) -> Fraction:
-    """``sum(values[k] * weights[k]) / wd``, exact: integer products over the
-    values' common denominator, zero values skipped, one ``Fraction`` built."""
-    nums, d = _over_lcm(values)
-    return Fraction(sum(n * w for n, w in zip(nums, weights) if n), d * wd)
-
-
 def integral(f: StepFn) -> Fraction:
-    """Sum of open-interval value times width; point values are ignored."""
-    bps, wd = _over_lcm(f.breakpoints)
-    return _dot(f.open_values, _widths(bps), wd)
+    """Sum of open-interval value times width; point values are ignored.
+
+    Summed by parts, as ``sum(x_i * (v_{i-1} - v_i))`` with ``v_i`` the
+    value right of ``x_i`` and ``v`` zero outside the span: each nonzero
+    term an integer ``(numerator, denominator)`` pair, the pairs added in a
+    balanced tree, each sum over the lcm of its own two denominators, and
+    one ``Fraction`` made at the end.  No term is put over the lcm of all
+    the breakpoints, so the cost grows with the size of the pairs a sum
+    meets, not with the square of the breakpoint count.
+    """
+    terms = []
+    left = ZERO
+    for x, _, right in f._breaks:
+        if left is not right:
+            p, q = left.numerator, left.denominator
+            r, s = right.numerator, right.denominator
+            if p * s != r * q:
+                terms.append((x.numerator * (p * s - r * q), x.denominator * q * s))
+        left = right
+    while len(terms) > 1:
+        paired = []
+        for (a, b), (c, d) in zip(terms[::2], terms[1::2]):
+            g = math.gcd(b, d)
+            paired.append((a * (d // g) + c * (b // g), b // g * d))
+        if len(terms) % 2:
+            paired.append(terms[-1])
+        terms = paired
+    return Fraction(*terms[0]) if terms else ZERO
 
 
 _STEP_KEYS = frozenset({"breakpoints", "open_values", "point_values"})

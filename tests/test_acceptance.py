@@ -5,6 +5,7 @@ pass.  Every tolerance is pinned here; "exact" means Fraction equality with
 tolerance zero.
 """
 
+import json
 import math
 import random
 import time
@@ -29,6 +30,7 @@ from latval.instances import (
     totient_range,
     totient_valuation,
 )
+from latval.cli import main
 from latval.intervals import interval
 from latval.lattice import check_distributive, diamond_m3, finite_lattice_build
 from latval.fubini import fubini_check, rectset_measure, sample_step2d, sample_ys
@@ -42,7 +44,7 @@ from latval.sequences import (
     seq_make,
     sqrt2_witness,
 )
-from latval.stepfn import ZERO_FN, step_make
+from latval.stepfn import ZERO_FN, StepFn, integral, step_make
 from latval.uniformity import (
     DYADIC,
     broken_half_uniformity,
@@ -415,3 +417,40 @@ def test_criterion_12_negative_controls():
         f"size^2 fails modularity at {rep1.results['modular'].counterexample!r}; "
         f"-size fails monotonicity; M3 witness triple {triple}",
     )
+
+
+# --- scale budgets: floors, never loosened ----------------------------------
+
+
+def test_scale_65536_piece_set_document(tmp_path, capsys):
+    # stage 16 of the middle-thirds Cantor set, pieces [k, k + 1] / 3**16
+    lows = [0]
+    for _ in range(16):
+        lows = [c for k in lows for c in (3 * k, 3 * k + 2)]
+    den = 3**16
+    doc = [{"lo": f"{k}/{den}", "hi": f"{k + 1}/{den}"} for k in lows]
+    path = tmp_path / "cantor.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    code = main(["measure", "--set", str(path)])
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == {"value": "65536/43046721"}
+    print(f"SCALE: a 65,536-piece set document measured through main in {elapsed:.2f}s (< 10s)")
+    assert elapsed < 10.0
+
+
+def test_scale_3200_breakpoint_integral():
+    rng = random.Random(3200)
+    dens = [rng.randrange(1 << 63, 1 << 64) for _ in range(3200)]
+    bps = tuple(i + Fraction(rng.randrange(q), 2 * q) for i, q in enumerate(dens))
+    value = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))  # noqa: E731
+    f = StepFn(bps, tuple(value() for _ in range(3199)), tuple(value() for _ in range(3200)))
+    t0 = time.perf_counter()
+    got = integral(f)
+    elapsed = time.perf_counter() - t0
+    want = sum((v * (b - a) for v, a, b in zip(f.open_values, bps, bps[1:])), Fraction(0))
+    assert got == want
+    print(f"SCALE: a 3,200-breakpoint step function with 64-bit denominators "
+          f"integrated in {elapsed:.3f}s (< 0.5s)")
+    assert elapsed < 0.5

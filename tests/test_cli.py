@@ -390,11 +390,19 @@ BAD_DOCS = {
     "list-step-template": {"kind": "step", "template": ["(1)*1_[0, 1]"]},
     # step terms are joined by "+", so this is no sum with phi -1
     "minus-step-template": {"kind": "step", "template": "(1)*1_[0, 1] - (2)*1_[0, 1]"},
+    # template numerals are p/q, never decimals or exponents
+    "exponent-template": {"kind": "interval", "template": "[0, 1e3]"},
+    "decimal-template": {"kind": "interval", "template": "[0, 0.5]"},
+    "negative-exponent-template": {"kind": "interval", "template": "[0, 1e-3]"},
     # nested values are JSON values, never JSON text or lists of characters
     "string-child-tree": {"node": ['{"node": [{"node": []}]}']},
     "string-piece-set": ["05"],
     "string-flags-set": [[0, 1, "false", "false"]],
     "string-values-step": {"breakpoints": ["0", "1"], "open_values": "1", "point_values": "00"},
+    # a JSON true is no rational, even after a value 1 read from the same document
+    "true-after-one-step": {
+        "breakpoints": [0, "1"], "open_values": [1], "point_values": ["1", True]
+    },
     "string-pair-leq": {"carrier": ["a", "b"], "leq": ["ab"], "phi": {"a": "0", "b": "1"}},
     # decreasing over the eight stages seq_make checks, then not
     "rises-at-nine": {"kind": "interval-list", "stages": [[[0, 1]]] * 8 + [[[5, 6]]]},
@@ -489,6 +497,7 @@ RAW_DOCS = {
         (["measure", "--set", "string-piece-set"], "--set"),
         (["measure", "--set", "string-flags-set"], "--set"),
         (["integrate", "--step", "string-values-step"], "--step"),
+        (["integrate", "--step", "true-after-one-step"], "--step"),
         (["quotient", "--system", "string-pair-leq"], "--system:leq"),
         (["dense-approx", "--seq", "rises-at-nine", "--depth", "9", "--eps-index", "1"], "--seq"),
         (["quotient", "--system", "same-str-labels"], "--system:carrier"),
@@ -518,6 +527,9 @@ RAW_DOCS = {
         (["quotient", "--system", "1e400-label"], "--system"),
         (["measure", "--set", "1e400-endpoint-set"], "--set"),
         (["converge-trace", "--seq", "minus-step-template", "--depth", "1"], "--seq"),
+        (["converge-trace", "--seq", "exponent-template", "--depth", "1"], "--seq"),
+        (["converge-trace", "--seq", "decimal-template", "--depth", "1"], "--seq"),
+        (["converge-trace", "--seq", "negative-exponent-template", "--depth", "1"], "--seq"),
     ],
 )
 def test_bad_document_is_input_error(argv, pointer, tmp_path, capsys):

@@ -28,7 +28,7 @@ from latval.fubini import (
     transpose,
 )
 from latval.instances import mu_S, phi_S, sample_interval_set
-from latval.intervals import EMPTY, interval, iset_make, iset_meet, singleton
+from latval.intervals import EMPTY, IntervalSet, interval, iset_make, iset_meet, singleton
 from latval.stepfn import ZERO_FN, StepFn, indicator, step_add, step_from_values
 
 
@@ -916,3 +916,32 @@ def test_fubini_check_witnesses_of_failures(monkeypatch):
             "pass": 1, "fail": 1, "counterexample": "y=3/2 fx=6 slice-integral=0"
         },
     }
+
+
+# --- the running mask of _axis_atoms against membership probes --------------
+
+
+def probed_axis_atoms(sets: list[IntervalSet]) -> tuple[list[Fraction], list[int]]:
+    """``_axis_atoms`` from membership alone: the sorted endpoints, and per
+    grid point and gap midpoint the sum of ``1 << t`` over the sets ``t``
+    that contain it."""
+    grid = sorted({e for s in sets for e in s.endpoints()})
+    probes = [q for a, b in zip(grid, grid[1:]) for q in (a, (a + b) / 2)] + grid[-1:]
+    masks = [sum(1 << t for t, s in enumerate(sets) if s.contains(q)) for q in probes]
+    return grid, masks
+
+
+def test_axis_atoms_match_membership_masks():
+    rng = random.Random(17)
+    for k in range(300):
+        sets = []
+        for _ in range(rng.choice((1, 2, 4, 12, 40))):
+            pieces = []
+            for _ in range(rng.randint(1, 3)):
+                lo = Fraction(rng.randint(-6, 6), 3)
+                hi = lo + Fraction(rng.choice((0, 1, 2, 4)), 3)
+                closed = [rng.random() < 0.5 or lo == hi for _ in range(2)]
+                pieces.append((lo, hi, *closed))
+            sets.append(iset_make(pieces))
+        assert _axis_atoms(sets) == probed_axis_atoms(sets), sets
+    assert _axis_atoms([]) == ([], [])

@@ -18,6 +18,8 @@ from latval.intervals import (
     EMPTY,
     IntervalSet,
     Piece,
+    _descriptor_breaks,
+    _from_breaks,
     _sweep,
     interval,
     iset_diff,
@@ -275,18 +277,21 @@ def test_sweep_on_thousand_bit_endpoints():
 
 def reference_sweep(operands, zero):
     """``_sweep``'s stream from a plain merge: the distinct ``x`` sorted as
-    ``Fraction``s, and each operand's value at and right of each one read
-    straight from its own breakpoint list."""
+    ``Fraction``s, each operand's value at and right of each one read
+    straight from its own breakpoint list, and the operands with a
+    breakpoint at ``x``, in index order."""
     out = []
     for x in sorted({b[0] for op in operands for b in op}):
-        at, after = [], []
-        for op in operands:
+        at, after, touched = [], [], []
+        for i, op in enumerate(operands):
             here = [b for b in op if b[0] == x]
             left = [b for b in op if b[0] < x]
             carry = left[-1][2] if left else zero
             at.append(here[0][1] if here else carry)
             after.append(here[0][2] if here else carry)
-        out.append((x, at, after))
+            if here:
+                touched.append(i)
+        out.append((x, at, after, touched))
     return out
 
 
@@ -314,7 +319,7 @@ def sweep_operands(draw):
 @settings(max_examples=300, deadline=None)
 @given(sweep_operands())
 def test_sweep_matches_plain_fraction_merge(operands):
-    got = [(x, list(at), list(after)) for x, at, after in _sweep(operands, 0)]
+    got = [(x, list(at), list(after), list(t)) for x, at, after, t in _sweep(operands, 0)]
     assert got == reference_sweep(operands, 0)
 
 
@@ -464,3 +469,40 @@ def test_kept_breakpoints_leave_equality_hash_and_repr_alone():
         assert plain._breaks == built._breaks
     assert "_breaks" not in repr(built)
     assert built.to_json_obj() == plain.to_json_obj()
+
+
+# --- the running count of iset_make against the any-over-operands reader ----
+
+
+def reference_make(raw) -> IntervalSet:
+    """``iset_make`` as it read the sweep before its running count: ``any``
+    over every operand at every breakpoint."""
+    parts = [_descriptor_breaks(d) for d in raw]
+    return _from_breaks((x, any(at), any(after)) for x, at, after, _ in _sweep(parts, False))
+
+
+def random_descriptors(rng: random.Random, n: int) -> list:
+    """``n`` descriptors in every form, with endpoints on the grid k/4, so
+    singletons, open singletons, shared endpoints and overlaps are common."""
+    out = []
+    for _ in range(n):
+        lo = Fraction(rng.randint(-8, 8), 4)
+        hi = lo + Fraction(rng.choice((0, 0, 1, 2, 5)), 4)
+        flags = rng.random() < 0.6, rng.random() < 0.6
+        out.append(rng.choice([
+            (lo, hi, *flags),
+            (str(lo), str(hi)),
+            {"lo": str(lo), "hi": str(hi), "lo_closed": flags[0], "hi_closed": flags[1]},
+            interval(lo, hi, *flags),
+        ]))
+    return out
+
+
+def test_make_keeps_a_running_count_of_operands_in():
+    rng = random.Random(23)
+    for k in range(400):
+        raw = random_descriptors(rng, rng.choice((0, 1, 2, 5, 20, 60)))
+        got, want = iset_make(raw), reference_make(raw)
+        assert got == want and got._breaks == want._breaks, raw
+        for x in probe_points(got, offset=Fraction(1, 8)):
+            assert got.contains(x) == any(iset_make([d]).contains(x) for d in raw), (raw, x)

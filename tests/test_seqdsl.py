@@ -31,6 +31,11 @@ def test_affine_terms():
         "[0, 1++2]",  # not 3
         "[0, 1 + /n]",
         "[0, 2n]",
+        "[0, 1e3]",  # numerals are p/q: not 1000
+        "[0, 0.5]",  # not 1/2
+        "[0, 1e-3]",
+        "[0, 1_000]",
+        "[0, 1 / 2]",
     ],
 )
 def test_malformed_interval_template_rejected(template):

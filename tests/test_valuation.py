@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -144,6 +145,46 @@ def test_pseudometric_report_matches_reference(phi):
         assert {"triangle", "contraction", "joint contraction"} <= set(
             name for name, r in got.items() if r["fail"]
         )
+
+
+def reference_check_valuation(phi, samples, seed):
+    """``check_valuation`` with its witness formatted for every sample."""
+    rng = random.Random(seed)
+    report = CheckReport()
+    g, lat = phi.group, phi.domain
+    for _ in range(samples):
+        a, b = phi.sample(rng), phi.sample(rng)
+        wit = f"a={lat.fmt(a)} b={lat.fmt(b)}"
+        at_meet, at_join, at_a = phi(lat.meet(a, b)), phi(lat.join(a, b)), phi(a)
+        report.record("modular", g.equal(g.add(at_meet, at_join), g.add(at_a, phi(b))), wit)
+        report.record("order preserving", g.leq(at_meet, at_a) and g.leq(at_a, at_join), wit)
+    return report
+
+
+def with_counted_fmt(phi: Valuation, calls: list) -> Valuation:
+    """``phi`` on a copy of its lattice whose ``fmt`` records each call."""
+    lat = copy.copy(phi.domain)
+    lat.fmt = lambda x: calls.append(x) or phi.domain.fmt(x)
+    return Valuation(lat, phi.group, phi.fn, phi.name, phi.sampler)
+
+
+def test_witnesses_are_formatted_for_kept_failures_only():
+    calls = []
+    phi = with_counted_fmt(interval_measure, calls)
+    assert check_valuation(phi, 40, 3).ok and check_pseudometric(phi, 40, 3).ok
+    assert check_congruence(phi, 40, 3, pad_with_nulls).ok
+    assert check_modular_map_identity(phi, 40, 3).ok
+    assert calls == []
+    broken = with_counted_fmt(squared_measure, calls)
+    for seed in range(4):
+        calls.clear()
+        report = check_valuation(broken, 60, seed)
+        assert report.to_dict() == reference_check_valuation(squared_measure, 60, seed).to_dict()
+        assert report.failing() and len(calls) == 2 * len(report.failing())
+        calls.clear()
+        report = check_pseudometric(broken, 30, seed)
+        assert report.to_dict() == reference_check_pseudometric(squared_measure, 30, seed).to_dict()
+        assert report.failing() and len(calls) == 4 * len(report.failing())
 
 
 def test_pseudometric_makes_each_lattice_operation_once():
