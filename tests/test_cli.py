@@ -497,7 +497,6 @@ RAW_DOCS = {
         (["measure", "--set", "string-piece-set"], "--set"),
         (["measure", "--set", "string-flags-set"], "--set"),
         (["integrate", "--step", "string-values-step"], "--step"),
-        (["integrate", "--step", "true-after-one-step"], "--step"),
         (["quotient", "--system", "string-pair-leq"], "--system:leq"),
         (["dense-approx", "--seq", "rises-at-nine", "--depth", "9", "--eps-index", "1"], "--seq"),
         (["quotient", "--system", "same-str-labels"], "--system:carrier"),
@@ -527,6 +526,7 @@ RAW_DOCS = {
         (["quotient", "--system", "1e400-label"], "--system"),
         (["measure", "--set", "1e400-endpoint-set"], "--set"),
         (["converge-trace", "--seq", "minus-step-template", "--depth", "1"], "--seq"),
+        (["integrate", "--step", "true-after-one-step"], "--step"),
         (["converge-trace", "--seq", "exponent-template", "--depth", "1"], "--seq"),
         (["converge-trace", "--seq", "decimal-template", "--depth", "1"], "--seq"),
         (["converge-trace", "--seq", "negative-exponent-template", "--depth", "1"], "--seq"),
