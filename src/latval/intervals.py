@@ -16,9 +16,9 @@ the breakpoints where nothing changes, and what is left reassembles into
 canonical pieces.  ``stepfn`` and ``fubini`` use the same two functions for
 step functions and for the lines of 2-D grids.  The sweep also names the
 operands that have a breakpoint at each ``x``, so the readers of many
-operands (``iset_make``, ``fubini._axis_atoms`` through ``_sums``, and
-``stepfn.step_make``) keep running totals and take time linear in the
-breakpoints, not in breakpoints times operands.  ``_descriptor_breaks`` reads
+operands (``iset_make`` and ``fubini._axis_atoms``, through ``_sums``) keep
+running totals and take time linear in the breakpoints, not in breakpoints
+times operands.  ``_descriptor_breaks`` reads
 a descriptor straight into its breakpoints for ``iset_make`` and
 ``stepfn.step_make``.  A set keeps the breakpoints it was built from
 (``IntervalSet._breaks``), as a step function keeps its triples, so

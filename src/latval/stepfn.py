@@ -18,8 +18,6 @@ v.numerator * u.denominator``, as denominators are positive).
 A step function keeps the triples ``(x, f(x), value right of x)`` it was
 built from (``StepFn._breaks``), as a set keeps its breakpoints: every
 builder hands ``_canonical`` one list of triples, and it stores those kept.
-``step_make`` reads any number of parts in one sweep, with a running count
-of the parts that assign a value on the current gap.
 
 The integral is summed by parts, ``sum(x_i * (v_{i-1} - v_i))`` over the
 triples with ``v_i`` the value right of ``x_i``, on integer numerator and
@@ -139,21 +137,15 @@ class ConflictingAssignment(ValueError):
     pass
 
 
-def _assigned(value, count: int, values: Sequence, touched: Sequence, x: Fraction) -> tuple:
-    """``(value, count)`` once the touched operands' ``values`` join ``count``
-    operands that hold ``value`` (``None`` is unassigned).  A second distinct
-    value is a conflict, named by the first two distinct among ``values``."""
-    for j in touched:
-        v = values[j]
+def _assigned(values: Sequence, x: Fraction) -> Fraction:
+    """The one value assigned among ``values`` (``None`` is unassigned)."""
+    found = None
+    for v in values:
         if v is not None:
-            if not count:
-                value = v
-            elif v is not value and v != value:
-                found = next(u for u in values if u is not None)
-                v = next(u for u in values if u is not None and u != found)
+            if found is not None and found != v:
                 raise ConflictingAssignment(f"conflicting values {found} and {v} at {x}")
-            count += 1
-    return value, count
+            found = v
+    return ZERO if found is None else found
 
 
 def step_make(parts: Iterable, points: Iterable = ()) -> StepFn:
@@ -172,18 +164,9 @@ def step_make(parts: Iterable, points: Iterable = ()) -> StepFn:
             for x, at, after in _descriptor_breaks(desc)
         ])
     operands += [[(rat(x), rat(v), None)] for x, v in points]
-    breaks = []
-    gap = [None] * len(operands)  # each operand's value left of x
-    value, count = ZERO, 0  # the value assigned there, and how many assign it
-    for x, at, after, touched in _sweep(operands, None):
-        for j in touched:
-            if gap[j] is not None:
-                count -= 1
-            gap[j] = after[j]
-        here, n = _assigned(value, count, at, touched, x)
-        value, count = _assigned(value, count, after, touched, x)
-        breaks.append((x, here if n else ZERO, value if count else ZERO))
-    return _canonical(breaks)
+    return _canonical([
+        (x, _assigned(at, x), _assigned(after, x)) for x, at, after, _ in _sweep(operands, None)
+    ])
 
 
 def indicator(lo, hi, lo_closed: bool = True, hi_closed: bool = True, value=1) -> StepFn:

@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 
 from latval.fubini import RectTerm, partial_integrate, slice_at, step2d_make
 from latval.instances import sample_step_fn
-from latval.intervals import Piece, _descriptor_breaks, _sweep, iset_make
-from latval.oag import ShapeError, rat
+from latval.intervals import Piece, _sweep, iset_make
+from latval.oag import ShapeError
 from latval.stepfn import (
     ZERO,
     ConflictingAssignment,
     StepFn,
     ZERO_FN,
-    _canonical,
     _pointwise,
     indicator,
     integral,
@@ -297,19 +296,32 @@ def test_integral_matches_fraction_loop():
             return Fraction(0)
         return Fraction(rng.randint(-(1 << bits), 1 << bits), rng.randint(1, 1 << bits))
 
+    def values(count, bits):  # a fifth equal to the left neighbour, as a new object
+        out: list[Fraction] = []
+        for _ in range(count):
+            v = out[-1] if out and rng.random() < 0.2 else rational(bits)
+            out.append(Fraction(v.numerator, v.denominator))
+        return tuple(out)
+
     fns = [ZERO_FN, StepFn((Fraction(3),), (), (Fraction(5),))]
-    for k in range(400):
-        coord_bits, value_bits = (4, 64, 1000)[k % 3], (3, 64)[k % 2]
-        n = rng.randint(1, 12)
+    for k in range(520):
         bps: set[Fraction] = set()
-        while len(bps) < n:
-            bps.add(rational(coord_bits))
-        fns.append(StepFn(
-            tuple(sorted(bps)),
-            tuple(rational(value_bits) for _ in range(n - 1)),
-            tuple(rational(value_bits) for _ in range(n)),
-        ))
+        if k < 400:
+            coord_bits, value_bits = (4, 64, 1000)[k % 3], (3, 64)[k % 2]
+            n = rng.randint(1, 12)
+            while len(bps) < n:
+                bps.add(rational(coord_bits))
+        else:  # up to 300 breakpoints, every third over one dyadic denominator
+            value_bits = (4, 16, 32, 64)[k % 4]
+            n = rng.randint(1, 300)
+            if k % 3:
+                bps.update(rational(value_bits) for _ in range(n))
+            else:
+                bps.update(Fraction(j, 1 << value_bits) for j in rng.sample(range(-4 * n, 4 * n), n))
+        n = len(bps)
+        fns.append(StepFn(tuple(sorted(bps)), values(n - 1, value_bits), values(n, value_bits)))
     assert max(f.breakpoints[-1].denominator.bit_length() for f in fns if f.breakpoints) > 990
+    assert max(len(f.breakpoints) for f in fns) > 250
     for f in fns:
         assert integral(f) == reference_integral(f)
 
@@ -560,100 +572,6 @@ def test_kept_triples_leave_equality_hash_and_repr_alone():
         assert plain._breaks == built._breaks
     assert "_breaks" not in repr(built)
     assert built.to_json_obj() == plain.to_json_obj()
-
-
-# --- the by-parts integral against a plain Fraction sum ---------------------
-
-
-def random_step_fn(rng: random.Random, n: int, bits: int, dyadic: bool) -> StepFn:
-    """``n`` breakpoints with ``bits``-bit denominators, all ``2**bits`` if
-    ``dyadic``; values zero a fifth of the time, negative half of it, and
-    equal to their left neighbour (as a distinct object) a fifth of it."""
-    if dyadic:
-        bps = [Fraction(k, 1 << bits) for k in sorted(rng.sample(range(-4 * n, 4 * n), n))]
-    else:
-        bps = [i + Fraction(rng.randrange(q), q) / 2
-               for i, q in enumerate(rng.randrange(1 << (bits - 1), 1 << bits) for _ in range(n))]
-
-    def values(count):
-        out = []
-        for _ in range(count):
-            roll = rng.random()
-            if roll < 0.2:
-                out.append(Fraction(0))
-            elif roll < 0.4 and out:
-                out.append(Fraction(out[-1].numerator, out[-1].denominator))
-            else:
-                q = rng.randint(1, 1 << bits)
-                out.append(Fraction(rng.randint(-(1 << bits), 1 << bits), q))
-        return tuple(out)
-
-    return StepFn(tuple(bps), values(n - 1), values(n))
-
-
-def test_by_parts_integral_matches_fraction_oracle():
-    rng = random.Random(1600)
-    fns = [ZERO_FN, StepFn((Fraction(-7, 3),), (), (Fraction(4),))]
-    for k in range(160):
-        n = 1 if k % 16 == 0 else rng.choice((2, 3, rng.randint(1, 300)))
-        fns.append(random_step_fn(rng, n, rng.choice((4, 16, 32, 64)), dyadic=k % 4 == 1))
-    assert max(len(f.breakpoints) for f in fns) > 250
-    for f in fns:
-        assert integral(f) == reference_integral(f), f
-
-
-# --- step_make's running count against the scan over every operand ---------
-
-
-def reference_step_make(parts, points=()) -> StepFn:
-    """``step_make`` as it read the sweep before its running count: every
-    operand's value scanned at every breakpoint."""
-    operands = [
-        [(x, rat(v) if at else None, rat(v) if after else None)
-         for x, at, after in _descriptor_breaks(d)]
-        for d, v in parts
-    ]
-    operands += [[(rat(x), rat(v), None)] for x, v in points]
-
-    def assigned(values, x):
-        found = None
-        for v in values:
-            if v is not None:
-                if found is not None and found != v:
-                    raise ConflictingAssignment(f"conflicting values {found} and {v} at {x}")
-                found = v
-        return ZERO if found is None else found
-
-    return _canonical([
-        (x, assigned(at, x), assigned(after, x)) for x, at, after, _ in _sweep(operands, None)
-    ])
-
-
-def outcome(build, *args):
-    try:
-        f = build(*args)
-    except ConflictingAssignment as exc:
-        return "conflict", str(exc)
-    return f, f._breaks
-
-
-def test_step_make_keeps_a_running_count_per_value():
-    rng = random.Random(31)
-    kinds = set()
-    for k in range(500):
-        parts, points = [], []
-        for _ in range(rng.choice((0, 1, 2, 4, 12, 40))):
-            lo = Fraction(rng.randint(-8, 8), 4)
-            hi = lo + Fraction(rng.choice((0, 0, 1, 2, 5)), 4)
-            flags = rng.random() < 0.6 or lo == hi, rng.random() < 0.6 or lo == hi
-            value = rng.choice((1, 1, 1, "1", Fraction(2, 2), 0, -2, "1/2"))
-            parts.append(((lo, hi, *flags) if rng.random() < 0.7 else (str(lo), str(hi)), value))
-        for _ in range(rng.choice((0, 0, 1, 3))):
-            points.append((Fraction(rng.randint(-8, 12), 4), rng.choice((1, 0, "-2"))))
-        got = outcome(step_make, parts, points)
-        assert got == outcome(reference_step_make, parts, points), (parts, points)
-        kinds.add(got[0] == "conflict")
-    assert kinds == {True, False}
 
 
 # --- step documents -----------------------------------------------------------
