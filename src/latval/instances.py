@@ -108,8 +108,9 @@ step_integral = Valuation(
 )
 
 
-def counting_valuation(ground_size: int = 20) -> Valuation:
-    ground = range(1, ground_size + 1)
+def counting_valuation() -> Valuation:
+    """Cardinality on the subsets of {1, ..., 20}."""
+    ground = range(1, 21)
 
     def sample(rng: random.Random):
         return frozenset(x for x in ground if rng.random() < 0.35)

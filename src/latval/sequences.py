@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Any, Callable, Iterable, Sequence
 
 from .instances import INTERVAL_SETS, mu_S
@@ -275,53 +276,36 @@ def limits_finite(
             raise ValueError(f"sequence is not {period}-periodic at index {i}")
 
     cycle = seq[preperiod : preperiod + period]
-    ulim = cycle[0]
-    llim = cycle[0]
-    for a in cycle[1:]:
-        ulim = lat.join(ulim, a)
-        llim = lat.meet(llim, a)
+    ulim, llim = reduce(lat.join, cycle), reduce(lat.meet, cycle)
     return ulim, llim, ulim == llim
+
+
+def _tails(items: Sequence, op) -> list:
+    """``op`` folded over every tail, from the right: entry N is ``op`` over
+    ``items[N:]``, so each item is combined once."""
+    out = [items[-1]]
+    for a in reversed(items[:-1]):
+        out.append(op(a, out[-1]))
+    return out[::-1]
 
 
 def phi_limits_at_depth(
     phi: Valuation, producer: Producer, depth: int
-) -> tuple[Any, Any, list[dict]]:
-    """Truncated upper/lower phi-limits with the full stage table.
+) -> tuple[Any, Any, list[tuple[Any, Any]]]:
+    """Truncated upper/lower phi-limits with phi of every tail.
 
-    Evaluates phi(a_N v ... v a_n) for all N <= n <= depth (inner joins run
-    to the truncation, so the inner supremum is the n = depth column), then
-    takes the outer meet over N; dually for the lower limit.  Values are
-    exact for the truncation and approximations of the true limits.
+    Entry N - 1 of the returned list is ``(phi(a_N v ... v a_depth),
+    phi(a_N ^ ... ^ a_depth))``.  The upper limit is the meet of the first
+    column, the lower limit the join of the second.  Values are exact for the
+    truncation and approximations of the true limits.
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
     lat, g = phi.domain, phi.group
     stages = [producer(n) for n in range(1, depth + 1)]
-
-    trace: list[dict] = []
-    sup_vals = []
-    inf_vals = []
-    for N in range(depth):
-        acc_join = stages[N]
-        acc_meet = stages[N]
-        row_join = [phi(acc_join)]
-        row_meet = [phi(acc_meet)]
-        for n in range(N + 1, depth):
-            acc_join = lat.join(acc_join, stages[n])
-            acc_meet = lat.meet(acc_meet, stages[n])
-            row_join.append(phi(acc_join))
-            row_meet.append(phi(acc_meet))
-        sup_vals.append(row_join[-1])
-        inf_vals.append(row_meet[-1])
-        trace.append({"N": N + 1, "join_tail": row_join, "meet_tail": row_meet})
-
-    pulim = sup_vals[0]
-    for v in sup_vals[1:]:
-        pulim = g.meet(pulim, v)
-    pllim = inf_vals[0]
-    for v in inf_vals[1:]:
-        pllim = g.join(pllim, v)
-    return pulim, pllim, trace
+    ups = [phi(a) for a in _tails(stages, lat.join)]
+    downs = [phi(a) for a in _tails(stages, lat.meet)]
+    return reduce(g.meet, ups), reduce(g.join, downs), list(zip(ups, downs))
 
 
 def convergence_theorem_check(
@@ -340,25 +324,16 @@ def convergence_theorem_check(
     phi of both truncated limit elements.  All differences must be within
     ``tol``; each comparison is reported separately.
     """
+    if depth < 2:
+        raise ValueError("depth must be >= 2")
     tol = rat(tol)
     lat, g = phi.domain, phi.group
     report = CheckReport()
     stages = [producer(n) for n in range(1, depth + 1)]
-
-    def tail_elem(N: int, op) -> Any:
-        acc = stages[N]
-        for n in range(N + 1, depth):
-            acc = op(acc, stages[n])
-        return acc
-
-    ulim_elem = tail_elem(0, lat.join)
-    for N in range(1, depth):
-        ulim_elem = lat.meet(ulim_elem, tail_elem(N, lat.join))
-    llim_elem = tail_elem(0, lat.meet)
-    for N in range(1, depth):
-        llim_elem = lat.join(llim_elem, tail_elem(N, lat.meet))
-
-    pulim, pllim, _ = phi_limits_at_depth(phi, producer, depth)
+    ups, downs = _tails(stages, lat.join), _tails(stages, lat.meet)
+    ulim_elem, llim_elem = reduce(lat.meet, ups), reduce(lat.join, downs)
+    pulim = reduce(g.meet, map(phi, ups))
+    pllim = reduce(g.join, map(phi, downs))
 
     def close(x, y) -> bool:
         d = g.sub(x, y)
@@ -386,15 +361,8 @@ def convergence_theorem_check(
                 f"stage {n}",
             )
         values = [phi(a) for a in stages]
-        scal_ulim = values[-1]
-        scal_llim = values[-1]
-        for N in range(depth):
-            tail = values[N:]
-            mx, mn = tail[0], tail[0]
-            for v in tail[1:]:
-                mx, mn = max(mx, v), min(mn, v)
-            scal_ulim = min(scal_ulim, mx)
-            scal_llim = max(scal_llim, mn)
+        scal_ulim = reduce(min, _tails(values, max))
+        scal_llim = reduce(max, _tails(values, min))
         report.record(
             "scalar limits agree",
             close(scal_ulim, scal_llim),

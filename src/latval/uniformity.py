@@ -101,13 +101,13 @@ def uniformity_check(
         k = rng.choice([0, 1, 2])
         return Fraction(1, 2 ** (i + k))
 
-    def composes(i: int, h: int, s, step1, step2) -> tuple[bool, str | None]:
+    def composes(i: int, h: int, s, step1, step2) -> tuple[bool, Callable[[], str]]:
         """Whether two half-index steps from ``s`` compose to an index-i step
-        (vacuously when they are not both half-index steps), and a witness."""
+        (vacuously when they are not both half-index steps), and a witness
+        formatted for a failure only."""
         mid, far = g.add(s, step1), g.add(s, g.add(step1, step2))
-        if not (u.holds(h, s, mid) and u.holds(h, mid, far)):
-            return True, None
-        return u.holds(i, s, far), f"i={i} half={h} r={g.fmt(s)} s={g.fmt(mid)} t={g.fmt(far)}"
+        ok = not (u.holds(h, s, mid) and u.holds(h, mid, far)) or u.holds(i, s, far)
+        return ok, lambda: f"i={i} half={h} r={g.fmt(s)} s={g.fmt(mid)} t={g.fmt(far)}"
 
     for _ in range(samples):
         s = sample_elem()
@@ -120,7 +120,7 @@ def uniformity_check(
         else:
             t = sample_elem()
         r = sample_elem()
-        wit = f"i={i} j={j} s={g.fmt(s)} t={g.fmt(t)} r={g.fmt(r)}"
+        wit = lambda: f"i={i} j={j} s={g.fmt(s)} t={g.fmt(t)} r={g.fmt(r)}"
 
         report.record("(i) reflexive", u.holds(i, s, s), wit)
 
@@ -135,9 +135,8 @@ def uniformity_check(
         edge = Fraction(1, 2**h)  # the largest step the half index tolerates
         edge_ok, edge_wit = composes(i, h, s, edge, edge)
         ok, sampled_wit = composes(i, h, s, dyadic_increment(h), dyadic_increment(h))
-        report.record(
-            "(iii) halving composes", edge_ok and ok, (sampled_wit if edge_ok else edge_wit) or wit
-        )
+        wit_iii = sampled_wit if edge_ok else edge_wit
+        report.record("(iii) halving composes", edge_ok and ok, wit_iii)
 
         lo, hi = (s, t) if g.leq(s, t) else (t, s)
         if isinstance(lo, Fraction) and isinstance(hi, Fraction):
@@ -155,7 +154,7 @@ def uniformity_check(
             report.record(
                 f"(v) separation within {sep_limit} indices",
                 sep is not None,
-                f"s={g.fmt(lo)} t={g.fmt(hi)}",
+                lambda: f"s={g.fmt(lo)} t={g.fmt(hi)}",
             )
 
         related = u.holds(i, s, t)
@@ -334,18 +333,17 @@ def weak_conv_check(
     target: Any,
     rate: Callable[[int], int],
     depth: int,
-    uniformity: FittingUniformity = DYADIC,
-    max_index: int = 16,
 ) -> CheckReport:
     """Verify a declared weak-convergence rate at truncation depth.
 
-    For each index i with rate(i) <= depth, every stage n in
-    [rate(i), depth] must satisfy holds(i, 0, d(a_n, target)).
+    For each index i <= 16 with rate(i) <= depth, every stage n in
+    [rate(i), depth] must satisfy the dyadic relation i between 0 and
+    d(a_n, target): d(a_n, target) <= 2^-i.
     """
     g = phi.group
     report = CheckReport()
     prev = None
-    for i in range(1, max_index + 1):
+    for i in range(1, 17):
         n0 = rate(i)
         if prev is not None and n0 < prev:
             report.record("rate monotone", False, f"rate({i}) < rate({i - 1})")
@@ -358,7 +356,7 @@ def weak_conv_check(
             d = dist(phi, producer(n), target)
             report.record(
                 "weak convergence at declared rate",
-                uniformity.holds(i, g.zero(), d),
+                dyadic_holds(i, g.zero(), d),
                 f"i={i} n={n} d={g.fmt(d)}",
             )
     return report
@@ -370,7 +368,6 @@ def extract_subsequence(
     target: Any,
     rate: Callable[[int], int],
     count: int,
-    uniformity: FittingUniformity = DYADIC,
 ) -> tuple[list[int], list[Fraction]]:
     """Select stages far enough out that the distances sum geometrically.
 
@@ -390,7 +387,7 @@ def extract_subsequence(
             j = prev + 1
         prev = j
         d = dist(phi, producer(j), target)
-        if not uniformity.holds(k + 1, g.zero(), d):
+        if not dyadic_holds(k + 1, g.zero(), d):
             raise AssertionError(
                 f"stage {j} misses its 2^-{k + 1} distance bound: d={g.fmt(d)}"
             )

@@ -454,3 +454,27 @@ def test_scale_3200_breakpoint_integral():
     print(f"SCALE: a 3,200-breakpoint step function with 64-bit denominators "
           f"integrated in {elapsed:.3f}s (< 0.5s)")
     assert elapsed < 0.5
+
+
+def test_scale_64_label_quotient(tmp_path, capsys):
+    # the subsets of six atoms, two of weight zero: 16 classes of distinct sums
+    weights = [1, 2, 0, 4, 0, 8]
+    atoms = lambda m: [i for i in range(6) if m >> i & 1]  # noqa: E731
+    label = lambda m: "{" + ",".join("abcdef"[i] for i in atoms(m)) + "}"  # noqa: E731
+    doc = {
+        "carrier": [label(m) for m in range(64)],
+        "leq": [[label(m), label(m | 1 << i)] for m in range(64) for i in range(6)],
+        "phi": {label(m): str(sum(weights[i] for i in atoms(m))) for m in range(64)},
+    }
+    path = tmp_path / "powerset6.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    code = main(["quotient", "--system", str(path)])
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["classes"]) == 16 and out["hausdorff"] is True
+    assert sorted(int(v) for v in out["phi"].values()) == list(range(16))
+    print(f"SCALE: the quotient of a 64-label powerset system through main "
+          f"in {elapsed:.3f}s (< 1s)")
+    assert elapsed < 1.0

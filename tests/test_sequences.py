@@ -267,13 +267,14 @@ def test_phi_limits_constant():
 
 
 def test_phi_limits_decaying_indicator():
-    pulim, pllim, trace = phi_limits_at_depth(
+    pulim, pllim, tails = phi_limits_at_depth(
         step_integral, lambda n: step_scale(Fraction(1, n), indicator(0, 1)), 8
     )
-    # phi(f_N v ... v f_n) = 1/N; the truncated outer meet is the last row
+    # phi(f_N v ... v f_8) = 1/N and phi(f_N ^ ... ^ f_8) = 1/8; the
+    # truncated outer meet is the last tail
     assert pulim == Fraction(1, 8)
     assert pllim == Fraction(1, 8)
-    assert [row["join_tail"][-1] for row in trace] == [Fraction(1, n) for n in range(1, 9)]
+    assert tails == [(Fraction(1, n), Fraction(1, 8)) for n in range(1, 9)]
 
 
 def test_phi_limits_lower_leq_upper_always():

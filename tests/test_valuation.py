@@ -235,16 +235,19 @@ def test_quotient_two_block_chain():
                 assert dist(qphi, x, y) != 0
 
 
-def test_quotient_constant_valuation_collapses():
+def _zero_on_m3():
     lat = diamond_m3()
-    phi = Valuation(
+    return Valuation(
         domain=lat,
         group=RATIONALS,
         fn=lambda a: Fraction(0),
         name="zero",
         sampler=lambda rng: rng.choice(lat.carrier),
     )
-    qlat, _ = quotient(phi)
+
+
+def test_quotient_constant_valuation_collapses():
+    qlat, _ = quotient(_zero_on_m3())
     assert len(qlat) == 1
 
 
@@ -254,21 +257,23 @@ def test_quotient_injective_is_isomorphic():
     assert check_valuation(qphi, 200, 5).ok
 
 
-def test_quotient_of_weighted_powerset_is_valuation():
-    rng = random.Random(8)
+def _weighted_powerset():
     ground = [1, 2, 3, 4]
     weights = {1: Fraction(0), 2: Fraction(1), 3: Fraction(0), 4: Fraction(2)}
     subsets = [frozenset(s) for s in _powerset(ground)]
     pairs = [(a, b) for a in subsets for b in subsets if a <= b]
     lat = finite_lattice_build(subsets, pairs)
-    phi = Valuation(
+    return Valuation(
         domain=lat,
         group=RATIONALS,
         fn=lambda a: sum((weights[x] for x in a), Fraction(0)),
         name="weighted",
         sampler=lambda r: r.choice(subsets),
     )
-    qlat, qphi = quotient(phi)
+
+
+def test_quotient_of_weighted_powerset_is_valuation():
+    qlat, qphi = quotient(_weighted_powerset())
     assert len(qlat) == 4  # distinct achievable weights 0,1,2,3
     assert check_valuation(qphi, 300, 2).ok
     for x in qlat.carrier:
@@ -303,6 +308,103 @@ def test_quotient_ill_defined_detected():
     # 0 ~ a ~ b but a join b = 1 while 0 join a = a: classes disagree
     with pytest.raises(QuotientIllDefined):
         quotient(phi)
+
+
+def _system(carrier, pairs, values):
+    lat = finite_lattice_build(carrier, pairs)
+    return Valuation(
+        domain=lat,
+        group=RATIONALS,
+        fn=lambda a: values[a],
+        name="system",
+        sampler=lambda rng: rng.choice(lat.carrier),
+    )
+
+
+def _weight(rng, p_positive, top, den):
+    return Fraction(rng.randint(1, top), rng.randint(1, den)) if rng.random() < p_positive else 0
+
+
+def _powerset_system(rng, atoms):
+    """The subsets of ``atoms`` atoms, labelled like ``{a,c}``, under a sum
+    of atom weights, some of them zero."""
+    weights = [_weight(rng, 0.6, 9, 4) for _ in range(atoms)]
+    masks = range(1 << atoms)
+    names = lambda m: ("abcdef"[i] for i in range(atoms) if m >> i & 1)  # noqa: E731
+    label = lambda m: "{" + ",".join(names(m)) + "}"  # noqa: E731
+    pairs = [(label(m), label(m | 1 << i)) for m in masks for i in range(atoms)]
+    values = {label(m): sum((w for i, w in enumerate(weights) if m >> i & 1), Fraction(0))
+              for m in masks}
+    return _system(list(values), pairs, values)
+
+
+def _chain_system(rng, length):
+    """A chain whose values rise at some steps and stay put at others."""
+    values, v = {}, Fraction(0)
+    for i in range(length):
+        v += _weight(rng, 0.6, 5, 3)
+        values[f"c{i}"] = v
+    carrier = list(values)
+    return _system(carrier, zip(carrier, carrier[1:]), values)
+
+
+def _divisor_system(rng, n):
+    """The divisors of ``n`` under a weighted count of prime factors."""
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+    weights = {p: _weight(rng, 0.7, 6, 3) for p in primes}
+    divisors = [k for k in range(1, n + 1) if n % k == 0]
+
+    def value(k):
+        total = Fraction(0)
+        for p in primes:
+            while k % p == 0:
+                total, k = total + weights[p], k // p
+        return total
+
+    pairs = [(str(k), str(k * p)) for k in divisors for p in primes if n % (k * p) == 0]
+    return _system([str(k) for k in divisors], pairs, {str(k): value(k) for k in divisors})
+
+
+def _oracle_quotient(phi):
+    """The quotient built from the order alone: each element's class is
+    every element at distance zero from it, and the classes are ordered by
+    the images of the original order pairs."""
+    lat = phi.domain
+    label = {
+        x: "{" + ",".join(str(y) for y in lat.carrier if dist(phi, x, y) == 0) + "}"
+        for x in lat.carrier
+    }
+    labels = list(dict.fromkeys(label.values()))
+    pairs = {(label[x], label[y]) for x in lat.carrier for y in lat.carrier if lat.leq(x, y)}
+    return finite_lattice_build(labels, pairs), label
+
+
+def test_quotient_tables_match_the_order_oracle():
+    rng = random.Random(24)
+    systems = [
+        _chain_valuation([0, 0, 1, 1]),
+        _chain_valuation([0, 1, 2, 5]),
+        _zero_on_m3(),
+        _weighted_powerset(),
+        _powerset_system(rng, 6),
+    ]
+    for _ in range(8):
+        systems += [
+            _powerset_system(rng, rng.randint(2, 4)),
+            _chain_system(rng, rng.randint(4, 16)),
+            _divisor_system(rng, rng.choice((12, 24, 30, 36, 48, 60, 72, 90, 96, 120, 144, 210))),
+        ]
+    for phi in systems:
+        qlat, qphi = quotient(phi)
+        oracle, label = _oracle_quotient(phi)
+        assert qlat.carrier == oracle.carrier
+        for a in qlat.carrier:
+            for b in qlat.carrier:
+                assert qlat.leq(a, b) == oracle.leq(a, b), (a, b)
+                assert qlat.meet(a, b) == oracle.meet(a, b), (a, b)
+                assert qlat.join(a, b) == oracle.join(a, b), (a, b)
+        for x in phi.domain.carrier:
+            assert qphi(label[x]) == phi(x)
 
 
 def test_transform_opposite_is_valuation():
