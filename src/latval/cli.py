@@ -322,6 +322,8 @@ def cmd_quotient(args) -> int:
             qlat, qphi = quotient(args.system)
         except QuotientIllDefined as exc:  # a failure the samples missed
             vrep.record("quotient well-defined", False, str(exc))
+        except ValueError as exc:  # two classes whose labels print alike
+            raise InputError("--system:carrier", str(exc))
     if not vrep.ok:
         return _report_exit(args, vrep, {"error": "input is not a valuation"})
     hausdorff = all(
@@ -485,10 +487,10 @@ _SUITES = {
         for name, group in GROUPS.items()
     },
     "uniformity-dyadic": lambda n, seed, depth: uniformity.uniformity_check(
-        uniformity.DYADIC, n, seed, depth
+        uniformity.dyadic_half, n, seed, depth
     ),
     "negative-broken-half": lambda n, seed, depth: uniformity.uniformity_check(
-        uniformity.broken_half_uniformity(), n, seed, depth
+        uniformity.broken_half, n, seed, depth
     ),
     "negative-distributive-m3": _negative_distributive_m3,
 }

@@ -414,9 +414,9 @@ def terms_from_json(doc: list) -> list[RectTerm]:
     return terms
 
 
-def sample_step2d(
-    rng: random.Random, max_terms: int = 10, max_breaks_per_axis: int = 16
-) -> StepFn2D:
+def sample_step2d(rng: random.Random, max_terms: int = 10) -> StepFn2D:
+    """A grid of up to ``max_terms`` rectangle terms, dropping the last term
+    until each axis has at most 16 breakpoints."""
     terms = []
     for _ in range(rng.randint(1, max_terms)):
         a = sample_interval_set(rng, max_pieces=2)
@@ -426,6 +426,6 @@ def sample_step2d(
         terms.append(RectTerm(Fraction(rng.randint(-4, 4)), a, b))
     while True:
         f = step2d_make(terms)
-        if len(f.xs) <= max_breaks_per_axis and len(f.ys) <= max_breaks_per_axis:
+        if len(f.xs) <= 16 and len(f.ys) <= 16:
             return f
         terms = terms[:-1]

@@ -49,11 +49,10 @@ def gf2_subspace_lattice(ambient: int) -> Lattice:
     )
 
 
-def sample_rational(
-    rng: random.Random, lo: int = -8, hi: int = 8, max_den: int = 6
-) -> Fraction:
-    den = rng.randint(1, max_den)
-    return Fraction(rng.randint(lo * den, hi * den), den)
+def sample_rational(rng: random.Random) -> Fraction:
+    """A rational in [-8, 8] with a denominator of at most 6."""
+    den = rng.randint(1, 6)
+    return Fraction(rng.randint(-8 * den, 8 * den), den)
 
 
 def sample_interval_set(rng: random.Random, max_pieces: int = 3) -> IntervalSet:
@@ -69,10 +68,8 @@ def sample_interval_set(rng: random.Random, max_pieces: int = 3) -> IntervalSet:
     return intervals.iset_make(descs)
 
 
-def sample_step_fn(
-    rng: random.Random, max_breaks: int = 5, value_lo: int = -4, value_hi: int = 4
-) -> StepFn:
-    k = rng.randint(0, max_breaks)
+def sample_step_fn(rng: random.Random, value_lo: int = -4, value_hi: int = 4) -> StepFn:
+    k = rng.randint(0, 5)  # at most five breakpoints
     bps = sorted({sample_rational(rng) for _ in range(k)})
     if not bps:
         return stepfn.ZERO_FN
@@ -158,7 +155,7 @@ def totient(n: int) -> int:
     return result
 
 
-def totient_valuation(limit: int = 500) -> Valuation:
+def totient_valuation() -> Valuation:
     """n -> totient(n) as a map from divisibility order into the
     multiplicative positive rationals; modularity there reads
     phi(gcd) * phi(lcm) = phi(m) * phi(n)."""
@@ -167,21 +164,21 @@ def totient_valuation(limit: int = 500) -> Valuation:
         group=DIV_POS,
         fn=lambda n: DivPos.from_int(totient(n)),
         name="totient",
-        sampler=lambda rng: rng.randint(1, limit),
+        sampler=lambda rng: rng.randint(1, 500),
     )
 
 
-def dimension_valuation(ambient: int = 8) -> Valuation:
+def dimension_valuation() -> Valuation:
     def sample(rng: random.Random):
-        k = rng.randint(0, ambient)
-        vecs = [rng.randint(0, (1 << ambient) - 1) for _ in range(k)]
-        return GF2Subspace.from_vectors(ambient, vecs)
+        k = rng.randint(0, 8)
+        vecs = [rng.randint(0, (1 << 8) - 1) for _ in range(k)]
+        return GF2Subspace.from_vectors(8, vecs)
 
     return Valuation(
-        domain=gf2_subspace_lattice(ambient),
+        domain=gf2_subspace_lattice(8),
         group=RATIONALS,
         fn=lambda u: Fraction(u.dim),
-        name=f"dim@GF(2)^{ambient}",
+        name="dim@GF(2)^8",
         sampler=sample,
     )
 

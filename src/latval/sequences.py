@@ -50,7 +50,6 @@ class MonoSeq:
     direction: str  # "decreasing" | "increasing"
     producer: Producer
     modulus: Modulus
-    sanity_depth: int = 8
     lower_bound: Any | None = None
     constant_from: int | None = None
 
@@ -89,27 +88,27 @@ def seq_make(
     """
     if direction not in ("decreasing", "increasing"):
         raise ValueError(f"bad direction {direction!r}")
+    if sanity_depth < 1:  # a depth of 0 would verify nothing
+        raise ValueError("sanity_depth must be >= 1")
     down = direction == "decreasing"
 
-    prev = None
-    stages = []
+    stages: list = []  # each stage to the sanity depth, produced once
     for n in range(1, sanity_depth + 1):
         cur = producer(n)
+        if stages and not (lattice.leq(cur, stages[-1]) if down else lattice.leq(stages[-1], cur)):
+            raise MonotonicityError(n, f"sequence is not {direction} at stage {n}")
         stages.append(cur)
-        if prev is not None:
-            ok = lattice.leq(cur, prev) if down else lattice.leq(prev, cur)
-            if not ok:
-                raise MonotonicityError(n, f"sequence is not {direction} at stage {n}")
-        prev = cur
 
     if lower_bound is not None:
         for n, cur in enumerate(stages, start=1):
             if not lattice.leq(lower_bound, cur):
                 raise ValueError(f"declared lower bound fails at stage {n}")
     if constant_from is not None:
-        base = producer(constant_from)
+        # a tail declared past the sanity depth is produced at its first stage only
+        past = constant_from > sanity_depth
+        base = producer(constant_from) if past else stages[constant_from - 1]
         for n in range(constant_from, sanity_depth + 1):
-            if not lattice.equal(producer(n), base):
+            if not lattice.equal(stages[n - 1], base):
                 raise ValueError(f"declared constant tail fails at stage {n}")
 
     eps_grid = [Fraction(1, 2), Fraction(1, 8), Fraction(1, 64)]
@@ -121,25 +120,19 @@ def seq_make(
 
     if phi is not None:
         g = phi.group
-        for eps in eps_grid:
-            n0 = min(modulus(eps), sanity_depth)
-            v0 = phi(producer(n0))
-            for m in range(n0, sanity_depth + 1):
-                vm = phi(producer(m))
+        values = [phi(a) for a in stages]
+        for eps, n in zip(eps_grid, ns):
+            n0 = min(n, sanity_depth)
+            v0 = values[n0 - 1]
+            for m, vm in enumerate(values[n0 - 1 :], start=n0):
                 gap = g.sub(v0, vm) if down else g.sub(vm, v0)
-                if not g.leq(gap, eps if isinstance(eps, Fraction) else rat(eps)):
+                if not g.leq(gap, eps):
                     raise ModulusError(
                         f"modulus contract falsified: stage {n0} vs {m} differ by more than {eps}"
                     )
 
     return MonoSeq(
-        lattice,
-        direction,
-        producer,
-        modulus,
-        sanity_depth,
-        lower_bound=lower_bound,
-        constant_from=constant_from,
+        lattice, direction, producer, modulus, lower_bound=lower_bound, constant_from=constant_from
     )
 
 
@@ -182,9 +175,7 @@ def pi_combine(kind: str, x: PiElem, y: PiElem, phi: Valuation) -> PiElem:
     lb = None
     if x.seq.lower_bound is not None and y.seq.lower_bound is not None:
         lb = op(x.seq.lower_bound, y.seq.lower_bound)
-    return PiElem(
-        MonoSeq(lat, "decreasing", producer, modulus, x.seq.sanity_depth, lower_bound=lb)
-    )
+    return PiElem(MonoSeq(lat, "decreasing", producer, modulus, lower_bound=lb))
 
 
 @dataclass(frozen=True)
@@ -211,7 +202,6 @@ def pi_leq_at_depth(
     y: PiElem,
     depth: int,
     certificate: str | None = None,
-    probes: Iterable | None = None,
 ) -> Verdict:
     """Three-valued order test between Pi elements at a truncation depth.
 
@@ -243,12 +233,9 @@ def pi_leq_at_depth(
 
     lb = x.seq.lower_bound
     if lat is INTERVAL_SETS and isinstance(lb, IntervalSet):
-        cand: list = list(probes) if probes is not None else []
-        if not cand:
-            stage_sets = [y.seq.at(m) for m in range(1, depth + 1)]
-            cand = probe_points(lb, *stage_sets)
-        for m in range(1, depth + 1):
-            ym = y.seq.at(m)
+        stage_sets = [y.seq.at(m) for m in range(1, depth + 1)]
+        cand = probe_points(lb, *stage_sets)
+        for m, ym in enumerate(stage_sets, start=1):
             for p in cand:
                 if lb.contains(p) and not ym.contains(p):
                     return Verdict.refuted(

@@ -71,16 +71,22 @@ class StepFn:
         return tuple(zip(self.breakpoints, self.point_values, self.open_values + (ZERO,)))
 
     @cached_property
-    def _scaled(self) -> tuple[list[int], int]:
-        """The breakpoints as integer numerators over one denominator."""
-        return _over_lcm(self.breakpoints)
+    def _keys(self) -> list[int]:
+        """The breakpoints' ``_sweep`` sort keys ``floor(2**64 * x)``."""
+        return [(b.numerator << 64) // b.denominator for b in self.breakpoints]
 
     def __call__(self, x) -> Fraction:
-        where = _locate(*self._scaled, rat(x))
-        if where is None:
-            return ZERO
-        i, at = where
-        return self.point_values[i] if at else self.open_values[i]
+        x = rat(x)
+        p, q = x.numerator, x.denominator
+        key, keys, bps = (p << 64) // q, self._keys, self.breakpoints
+        # a smaller key lies left of x and a larger one right: a breakpoint
+        # sharing x's key is compared exactly, on integers
+        i = bisect_right(keys, key) - 1
+        while i >= 0 and keys[i] == key and bps[i].numerator * q > p * bps[i].denominator:
+            i -= 1
+        if i >= 0 and bps[i].numerator == p and bps[i].denominator == q:
+            return self.point_values[i]
+        return ZERO if i < 0 or i == len(bps) - 1 else self.open_values[i]
 
     def is_zero(self) -> bool:
         return not self.breakpoints

@@ -1,8 +1,10 @@
-"""Fitting uniformities and constructive dense approximation.
+"""The dyadic fitting uniformity and constructive dense approximation.
 
-The canonical instance is dyadic: relation i holds between s and t exactly
-when s <= t <= s + 2^-i.  Indices are natural numbers with meet = max and
-halving = successor, so all tolerance arithmetic is exact powers of two.
+Relation i holds between rationals s and t exactly when s <= t <= s + 2^-i.
+Indices are natural numbers with meet = max and halving = successor
+(``dyadic_half``), so all tolerance arithmetic is exact powers of two.  The
+law checker takes the half index as its argument: ``broken_half`` is the
+negative control.
 
 ``dense_approximate`` runs the constructive content of the lower-density
 lemma: pull a witness below every stage at a geometrically tightening
@@ -18,7 +20,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable
 
 from .intervals import IntervalSet, iset_make
-from .oag import RATIONALS, Group, rat
+from .oag import RATIONALS, rat
 from .report import CheckReport
 from .sequences import MonoSeq, MonotonicityError
 from .valuation import Valuation, dist
@@ -32,53 +34,33 @@ def dyadic_holds(i: int, s, t) -> bool:
     return s <= t <= s + Fraction(1, 2**i)
 
 
-@dataclass(frozen=True)
-class FittingUniformity:
-    """An indexed countable family of binary relations on an ordered group."""
-
-    group: Group
-    holds: Callable[[int, Any, Any], bool]
-    meet_index: Callable[[int, int], int]
-    half_index: Callable[[int], int]
-    name: str = "uniformity"
+def dyadic_half(i: int) -> int:
+    """The dyadic half index: two steps of 2^-(i+1) make one of 2^-i."""
+    return i + 1
 
 
-DYADIC = FittingUniformity(
-    group=RATIONALS,
-    holds=dyadic_holds,
-    meet_index=max,
-    half_index=lambda i: i + 1,
-    name="dyadic",
-)
+def broken_half(i: int) -> int:
+    """Negative control: a half index that does not halve; fails composition."""
+    return i
 
 
-def broken_half_uniformity() -> FittingUniformity:
-    """Negative control: halving that does not halve; fails composition."""
-    return FittingUniformity(
-        group=RATIONALS,
-        holds=dyadic_holds,
-        meet_index=max,
-        half_index=lambda i: i,
-        name="dyadic-broken-half",
-    )
-
-
-def separation_index(u: FittingUniformity, s, t, limit: int = 64) -> int | None:
+def separation_index(s, t, limit: int = 64) -> int | None:
     """Smallest index <= limit whose relation separates s < t, if any."""
     for i in range(1, limit + 1):
-        if not u.holds(i, s, t):
+        if not dyadic_holds(i, s, t):
             return i
     return None
 
 
 def uniformity_check(
-    u: FittingUniformity,
+    half_index: Callable[[int], int],
     samples: int,
     seed: int,
     depth: int = 12,
     modulus_sequences: Iterable[tuple[Callable[[int], Any], Callable[[int], int], Any]] = (),
 ) -> CheckReport:
-    """Sampled checks of the uniformity laws.
+    """Sampled checks of the dyadic uniformity's laws, with ``half_index`` as
+    its halving map and ``max`` as its meet index.
 
     Covers reflexivity, the meet-index implication, halving composition
     (on dyadic-grid increments, including the boundary step of the half
@@ -88,13 +70,10 @@ def uniformity_check(
     only against caller-supplied ``(producer, modulus, limit)`` triples of
     decreasing sequences.
     """
-    g = u.group
+    g = RATIONALS
     rng = random.Random(seed)
     report = CheckReport()
     sep_limit = max(64, depth + 3)  # the smallest sampled increment is 2^-(depth + 2)
-
-    def sample_elem():
-        return g.sample(rng)
 
     def dyadic_increment(i: int) -> Any:
         # an increment the half relation certainly tolerates, plus smaller ones
@@ -106,11 +85,11 @@ def uniformity_check(
         (vacuously when they are not both half-index steps), and a witness
         formatted for a failure only."""
         mid, far = g.add(s, step1), g.add(s, g.add(step1, step2))
-        ok = not (u.holds(h, s, mid) and u.holds(h, mid, far)) or u.holds(i, s, far)
+        ok = not (dyadic_holds(h, s, mid) and dyadic_holds(h, mid, far)) or dyadic_holds(i, s, far)
         return ok, lambda: f"i={i} half={h} r={g.fmt(s)} s={g.fmt(mid)} t={g.fmt(far)}"
 
     for _ in range(samples):
-        s = sample_elem()
+        s = g.sample(rng)
         i = rng.randint(1, depth)
         j = rng.randint(1, depth)
         # half the samples sit within the index-i tolerance so the guarded
@@ -118,20 +97,19 @@ def uniformity_check(
         if rng.random() < 0.5:
             t = g.add(s, dyadic_increment(max(i, j)))
         else:
-            t = sample_elem()
-        r = sample_elem()
+            t = g.sample(rng)
+        r = g.sample(rng)
         wit = lambda: f"i={i} j={j} s={g.fmt(s)} t={g.fmt(t)} r={g.fmt(r)}"
 
-        report.record("(i) reflexive", u.holds(i, s, s), wit)
+        report.record("(i) reflexive", dyadic_holds(i, s, s), wit)
 
-        k = u.meet_index(i, j)
         report.record(
             "(ii) meet index implies both",
-            not u.holds(k, s, t) or (u.holds(i, s, t) and u.holds(j, s, t)),
+            not dyadic_holds(max(i, j), s, t) or (dyadic_holds(i, s, t) and dyadic_holds(j, s, t)),
             wit,
         )
 
-        h = u.half_index(i)
+        h = half_index(i)
         edge = Fraction(1, 2**h)  # the largest step the half index tolerates
         edge_ok, edge_wit = composes(i, h, s, edge, edge)
         ok, sampled_wit = composes(i, h, s, dyadic_increment(h), dyadic_increment(h))
@@ -139,31 +117,31 @@ def uniformity_check(
         report.record("(iii) halving composes", edge_ok and ok, wit_iii)
 
         lo, hi = (s, t) if g.leq(s, t) else (t, s)
-        if isinstance(lo, Fraction) and isinstance(hi, Fraction):
-            midpoint = (lo + hi) / 2
-        else:
-            midpoint = lo
+        midpoint = (lo + hi) / 2
         report.record(
             "(iv) order sandwich",
-            not u.holds(i, lo, hi) or (u.holds(i, lo, midpoint) and u.holds(i, midpoint, hi)),
+            not dyadic_holds(i, lo, hi)
+            or (dyadic_holds(i, lo, midpoint) and dyadic_holds(i, midpoint, hi)),
             wit,
         )
 
         if not g.equal(lo, hi):
-            sep = separation_index(u, lo, hi, sep_limit)
+            sep = separation_index(lo, hi, sep_limit)
             report.record(
                 f"(v) separation within {sep_limit} indices",
                 sep is not None,
                 lambda: f"s={g.fmt(lo)} t={g.fmt(hi)}",
             )
 
-        related = u.holds(i, s, t)
+        related = dyadic_holds(i, s, t)
         report.record(
             "(viii) translation invariant",
-            not related or u.holds(i, g.add(r, s), g.add(r, t)),
+            not related or dyadic_holds(i, g.add(r, s), g.add(r, t)),
             wit,
         )
-        report.record("(ix) negation reverses", not related or u.holds(i, g.neg(t), g.neg(s)), wit)
+        report.record(
+            "(ix) negation reverses", not related or dyadic_holds(i, g.neg(t), g.neg(s)), wit
+        )
 
     for producer, modulus, limit in modulus_sequences:
         # (vi): a decreasing sequence with infimum comes arbitrarily close
@@ -171,7 +149,7 @@ def uniformity_check(
             n = modulus(i)
             report.record(
                 "(vi) modulus stage close to infimum",
-                u.holds(i, limit, producer(n)),
+                dyadic_holds(i, limit, producer(n)),
                 f"i={i} stage={n}",
             )
         # (vii): the modulus makes the tail self-close, the finite shadow of
@@ -181,7 +159,7 @@ def uniformity_check(
             for m in range(n, n + 4):
                 report.record(
                     "(vii) tail self-close at modulus stage",
-                    u.holds(i, producer(m), producer(n)),
+                    dyadic_holds(i, producer(m), producer(n)),
                     f"i={i} stages {n},{m}",
                 )
     return report
@@ -191,7 +169,6 @@ def uniformity_check(
 class DenseOracle:
     """Produces sublattice witnesses below a given element at a tolerance index."""
 
-    name: str
     witness: Callable[[Any, int], Any]
     member: Callable[[Any], bool]  # membership in the declared sublattice
 
@@ -232,7 +209,7 @@ def dyadic_endpoint_oracle() -> DenseOracle:
             (lo, hi, p.contains(lo), p.contains(hi)) for lo, hi, p in shrunk if lo <= hi
         )
 
-    return DenseOracle(name="dyadic-endpoints", witness=witness, member=is_dyadic_set)
+    return DenseOracle(witness=witness, member=is_dyadic_set)
 
 
 class OracleContractViolation(ValueError):
@@ -323,8 +300,7 @@ def dense_approximate(
             i += 1
         return min(max(i, seq.modulus(Fraction(1, 2 ** (i + 1)))), len(stages))
 
-    out = MonoSeq(lat, "decreasing", producer, modulus, sanity_depth=min(seq.sanity_depth, depth))
-    return out, trace
+    return MonoSeq(lat, "decreasing", producer, modulus), trace
 
 
 def weak_conv_check(

@@ -210,14 +210,14 @@ def quotient(phi: Valuation) -> tuple[FiniteLattice, Valuation]:
         else:
             classes.append([x])
 
-    label_of = {}
-    labels = []
+    label_of, rep_by_label = {}, {}
     for cls in classes:
-        labels.append("{" + ",".join(str(x) for x in cls) + "}")
-        label_of.update(dict.fromkeys(cls, labels[-1]))
-    if len(set(labels)) < len(labels):  # "{a,b}" is both ["a,b"] and ["a", "b"]
-        raise ValueError("carrier has duplicate labels")
-    rep_by_label = {label: cls[0] for label, cls in zip(labels, classes)}
+        label = "{" + ",".join(str(x) for x in cls) + "}"
+        if label in rep_by_label:  # "{a,b}" is both ["a,b"] and ["a", "b"]
+            raise ValueError(f"two classes share the label {label}")
+        rep_by_label[label] = cls[0]
+        label_of.update(dict.fromkeys(cls, label))
+    labels = list(rep_by_label)
 
     meet, join = {}, {}
     for cls in classes:

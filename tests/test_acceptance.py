@@ -46,10 +46,10 @@ from latval.sequences import (
 )
 from latval.stepfn import ZERO_FN, StepFn, integral, step_make
 from latval.uniformity import (
-    DYADIC,
-    broken_half_uniformity,
+    broken_half,
     dense_approximate,
     dyadic_endpoint_oracle,
+    dyadic_half,
     extract_subsequence,
     uniformity_check,
     weak_conv_check,
@@ -74,8 +74,8 @@ def test_criterion_1_modularity_suites():
         interval_measure,
         step_integral,
         counting_valuation(),
-        totient_valuation(limit=500),
-        dimension_valuation(ambient=8),
+        totient_valuation(),
+        dimension_valuation(),
     ]
     for phi in suites:
         report = check_valuation(phi, samples=1000, seed=101)
@@ -125,7 +125,7 @@ def test_criterion_4_fubini_500_random():
     t0 = time.perf_counter()
     rng = random.Random(404)
     for i in range(500):
-        f = sample_step2d(rng, max_terms=10, max_breaks_per_axis=16)
+        f = sample_step2d(rng)
         assert len(f.xs) <= 16 and len(f.ys) <= 16
         report = fubini_check(f, sampled_y=sample_ys(f, rng, 20))
         assert report.ok, (i, report.to_dict())
@@ -237,7 +237,7 @@ def test_criterion_7_sqrt2_witness():
 
 
 def test_criterion_8_dyadic_uniformity():
-    report = uniformity_check(DYADIC, samples=10000, seed=808)
+    report = uniformity_check(dyadic_half, samples=10000, seed=808)
     for prop in (
         "(i) reflexive",
         "(ii) meet index implies both",
@@ -249,7 +249,7 @@ def test_criterion_8_dyadic_uniformity():
     ):
         assert report.results[prop].failed == 0, prop
 
-    broken = uniformity_check(broken_half_uniformity(), samples=10000, seed=808)
+    broken = uniformity_check(broken_half, samples=10000, seed=808)
     bad = broken.results["(iii) halving composes"]
     assert bad.failed > 0 and bad.counterexample is not None
     verdict(
@@ -454,6 +454,27 @@ def test_scale_3200_breakpoint_integral():
     print(f"SCALE: a 3,200-breakpoint step function with 64-bit denominators "
           f"integrated in {elapsed:.3f}s (< 0.5s)")
     assert elapsed < 0.5
+
+
+def test_scale_3200_breakpoint_first_evaluation():
+    rng = random.Random(3200)
+    dens = [rng.randrange(1 << 63, 1 << 64) for _ in range(3200)]
+    bps = tuple(i + Fraction(rng.randrange(q), 2 * q) for i, q in enumerate(dens))
+    value = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))  # noqa: E731
+    f = StepFn(bps, tuple(value() for _ in range(3199)), tuple(value() for _ in range(3200)))
+    mids = [(a + b) / 2 for a, b in zip(bps, bps[1:])]
+    t0 = time.perf_counter()
+    first = f(mids[1600])
+    elapsed = time.perf_counter() - t0
+    assert first == f.open_values[1600]
+    # a plain Fraction scan: each probe sits between its neighbours in order
+    probes = [bps[0] - 1, *(p for pair in zip(bps, mids) for p in pair), bps[-1], bps[-1] + 1]
+    assert all(a < b for a, b in zip(probes, probes[1:]))
+    want = [0, *(v for pair in zip(f.point_values, f.open_values) for v in pair)]
+    assert [f(x) for x in probes] == want + [f.point_values[-1], 0]
+    print(f"SCALE: a 3,200-breakpoint step function with 64-bit denominators "
+          f"evaluated first in {elapsed:.4f}s (< 0.1s)")
+    assert elapsed < 0.1
 
 
 def test_scale_64_label_quotient(tmp_path, capsys):

@@ -237,6 +237,16 @@ def test_negative_broken_half_fails_on_every_sample(tmp_path):
         assert json.loads(text)["report"]["(iii) halving composes"]["fail"] == 1, seed
 
 
+def test_negative_broken_half_witness_replays(tmp_path):
+    argv = ["check", "--suite", "negative-broken-half", "--samples", "20", "--seed", "11"]
+    code, text = run_cli(argv, tmp_path)
+    assert code == 1
+    composes = json.loads(text)["report"]["(iii) halving composes"]
+    assert composes == {
+        "pass": 0, "fail": 20, "counterexample": "i=8 half=8 r=7/4 s=449/256 t=225/128"
+    }
+
+
 @pytest.mark.parametrize("suite", sorted(_SUITES))
 def test_every_suite_runs(suite, tmp_path):
     code, text = run_cli(["check", "--suite", suite, "--samples", "5"], tmp_path)
@@ -440,6 +450,12 @@ BAD_DOCS = {
     "infinity-label": {
         "carrier": [float("inf"), 1], "leq": [[float("inf"), 1]], "phi": {"inf": "0", "1": "1"}
     },
+    # the classes ["a", "b"] and ["a,b"] would both print as {a,b}
+    "comma-label-classes": {
+        "carrier": ["0", "a", "b", "a,b"],
+        "leq": [["0", "a"], ["a", "b"], ["b", "a,b"]],
+        "phi": {"0": "0", "a": "1", "b": "1", "a,b": "2"},
+    },
 }
 # Documents written as raw bytes: not UTF-8, or a number no float can hold.
 RAW_DOCS = {
@@ -530,6 +546,7 @@ RAW_DOCS = {
         (["converge-trace", "--seq", "exponent-template", "--depth", "1"], "--seq"),
         (["converge-trace", "--seq", "decimal-template", "--depth", "1"], "--seq"),
         (["converge-trace", "--seq", "negative-exponent-template", "--depth", "1"], "--seq"),
+        (["quotient", "--system", "comma-label-classes"], "--system:carrier"),
     ],
 )
 def test_bad_document_is_input_error(argv, pointer, tmp_path, capsys):

@@ -336,8 +336,10 @@ def reference_call(f: StepFn, x: Fraction) -> Fraction:
 
 
 def test_call_matches_fraction_bisect():
-    # a StepFn locates x on its breakpoints' integer numerators; every value
-    # is distinct and nonzero, so a point or gap read at a wrong index shows
+    # a StepFn locates x by its breakpoints' 64-bit keys and compares exactly
+    # on a key tie only (the +-2^-300 probes, and the four breakpoints 2^-80
+    # apart, which share one key); every value is distinct and nonzero, so a
+    # point or gap read at a wrong index shows
     rng = random.Random(18)
     tiny = Fraction(1, 2**300)
     fns = [ZERO_FN, StepFn((Fraction(3),), (), (Fraction(5),))]
@@ -349,6 +351,8 @@ def test_call_matches_fraction_bisect():
         opens, points = map(Fraction, range(1, n)), map(Fraction, range(-n, 0))
         fns.append(StepFn(tuple(sorted(bps)), tuple(opens), tuple(points)))
     assert max(s.denominator.bit_length() for f in fns for s in f.breakpoints) == 64
+    close = tuple(Fraction(1, 3) + Fraction(j, 2**80) for j in range(4))
+    fns.append(StepFn(close, tuple(map(Fraction, (1, 2, 3))), tuple(map(Fraction, range(-4, 0)))))
     checked = 0
     for f in fns:
         bps = f.breakpoints

@@ -9,11 +9,11 @@ from latval.intervals import EMPTY, interval, iset_diff, singleton
 from latval.sequences import MonotonicityError, seq_make
 from latval.stepfn import ZERO_FN, step_make
 from latval.uniformity import (
-    DYADIC,
     OracleContractViolation,
-    broken_half_uniformity,
+    broken_half,
     dense_approximate,
     dyadic_endpoint_oracle,
+    dyadic_half,
     dyadic_holds,
     extract_subsequence,
     is_dyadic_set,
@@ -35,10 +35,10 @@ def test_dyadic_boundary_cases():
 
 def test_meet_index_is_max():
     s, t = Fraction(0), Fraction(1, 16)
-    k = DYADIC.meet_index(3, 4)
+    k = max(3, 4)
     assert k == 4
-    assert DYADIC.holds(k, s, t)
-    assert DYADIC.holds(3, s, t) and DYADIC.holds(4, s, t)
+    assert dyadic_holds(k, s, t)
+    assert dyadic_holds(3, s, t) and dyadic_holds(4, s, t)
 
 
 def test_separation_at_desk_scale():
@@ -49,18 +49,18 @@ def test_separation_at_desk_scale():
         if s == t:
             continue
         lo, hi = min(s, t), max(s, t)
-        idx = separation_index(DYADIC, lo, hi)
+        idx = separation_index(lo, hi)
         assert idx is not None and idx <= 64
         assert not dyadic_holds(idx, lo, hi)
 
 
 def test_dyadic_uniformity_check_passes():
-    report = uniformity_check(DYADIC, samples=2000, seed=5)
+    report = uniformity_check(dyadic_half, samples=2000, seed=5)
     assert report.ok, report.failing()
 
 
 def test_broken_half_fails_composition_with_witness():
-    report = uniformity_check(broken_half_uniformity(), samples=2000, seed=5)
+    report = uniformity_check(broken_half, samples=2000, seed=5)
     assert not report.ok
     bad = report.results["(iii) halving composes"]
     assert bad.failed > 0 and bad.counterexample is not None
@@ -77,7 +77,7 @@ def test_limit_properties_against_modulus_sequences():
         return 2**i
 
     report = uniformity_check(
-        DYADIC, samples=50, seed=1,
+        dyadic_half, samples=50, seed=1,
         modulus_sequences=[(producer, modulus, Fraction(1))],
     )
     assert report.ok, report.failing()
@@ -162,7 +162,6 @@ def test_dense_approximate_rejects_bad_oracle():
     from latval.uniformity import DenseOracle
 
     bad = DenseOracle(
-        name="bad",
         witness=lambda a, i: interval(-10, 10),  # not below a
         member=lambda a: True,
     )

@@ -289,6 +289,15 @@ def _powerset(items):
     return out
 
 
+def test_quotient_names_a_label_two_classes_share():
+    carrier = ["0", "a", "b", "a,b"]
+    lat = finite_lattice_build(carrier, zip(carrier, carrier[1:]))
+    vals = {"0": 0, "a": 1, "b": 1, "a,b": 2}
+    phi = Valuation(lat, RATIONALS, lambda x: Fraction(vals[x]), "commas", None)
+    with pytest.raises(ValueError, match="two classes share the label {a,b}"):
+        quotient(phi)
+
+
 def test_quotient_requires_finite_domain():
     with pytest.raises(TypeError):
         quotient(interval_measure)
