@@ -41,6 +41,7 @@ from .report import CheckReport
 from .stepfn import step_from_json
 from .valuation import (
     QuotientIllDefined,
+    QuotientLabelClash,
     Valuation,
     check_congruence,
     check_modular_map_identity,
@@ -322,7 +323,7 @@ def cmd_quotient(args) -> int:
             qlat, qphi = quotient(args.system)
         except QuotientIllDefined as exc:  # a failure the samples missed
             vrep.record("quotient well-defined", False, str(exc))
-        except ValueError as exc:  # two classes whose labels print alike
+        except QuotientLabelClash as exc:
             raise InputError("--system:carrier", str(exc))
     if not vrep.ok:
         return _report_exit(args, vrep, {"error": "input is not a valuation"})

@@ -19,9 +19,9 @@ columns in one pass, and then, on the transpose, all rows.
 A grid stores its values once, as integer numerators over one denominator
 whose gcd with all of them is 1, so equal grids have equal state.
 The kernels sum, compare and dot integers and make a ``Fraction`` only for
-what they return.  A sampled section is located on the integer coordinates,
+what they return.  A sampled section is located by its axis's sort keys,
 read from one row of the transposed matrix a grid keeps once made, and
-integrated on the integers too.  A grid is checked once, when ``StepFn2D`` is
+integrated on the integers.  A grid is checked once, when ``StepFn2D`` is
 built from ``Fraction`` matrices; what is made from it is not checked again.
 """
 
@@ -37,15 +37,20 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .instances import mu_S, phi_S, sample_interval_set
-from .intervals import IntervalSet, _Memo, _canonical_breaks, _sums, _trusted
+from .intervals import IntervalSet, _Memo, _canonical_breaks, _key, _sums, _trusted
 from .intervals import iset_from_json, iset_make
 from .oag import rat
 from .report import CheckReport
-from .stepfn import StepFn, ZERO_FN, _locate, _over_lcm
-
-ZERO = Fraction(0)
+from .stepfn import ZERO, ZERO_FN, StepFn, _locate
 
 Matrix = tuple[tuple, ...]
+
+
+def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The integer numerators of ``values`` over their least common
+    denominator, and that denominator."""
+    d = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (d // v.denominator) if v else 0 for v in values], d
 
 
 def mu_XY(a: IntervalSet, b: IntervalSet) -> Fraction:
@@ -156,17 +161,19 @@ class StepFn2D:
         return (*_over_lcm(self.xs), *_over_lcm(self.ys))
 
     @cached_property
+    def _keys(self) -> tuple[list[int], list[int]]:
+        """Each axis's ``_key`` values, for ``_locate``."""
+        return list(map(_key, self.xs)), list(map(_key, self.ys))
+
+    @cached_property
     def _columns(self) -> Matrix:
         """The atom matrix with ``y`` as the first index."""
         return tuple(zip(*self._atoms))
 
     def __call__(self, x, y) -> Fraction:
-        xn, xd, yn, yd = self._axes
-        at_x, at_y = _locate(xn, xd, rat(x)), _locate(yn, yd, rat(y))
-        if at_x is None or at_y is None:
-            return ZERO
-        (i, on_x), (j, on_y) = at_x, at_y
-        return self._frac[self._atoms[2 * i + (not on_x)][2 * j + (not on_y)]]
+        xk, yk = self._keys
+        a, b = _locate(xk, self.xs, rat(x)), _locate(yk, self.ys, rat(y))
+        return ZERO if a is None or b is None else self._frac[self._atoms[a][b]]
 
     def is_zero(self) -> bool:
         return not self.xs
@@ -292,12 +299,10 @@ def partial_integrate(f: StepFn2D) -> StepFn:
 def _section_row(f: StepFn2D, y: Fraction) -> tuple[list[int], tuple]:
     """The section x -> f(x, y) on the grid's integers: the columns ``_kept``
     keeps, and the numerators on the x atoms, one row of ``_columns``."""
-    _, _, yn, yd = f._axes
-    where = _locate(yn, yd, y)
-    if where is None:  # outside the grid, or no grid
+    b = _locate(f._keys[1], f.ys, y)
+    if b is None:  # outside the grid, or no grid
         return [], ()
-    j, on_line = where
-    atoms = f._columns[2 * j + (not on_line)]
+    atoms = f._columns[b]
     return _kept(atoms, 0), atoms
 
 

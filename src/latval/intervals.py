@@ -180,6 +180,11 @@ def singleton(x) -> IntervalSet:
     return interval(x, x)
 
 
+def _key(x: Fraction) -> int:
+    """``floor(2**64 * x)``: a sort key that orders rationals, up to ties."""
+    return (x.numerator << 64) // x.denominator
+
+
 def _sweep(operands: Sequence[Sequence[tuple]], zero) -> Iterator[tuple]:
     """Merge the operands' breakpoint lists in one left-to-right pass.
 
@@ -193,7 +198,7 @@ def _sweep(operands: Sequence[Sequence[tuple]], zero) -> Iterator[tuple]:
     before advancing.
     """
     events = sorted(
-        ((b[0].numerator << 64) // b[0].denominator, b[0], i, b[1], b[2])
+        (_key(b[0]), b[0], i, b[1], b[2])
         for i, op in enumerate(operands)
         for b in op
     )

@@ -90,6 +90,8 @@ def seq_make(
         raise ValueError(f"bad direction {direction!r}")
     if sanity_depth < 1:  # a depth of 0 would verify nothing
         raise ValueError("sanity_depth must be >= 1")
+    if constant_from is not None and constant_from < 1:
+        raise ValueError("constant_from must be >= 1: stages are 1-based")
     down = direction == "decreasing"
 
     stages: list = []  # each stage to the sanity depth, produced once
@@ -104,11 +106,8 @@ def seq_make(
             if not lattice.leq(lower_bound, cur):
                 raise ValueError(f"declared lower bound fails at stage {n}")
     if constant_from is not None:
-        # a tail declared past the sanity depth is produced at its first stage only
-        past = constant_from > sanity_depth
-        base = producer(constant_from) if past else stages[constant_from - 1]
         for n in range(constant_from, sanity_depth + 1):
-            if not lattice.equal(stages[n - 1], base):
+            if not lattice.equal(stages[n - 1], stages[constant_from - 1]):
                 raise ValueError(f"declared constant tail fails at stage {n}")
 
     eps_grid = [Fraction(1, 2), Fraction(1, 8), Fraction(1, 64)]

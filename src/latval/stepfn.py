@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .intervals import _Memo, _canonical_breaks, _descriptor_breaks, _sweep, _trusted
+from .intervals import _Memo, _canonical_breaks, _descriptor_breaks, _key, _sweep, _trusted
 from .oag import rat
 
 ZERO = Fraction(0)
@@ -72,21 +72,12 @@ class StepFn:
 
     @cached_property
     def _keys(self) -> list[int]:
-        """The breakpoints' ``_sweep`` sort keys ``floor(2**64 * x)``."""
-        return [(b.numerator << 64) // b.denominator for b in self.breakpoints]
+        """The breakpoints' ``_key`` values, for ``_locate``."""
+        return list(map(_key, self.breakpoints))
 
     def __call__(self, x) -> Fraction:
-        x = rat(x)
-        p, q = x.numerator, x.denominator
-        key, keys, bps = (p << 64) // q, self._keys, self.breakpoints
-        # a smaller key lies left of x and a larger one right: a breakpoint
-        # sharing x's key is compared exactly, on integers
-        i = bisect_right(keys, key) - 1
-        while i >= 0 and keys[i] == key and bps[i].numerator * q > p * bps[i].denominator:
-            i -= 1
-        if i >= 0 and bps[i].numerator == p and bps[i].denominator == q:
-            return self.point_values[i]
-        return ZERO if i < 0 or i == len(bps) - 1 else self.open_values[i]
+        a = _locate(self._keys, self.breakpoints, rat(x))
+        return ZERO if a is None else (self.point_values, self.open_values)[a % 2][a // 2]
 
     def is_zero(self) -> bool:
         return not self.breakpoints
@@ -234,24 +225,19 @@ def step_leq(f: StepFn, g: StepFn) -> bool:
     return True
 
 
-def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The integer numerators of ``values`` over their least common
-    denominator, and that denominator."""
-    d = math.lcm(*[v.denominator for v in values])
-    return [v.numerator * (d // v.denominator) if v else 0 for v in values], d
-
-
-def _locate(nums: Sequence[int], d: int, x: Fraction) -> tuple[int, bool] | None:
-    """Where ``x`` lies among the increasing coordinates ``nums / d``:
-    ``(i, True)`` at coordinate ``i``, ``(i, False)`` on the open gap right
-    of it, ``None`` outside their span.  With ``x * d = q + r / x.denominator``,
-    x is at coordinate ``i`` if ``r == 0 and nums[i] == q``: integers only."""
-    q, r = divmod(x.numerator * d, x.denominator)
-    i = bisect_right(nums, q) - 1
-    at = r == 0 and i >= 0 and nums[i] == q
-    if i < 0 or (i == len(nums) - 1 and not at):
-        return None
-    return i, at
+def _locate(keys: Sequence[int], bps: Sequence[Fraction], x: Fraction) -> int | None:
+    """The atom of the increasing coordinates ``bps`` that holds ``x``: ``2i``
+    at coordinate ``i``, ``2i + 1`` on the open gap right of it, ``None``
+    outside their span.  ``keys`` are the coordinates' ``_key`` values: a
+    smaller key lies left of ``x``, a larger one right, and only a coordinate
+    sharing ``x``'s key is compared exactly, on integers."""
+    key, p, q = _key(x), x.numerator, x.denominator
+    i = bisect_right(keys, key) - 1
+    while i >= 0 and keys[i] == key and bps[i].numerator * q > p * bps[i].denominator:
+        i -= 1
+    if i >= 0 and bps[i].numerator == p and bps[i].denominator == q:
+        return 2 * i
+    return None if i < 0 or i == len(bps) - 1 else 2 * i + 1
 
 
 def integral(f: StepFn) -> Fraction:

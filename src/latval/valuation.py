@@ -26,6 +26,10 @@ class NoSampler(ValueError):
     pass
 
 
+class QuotientLabelClash(ValueError):
+    """Two quotient classes would print as the same label."""
+
+
 class QuotientIllDefined(AssertionError):
     """Induced quotient data disagreed between representatives.
 
@@ -214,7 +218,7 @@ def quotient(phi: Valuation) -> tuple[FiniteLattice, Valuation]:
     for cls in classes:
         label = "{" + ",".join(str(x) for x in cls) + "}"
         if label in rep_by_label:  # "{a,b}" is both ["a,b"] and ["a", "b"]
-            raise ValueError(f"two classes share the label {label}")
+            raise QuotientLabelClash(f"two classes share the label {label}")
         rep_by_label[label] = cls[0]
         label_of.update(dict.fromkeys(cls, label))
     labels = list(rep_by_label)

@@ -768,7 +768,8 @@ def reference_value(f: StepFn2D, x: Fraction, y: Fraction) -> Fraction:
 
 def test_sections_and_values_on_one_line_grids():
     # with one x line or one y line, cells and one line matrix have no rows,
-    # and the row-major matrices are made from them
+    # and the row-major matrices are made from them; on the last grid all
+    # coordinates of an axis share one 64-bit key, so each is located exactly
     rng = random.Random(19)
     tiny = Fraction(1, 2**200)
 
@@ -788,6 +789,9 @@ def test_sections_and_values_on_one_line_grids():
 
     shapes = [(1, 1), (1, 2), (1, 5), (2, 1), (5, 1), (3, 4)]
     grids = [raw(nx, ny, spread) for nx, ny in shapes for spread in (1, 10**6)]
+    close = tuple(Fraction(1, 3) + Fraction(j, 2**80) for j in range(3))
+    grids.append(StepFn2D(close, close[:2], values(2, 1, 9), values(3, 1, 9),
+                          values(2, 2, 9), values(3, 2, 9)))
     checked = 0
     for f in grids:
         for y in probes(f.ys):

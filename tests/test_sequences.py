@@ -64,21 +64,26 @@ def test_seq_make_rejects_non_monotone():
 
 
 def test_seq_make_needs_a_sanity_depth():
-    # stages are 1-based: a depth of 0 would check no stage at all
+    # stages are 1-based: a depth of 0 would check no stage at all, and a
+    # tail declared from stage 0 or below names a stage that does not exist
     for phi in (None, interval_measure):
         with pytest.raises(ValueError, match="sanity_depth"):
             seq_make(INTERVAL_SETS, "decreasing", shrinking, ceil_inv, sanity_depth=0, phi=phi)
+        for constant_from in (0, -3):
+            with pytest.raises(ValueError, match="constant_from"):
+                seq_make(INTERVAL_SETS, "decreasing", lambda n: interval(0, 1), lambda e: 1,
+                         phi=phi, constant_from=constant_from)
 
 
 def test_seq_make_produces_each_stage_once():
-    # and phi once per stage; a tail declared past the depth adds its first stage
-    for constant_from, extra in ((None, []), (3, []), (10, [10])):
+    # and phi once per stage, whatever tail is declared
+    for constant_from in (None, 3, 10):
         calls, values = [], []
         producer = lambda n: calls.append(n) or interval(0, 1 + Fraction(1, min(n, 3)))
         phi = replace(interval_measure, fn=lambda a: values.append(a) or interval_measure(a))
         seq_make(INTERVAL_SETS, "decreasing", producer, ceil_inv, phi=phi,
                  constant_from=constant_from)
-        assert calls == [*range(1, 9), *extra] and len(values) == 8
+        assert calls == [*range(1, 9)] and len(values) == 8
 
 
 def test_seq_make_rejects_bogus_modulus():

@@ -19,6 +19,7 @@ from latval.report import CheckReport
 from latval.stepfn import indicator, step_add, step_make
 from latval.valuation import (
     QuotientIllDefined,
+    QuotientLabelClash,
     Valuation,
     approx_equal,
     check_congruence,
@@ -294,7 +295,7 @@ def test_quotient_names_a_label_two_classes_share():
     lat = finite_lattice_build(carrier, zip(carrier, carrier[1:]))
     vals = {"0": 0, "a": 1, "b": 1, "a,b": 2}
     phi = Valuation(lat, RATIONALS, lambda x: Fraction(vals[x]), "commas", None)
-    with pytest.raises(ValueError, match="two classes share the label {a,b}"):
+    with pytest.raises(QuotientLabelClash, match="two classes share the label {a,b}"):
         quotient(phi)
 
 
