@@ -161,7 +161,7 @@ class TruncatedBaire:
     def __post_init__(self):
         if self.depth < 1 or self.alphabet < 1:
             raise ValueError("depth and alphabet must be positive")
-        if self.alphabet**self.depth > 10**6:
+        if self.alphabet > 10**6 or self.alphabet ** min(self.depth, 20) > 10**6:  # 2**20 > 10**6
             raise ValueError("truncated space too large to enumerate")
 
     def points(self) -> list[tuple[int, ...]]:

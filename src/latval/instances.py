@@ -121,8 +121,7 @@ def counting_valuation() -> Valuation:
     )
 
 
-@lru_cache(maxsize=None)
-def _totient_table(limit: int) -> tuple[int, ...]:
+def _sieve(limit: int) -> tuple[int, ...]:
     phi = list(range(limit + 1))
     for p in range(2, limit + 1):
         if phi[p] == p:  # p prime
@@ -131,9 +130,15 @@ def _totient_table(limit: int) -> tuple[int, ...]:
     return tuple(phi)
 
 
+@lru_cache(maxsize=None)
+def _small_table() -> tuple[int, ...]:
+    return _sieve(4096)
+
+
 def totient_range(limit: int) -> tuple[int, ...]:
-    """totient(0..limit) in one sieve; index 0 is a placeholder."""
-    return _totient_table(limit)
+    """totient(0..limit) in one sieve; index 0 is a placeholder.  Up to 4,096
+    it is a prefix of the table ``totient`` caches; above, a fresh sieve."""
+    return _small_table()[: limit + 1] if limit <= 4096 else _sieve(limit)
 
 
 def totient(n: int) -> int:
@@ -141,7 +146,7 @@ def totient(n: int) -> int:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"totient needs a positive integer, got {n!r}")
     if n <= 4096:
-        return _totient_table(4096)[n]
+        return _small_table()[n]
     result = n
     d, m = 2, n
     while d * d <= m:

@@ -58,62 +58,37 @@ class LexPair:
 
 @dataclass(frozen=True)
 class DivPos:
-    """A strictly positive rational stored as its prime factorization.
+    """A strictly positive rational, stored reduced as ``value``."""
 
-    ``exponents`` maps primes to nonzero integer exponents; the empty
-    mapping is 1.  Meet/join under the divisibility order are componentwise
-    min/max of exponents, which keeps gcd/lcm overflow-free.
-    """
-
-    exponents: tuple[tuple[int, int], ...]  # sorted (prime, exponent != 0)
-
-    @staticmethod
-    def from_exponents(exps: dict[int, int]) -> "DivPos":
-        return DivPos(tuple(sorted((p, e) for p, e in exps.items() if e != 0)))
+    value: Fraction
 
     @staticmethod
     def from_fraction(q) -> "DivPos":
         q = rat(q)
         if q <= 0:
             raise ValueError(f"DivPos requires a strictly positive rational, got {q}")
-        exps: dict[int, int] = {}
-        for n, sign in ((q.numerator, 1), (q.denominator, -1)):
-            for p, e in _factorize(n).items():
-                exps[p] = exps.get(p, 0) + sign * e
-        return DivPos.from_exponents(exps)
+        return DivPos(q)
 
     @staticmethod
     def from_int(n: int) -> "DivPos":
         return DivPos.from_fraction(Fraction(n))
 
     def as_fraction(self) -> Fraction:
-        num, den = 1, 1
-        for p, e in self.exponents:
-            if e > 0:
-                num *= p**e
-            else:
-                den *= p ** (-e)
-        return Fraction(num, den)
+        return self.value
 
     def __str__(self) -> str:
-        if not self.exponents:
-            return "1"
-        return "·".join(f"{p}^{e}" for p, e in self.exponents)
-
-
-def _factorize(n: int) -> dict[int, int]:
-    if n < 1:
-        raise ValueError(f"cannot factorize {n}")
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+        # trial division: each prime lies in the numerator or the denominator
+        exps: dict[int, int] = {}
+        for n, sign in ((self.value.numerator, 1), (self.value.denominator, -1)):
+            d = 2
+            while d * d <= n:
+                while n % d == 0:
+                    exps[d] = exps.get(d, 0) + sign
+                    n //= d
+                d += 1 if d == 2 else 2
+            if n > 1:
+                exps[n] = sign
+        return "·".join(f"{p}^{exps[p]}" for p in sorted(exps)) or "1"
 
 
 class Group(Lattice):
@@ -178,37 +153,21 @@ LEX_PLANE = Group(
 )
 
 
-def _div_add(x: DivPos, y: DivPos) -> DivPos:
-    exps = dict(x.exponents)
-    for p, e in y.exponents:
-        exps[p] = exps.get(p, 0) + e
-    return DivPos.from_exponents(exps)
-
-
-def _div_leq(x: DivPos, y: DivPos) -> bool:
-    ex, ey = dict(x.exponents), dict(y.exponents)
-    return all(ex.get(p, 0) <= ey.get(p, 0) for p in set(ex) | set(ey))
-
-
-def _div_meet(x: DivPos, y: DivPos) -> DivPos:
-    ex, ey = dict(x.exponents), dict(y.exponents)
-    return DivPos.from_exponents({p: min(ex.get(p, 0), ey.get(p, 0)) for p in set(ex) | set(ey)})
-
-
-def _div_join(x: DivPos, y: DivPos) -> DivPos:
-    ex, ey = dict(x.exponents), dict(y.exponents)
-    return DivPos.from_exponents({p: max(ex.get(p, 0), ey.get(p, 0)) for p in set(ex) | set(ey)})
-
-
-# The strictly positive rationals with multiplication as the group operation:
-# q precedes r when r/q is a positive integer, so meet and join are the
-# divisibility gcd and lcm (componentwise min/max of prime exponents).
+# The strictly positive rationals under multiplication, q below r when r/q
+# is a positive integer.  Each prime of a reduced fraction divides its
+# numerator or its denominator, never both, so meet and join (min and max of
+# prime exponents) are gcd and lcm on numerators, lcm and gcd on denominators.
 DIV_POS = Group(
     "div-pos", lambda x: isinstance(x, DivPos), "a DivPos",
-    meet=_div_meet, join=_div_join, leq=_div_leq,
-    add=_div_add,
-    neg=lambda x: DivPos.from_exponents({p: -e for p, e in x.exponents}),
-    zero=DivPos(()),
+    meet=lambda x, y: DivPos(Fraction(math.gcd(x.value.numerator, y.value.numerator),
+                                      math.lcm(x.value.denominator, y.value.denominator))),
+    join=lambda x, y: DivPos(Fraction(math.lcm(x.value.numerator, y.value.numerator),
+                                      math.gcd(x.value.denominator, y.value.denominator))),
+    leq=lambda x, y: (y.value.numerator % x.value.numerator == 0
+                      and x.value.denominator % y.value.denominator == 0),
+    add=lambda x, y: DivPos(x.value * y.value),
+    neg=lambda x: DivPos(1 / x.value),
+    zero=DivPos(Fraction(1)),
     sample=lambda rng: DivPos.from_int(rng.randint(1, 500)),
 )
 

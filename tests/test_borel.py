@@ -283,3 +283,16 @@ def test_code_assign_json():
     for codes in ("57", [5.9], ["5"], [True]):  # not the codes 5 and 7, 5, 5 or 1
         with pytest.raises(TypeError):
             code_assign_from_json({"codes": codes})
+
+
+@pytest.mark.parametrize(
+    "space, fits", [("19x2", True), ("2x1000", True), ("1000000000x1", True),
+                    ("20x2", False), ("2x1001", False)],
+)
+def test_truncated_space_fits_when_it_has_at_most_a_million_points(space, fits):
+    depth, alphabet = map(int, space.split("x"))
+    if fits:
+        TruncatedBaire(depth, alphabet)
+    else:
+        with pytest.raises(ValueError, match="too large"):
+            TruncatedBaire(depth, alphabet)

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -188,6 +189,17 @@ def test_borel_decode(files, tmp_path):
     assert json.loads(text)["member"] is True
 
 
+def test_oversize_space_is_rejected_without_its_size(capsys):
+    # the size 3**4000000 is never computed, so the refusal comes at once
+    t0 = time.perf_counter()
+    assert main(["borel-decode", "--code", "9", "--space", "4000000x3", "--point", "1"]) == 2
+    assert time.perf_counter() - t0 < 0.05
+    assert capsys.readouterr().err == (
+        "input error at --space: expected DxM, got '4000000x3': "
+        "truncated space too large to enumerate\n"
+    )
+
+
 def test_totient_table(files, tmp_path):
     code, text = run_cli(["totient-table", "--max", "12"], tmp_path)
     assert code == 0
@@ -347,7 +359,7 @@ def test_integer_above_its_ceiling_is_input_error(argv, flag, ceiling, files, ca
     def work(*args, **kwargs):
         raise AssertionError("work started before the flags were checked")
 
-    for name in ("_load_doc", "_load_json", "totient"):
+    for name in ("_load_doc", "_load_json", "totient_range"):
         monkeypatch.setattr(cli, name, work)
     monkeypatch.setattr(cli.sequences, "sqrt2_witness", work)
     monkeypatch.setattr(cli, "_SUITES", dict.fromkeys(_SUITES, work))
@@ -688,7 +700,7 @@ def test_internal_error_is_exit_3_on_one_line(monkeypatch, capsys):
     def broken(n):
         raise RuntimeError("totient table corrupted")
 
-    monkeypatch.setattr(cli, "totient", broken)
+    monkeypatch.setattr(cli, "totient_range", broken)
     assert main(["totient-table", "--max", "3"]) == 3
     out, err = capsys.readouterr()
     assert out == ""

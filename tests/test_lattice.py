@@ -241,6 +241,7 @@ CHECKED = [
         (ORIGIN, Fraction(2)),
         "a member of product(lex-plane, opposite(div-pos))",
     ),
+    (DIV_POS, DivPos.from_int(6), Fraction(6), "a DivPos"),  # the rational it stores is not one
 ]
 
 

@@ -42,9 +42,62 @@ def test_divpos_roundtrip_and_format():
     q = Fraction(12, 35)
     assert DivPos.from_fraction(q).as_fraction() == q
     assert str(DivPos.from_int(12)) == "2^2·3^1"
-    assert str(DivPos(())) == "1"
+    assert str(DivPos(Fraction(1))) == "1"
     with pytest.raises(ValueError):
         DivPos.from_fraction(Fraction(-1, 2))
+
+
+def _exponents(q: Fraction) -> dict[int, int]:
+    """The prime exponents of a positive rational, by trial division."""
+    exps: dict[int, int] = {}
+    for n, sign in ((q.numerator, 1), (q.denominator, -1)):
+        p = 2
+        while n > 1:
+            while n % p == 0:
+                exps[p] = exps.get(p, 0) + sign
+                n //= p
+            p += 1
+    return exps
+
+
+def _from_exponents(exps: dict[int, int]) -> Fraction:
+    out = Fraction(1)
+    for p, e in exps.items():
+        out *= Fraction(p) ** e
+    return out
+
+
+def test_divpos_table_matches_prime_exponents():
+    # an oracle on exponents: meet and join are min and max, the order is
+    # componentwise, the group operation adds, and str lists them by prime
+    rng = random.Random(7)
+    leq_seen = set()
+    for _ in range(400):
+        q = Fraction(rng.randint(1, 3000), rng.randint(2, 3000))
+        r = rng.choice([
+            Fraction(rng.randint(1, 3000), rng.randint(1, 3000)),
+            q * rng.randint(1, 30),
+            q / rng.randint(1, 30),
+            q,
+        ])
+        x, y = DivPos.from_fraction(q), DivPos.from_fraction(r)
+        ex, ey = _exponents(q), _exponents(r)
+        primes = set(ex) | set(ey)
+        lo = {p: min(ex.get(p, 0), ey.get(p, 0)) for p in primes}
+        hi = {p: max(ex.get(p, 0), ey.get(p, 0)) for p in primes}
+        assert DIV_POS.meet(x, y).as_fraction() == _from_exponents(lo)
+        assert DIV_POS.join(x, y).as_fraction() == _from_exponents(hi)
+        leq = all(ex.get(p, 0) <= ey.get(p, 0) for p in primes)
+        assert DIV_POS.leq(x, y) is leq
+        leq_seen.add(leq)
+        assert DIV_POS.equal(x, y) is (ex == ey)
+        total = {p: ex.get(p, 0) + ey.get(p, 0) for p in primes}
+        assert DIV_POS.add(x, y).as_fraction() == _from_exponents(total)
+        assert DIV_POS.neg(x).as_fraction() == _from_exponents({p: -e for p, e in ex.items()})
+        diff = {p: ex.get(p, 0) - ey.get(p, 0) for p in primes}
+        assert DIV_POS.sub(x, y).as_fraction() == _from_exponents(diff)
+        assert str(x) == ("·".join(f"{p}^{ex[p]}" for p in sorted(ex)) or "1")
+    assert leq_seen == {True, False}
 
 
 def test_divpos_order_is_integer_multiplier():
@@ -80,12 +133,15 @@ def test_group_axioms_all_pass(group):
 
 # The groups' rows of the one table of checked structures
 FOREIGN = [row for row in CHECKED if isinstance(row[0], Group)]
+# a case is named by its group, and a group's later cases by their foreign type too
+FOREIGN_IDS = [
+    g.name + (f"-{type(f).__name__}" if any(row[0] is g for row in FOREIGN[:i]) else "")
+    for i, (g, _, f, _) in enumerate(FOREIGN)
+]
 
 
 @pytest.mark.parametrize("op", ["add", "neg", "leq", "meet", "join", "sub", "equal"])
-@pytest.mark.parametrize(
-    "group, element, foreign, what", FOREIGN, ids=[case[0].name for case in FOREIGN]
-)
+@pytest.mark.parametrize("group, element, foreign, what", FOREIGN, ids=FOREIGN_IDS)
 def test_foreign_operand_rejected(group, element, foreign, what, op):
     calls = [(foreign,)] if op == "neg" else [(element, foreign), (foreign, element)]
     for operands in calls:
