@@ -122,7 +122,9 @@ def _encode(obj) -> str:
 def _dump(args, obj) -> None:
     """One line of compact JSON: without ``indent``, ``json`` runs its C
     encoder, and ``_encode`` is its only hook."""
-    _emit(args, json.dumps(obj, separators=(",", ":"), default=_encode) + "\n")
+    # no cycle check: the output is a tree, and a cycle would be a latval bug (exit 3)
+    text = json.dumps(obj, separators=(",", ":"), default=_encode, check_circular=False)
+    _emit(args, text + "\n")
 
 
 def _report_exit(args, report: CheckReport, extra: dict | None = None) -> int:

@@ -121,7 +121,7 @@ def convexify_finite(system: FiniteValuationSystem) -> tuple[tuple, Valuation]:
 
     for a in bullet:
         for b in bullet:
-            lhs = g.add(phi_bullet(amb.meet(a, b)), phi_bullet(amb.join(a, b)))
+            lhs = g.add(*map(phi_bullet, amb.meet_join(a, b)))
             if not g.equal(lhs, g.add(phi_bullet(a), phi_bullet(b))):
                 raise AssertionError(f"extended map is not modular at ({a!r}, {b!r})")
             if amb.leq(a, b) and not g.leq(phi_bullet(a), phi_bullet(b)):

@@ -25,6 +25,7 @@ INTERVAL_SETS = Lattice(
     lambda a, b: intervals.iset_meet(a, b),
     lambda a, b: intervals.iset_join(a, b),
     lambda a, b: intervals.iset_diff(a, b).is_empty(),
+    meet_join=lambda a, b: intervals.iset_meet_join(a, b),
 )
 
 STEP_FNS = Lattice(
@@ -34,6 +35,7 @@ STEP_FNS = Lattice(
     lambda a, b: stepfn.step_meet(a, b),
     lambda a, b: stepfn.step_join(a, b),
     lambda a, b: stepfn.step_leq(a, b),
+    meet_join=lambda a, b: stepfn.step_meet_join(a, b),
 )
 
 

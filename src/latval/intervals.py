@@ -13,8 +13,10 @@ one left-to-right pass and gives each operand's value at every breakpoint of
 the union and on the open gap right of it, so no gap needs a probe point;
 the Boolean operation is applied to both values, ``_canonical_breaks`` drops
 the breakpoints where nothing changes, and what is left reassembles into
-canonical pieces.  ``stepfn`` and ``fubini`` use the same two functions for
-step functions and for the lines of 2-D grids.  The sweep also names the
+canonical pieces.  One sweep gives both bounds of a pair: ``iset_meet_join``
+applies ``and`` and ``or`` to the same merge.  ``stepfn`` and ``fubini`` use
+the same two functions for step functions and for the lines of 2-D grids.
+The sweep also names the
 operands that have a breakpoint at each ``x``, so the readers of many
 operands (``iset_make`` and ``fubini._axis_atoms``, through ``_sums``) keep
 running totals and take time linear in the breakpoints, not in breakpoints
@@ -285,6 +287,15 @@ def iset_meet(a: IntervalSet, b: IntervalSet) -> IntervalSet:
 
 def iset_join(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     return _combine(a, b, operator.or_)
+
+
+def iset_meet_join(a: IntervalSet, b: IntervalSet) -> tuple[IntervalSet, IntervalSet]:
+    """``(a ∩ b, a ∪ b)`` from one sweep of the two operands."""
+    meet, join = [], []
+    for x, (p, q), (r, s), _ in _sweep((a._breaks, b._breaks), False):
+        meet.append((x, p & q, r & s))
+        join.append((x, p | q, r | s))
+    return _from_breaks(meet), _from_breaks(join)
 
 
 def iset_diff(a: IntervalSet, b: IntervalSet) -> IntervalSet:

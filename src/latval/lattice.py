@@ -1,5 +1,11 @@
 """Lattices: one checked table-driven class, explicit finite lattices, and
-the opposite and product combinators."""
+the opposite and product combinators.
+
+The table has a ``meet_join`` entry besides ``meet`` and ``join``: both
+bounds of one pair from one call, so the distance ``phi(a v b) - phi(a ^ b)``
+and the modular law read a pair's bounds with one check of the operands, and
+the interval-set and step-function tables make both from one sweep.
+"""
 
 from __future__ import annotations
 
@@ -28,20 +34,23 @@ class ForeignElement(ValueError):
 class Lattice:
     """A lattice of exact elements, given by a membership test and a table.
 
-    The table functions ``meet``, ``join`` and ``leq`` assume members; the
-    methods of the same names, and ``equal``, check their operands once and
-    then call them.  The first operand ``x`` with ``member(x)`` false raises
-    ``ForeignElement`` with the message ``"<x!r> is not <what>"``.  ``fmt``
-    renders an element.
+    The table functions ``meet``, ``join``, ``meet_join`` and ``leq`` assume
+    members; the methods of the same names, and ``equal``, check their
+    operands once and then call them.  The first operand ``x`` with
+    ``member(x)`` false raises ``ForeignElement`` with the message
+    ``"<x!r> is not <what>"``.  ``meet_join`` gives ``(a ^ b, a v b)``; by
+    default it calls ``meet`` and ``join``, and a table that makes both
+    bounds in one pass supplies its own.  ``fmt`` renders an element.
     """
 
     opposite_of: Lattice | None = None  # set by ``opposite``
 
-    def __init__(self, name: str, member, what: str, meet, join, leq, fmt=str):
+    def __init__(self, name: str, member, what: str, meet, join, leq, fmt=str, meet_join=None):
         self.name = name
         self.member = member
         self.what = what
         self._meet, self._join, self._leq = meet, join, leq
+        self._meet_join = meet_join or (lambda a, b: (meet(a, b), join(a, b)))
         self.fmt = fmt
 
     def _check(self, a, b) -> None:
@@ -56,6 +65,10 @@ class Lattice:
     def join(self, a, b):
         self._check(a, b)
         return self._join(a, b)
+
+    def meet_join(self, a, b) -> tuple:
+        self._check(a, b)
+        return self._meet_join(a, b)
 
     def leq(self, a, b) -> bool:
         self._check(a, b)
@@ -88,6 +101,7 @@ class FiniteLattice(Lattice):
         super().__init__(
             "finite", member, "in the carrier",
             lambda a, b: meet[a, b], lambda a, b: join[a, b], lambda a, b: leq[a, b],
+            meet_join=lambda a, b: (meet[a, b], join[a, b]),
         )
 
     def __len__(self) -> int:
@@ -216,10 +230,11 @@ def opposite(lat: Lattice) -> Lattice:
     An involution: the opposite of an opposite is the lattice."""
     if lat.opposite_of is not None:
         return lat.opposite_of
-    inner_leq = lat._leq
+    inner_leq, inner_meet_join = lat._leq, lat._meet_join
     opp = copy.copy(lat)
     opp.name = f"opposite({lat.name})"
     opp._meet, opp._join = lat._join, lat._meet
+    opp._meet_join = lambda a, b: inner_meet_join(a, b)[::-1]
     opp._leq = lambda a, b: inner_leq(b, a)
     opp.opposite_of = lat
     return opp
@@ -234,8 +249,13 @@ def product_lattice(*factors: Lattice) -> Lattice:
     n = len(factors)
     members = [f.member for f in factors]
     meets, joins = [f._meet for f in factors], [f._join for f in factors]
-    leqs = [f._leq for f in factors]
+    meet_joins, leqs = [f._meet_join for f in factors], [f._leq for f in factors]
     name = "product(" + ", ".join(f.name for f in factors) + ")"
+
+    def meet_join(a, b):
+        bounds = [f(x, y) for f, x, y in zip(meet_joins, a, b)]
+        return tuple(m for m, _ in bounds), tuple(j for _, j in bounds)
+
     return Lattice(
         name,
         lambda a: isinstance(a, tuple) and len(a) == n and all(m(x) for m, x in zip(members, a)),
@@ -244,6 +264,7 @@ def product_lattice(*factors: Lattice) -> Lattice:
         lambda a, b: tuple(f(x, y) for f, x, y in zip(joins, a, b)),
         lambda a, b: all(f(x, y) for f, x, y in zip(leqs, a, b)),
         lambda a: "(" + ", ".join(f.fmt(x) for f, x in zip(factors, a)) + ")",
+        meet_join=meet_join,
     )
 
 

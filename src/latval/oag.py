@@ -101,8 +101,8 @@ class Group(Lattice):
     """
 
     def __init__(self, name: str, member, what: str, meet, join, leq, add, neg, zero, sample,
-                 fmt=str):
-        super().__init__(name, member, what, meet, join, leq, fmt)
+                 fmt=str, meet_join=None):
+        super().__init__(name, member, what, meet, join, leq, fmt, meet_join)
         self._add, self._neg, self._zero = add, neg, zero
         self.sample = sample
 
@@ -157,8 +157,11 @@ LEX_PLANE = Group(
 # is a positive integer.  Each prime of a reduced fraction divides its
 # numerator or its denominator, never both, so meet and join (min and max of
 # prime exponents) are gcd and lcm on numerators, lcm and gcd on denominators.
+# A member holds a positive Fraction, so the table never divides by zero.
 DIV_POS = Group(
-    "div-pos", lambda x: isinstance(x, DivPos), "a DivPos",
+    "div-pos",
+    lambda x: isinstance(x, DivPos) and type(x.value) is Fraction and x.value.numerator > 0,
+    "a DivPos",
     meet=lambda x, y: DivPos(Fraction(math.gcd(x.value.numerator, y.value.numerator),
                                       math.lcm(x.value.denominator, y.value.denominator))),
     join=lambda x, y: DivPos(Fraction(math.lcm(x.value.numerator, y.value.numerator),
@@ -188,7 +191,7 @@ def product_group(factors: Iterable[Group]) -> Group:
         neg=lambda x: tuple(f(a) for f, a in zip(negs, x)),
         zero=tuple(g._zero for g in factors),
         sample=lambda rng: tuple(g.sample(rng) for g in factors),
-        fmt=lat.fmt,
+        fmt=lat.fmt, meet_join=lat._meet_join,
     )
 
 
@@ -236,7 +239,7 @@ def check_group_axioms(group: Group, samples: int, seed: int) -> CheckReport:
             wit,
         )
 
-        lhs = group.add(group.meet(x, y), group.join(x, y))
+        lhs = group.add(*group.meet_join(x, y))
         report.record("meet+join = x+y", group.equal(lhs, group.add(x, y)), wit)
 
     if group is DIV_POS:

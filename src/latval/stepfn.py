@@ -13,7 +13,9 @@ each operand's value at every breakpoint of the common refinement and on the
 open gap right of it, and one pass drops the breakpoints where nothing
 changes.  Meet, join and the order compare each pair of values once in the
 sweep loop, on integers (``u <= v`` iff ``u.numerator * v.denominator <=
-v.numerator * u.denominator``, as denominators are positive).
+v.numerator * u.denominator``, as denominators are positive).  One sweep
+gives both bounds of a pair: ``step_meet_join`` makes the pointwise ``min``
+and ``max`` from one merge and one comparison per pair of values.
 
 A step function keeps the triples ``(x, f(x), value right of x)`` it was
 built from (``StepFn._breaks``), as a set keeps its breakpoints: every
@@ -185,25 +187,35 @@ def step_sub(f: StepFn, g: StepFn) -> StepFn:
     return _pointwise(f, g, lambda x, y: x - y)
 
 
-def _extreme(f: StepFn, g: StepFn, upper: bool) -> StepFn:
-    """The pointwise ``min`` of ``f`` and ``g``, or ``max`` if ``upper``, with
-    ``f``'s value object on a tie, as ``min`` and ``max`` give.  For ``max``
-    the sweep takes ``g`` first, so each pair ``p, q`` keeps ``q`` if ``p <= q``."""
-    breaks = []
-    first, second = (g, f) if upper else (f, g)
-    for x, (p, q), (r, s), _ in _sweep((first._breaks, second._breaks), ZERO):
-        le_at = p is q or p.numerator * q.denominator <= q.numerator * p.denominator
-        le_after = r is s or r.numerator * s.denominator <= s.numerator * r.denominator
-        breaks.append((x, q if le_at == upper else p, s if le_after == upper else r))
-    return _canonical(breaks)
+def _extremes(f: StepFn, g: StepFn, low: bool = True, high: bool = True) -> tuple[list, list]:
+    """The triples of the pointwise ``min`` of ``f`` and ``g`` if ``low`` and
+    of their ``max`` if ``high``, from one sweep.  The sign of one integer
+    cross-multiplication per pair of values that are not the same object
+    decides both picks; on a tie both keep ``f``'s value object, as ``min``
+    and ``max`` give."""
+    lows, highs = [], []
+    for x, (p, q), (r, s), _ in _sweep((f._breaks, g._breaks), ZERO):
+        c = 0 if p is q else p.numerator * q.denominator - q.numerator * p.denominator
+        d = 0 if r is s else r.numerator * s.denominator - s.numerator * r.denominator
+        if low:
+            lows.append((x, q if c > 0 else p, s if d > 0 else r))
+        if high:
+            highs.append((x, q if c < 0 else p, s if d < 0 else r))
+    return lows, highs
 
 
 def step_meet(f: StepFn, g: StepFn) -> StepFn:
-    return _extreme(f, g, False)
+    return _canonical(_extremes(f, g, high=False)[0])
 
 
 def step_join(f: StepFn, g: StepFn) -> StepFn:
-    return _extreme(f, g, True)
+    return _canonical(_extremes(f, g, low=False)[1])
+
+
+def step_meet_join(f: StepFn, g: StepFn) -> tuple[StepFn, StepFn]:
+    """``(f ^ g, f v g)`` from one sweep of the two operands."""
+    lows, highs = _extremes(f, g)
+    return _canonical(lows), _canonical(highs)
 
 
 def step_scale(lam, f: StepFn) -> StepFn:

@@ -63,7 +63,8 @@ def _spread(phi: Valuation, join, meet):
 
 def dist(phi: Valuation, a, b):
     """phi(a v b) - phi(a ^ b); nonnegative for genuine valuations."""
-    return _spread(phi, phi.domain.join(a, b), phi.domain.meet(a, b))
+    meet, join = phi.domain.meet_join(a, b)
+    return _spread(phi, join, meet)
 
 
 def approx_equal(phi: Valuation, a, b) -> bool:
@@ -79,7 +80,8 @@ def check_valuation(phi: Valuation, samples: int, seed: int) -> CheckReport:
     for _ in range(samples):
         a, b = phi.sample(rng), phi.sample(rng)
         wit = lambda: f"a={lat.fmt(a)} b={lat.fmt(b)}"  # formatted for a failure only
-        at_meet, at_join, at_a = phi(lat.meet(a, b)), phi(lat.join(a, b)), phi(a)
+        meet, join = lat.meet_join(a, b)
+        at_meet, at_join, at_a = phi(meet), phi(join), phi(a)
         report.record(
             "modular", g.equal(g.add(at_meet, at_join), g.add(at_a, phi(b))), wit
         )
@@ -111,15 +113,16 @@ def check_pseudometric(phi: Valuation, samples: int, seed: int) -> CheckReport:
         report.record("d >= 0", g.leq(g.zero(), dab), wit)
         report.record("d(a,a) = 0", g.is_zero(dist(phi, a, a)), wit)
         report.record("d symmetric", g.equal(dab, dist(phi, b, a)), wit)
-        meet_az, join_az = lat.meet(a, z), lat.join(a, z)
-        meet_bz, join_bz = lat.meet(b, z), lat.join(b, z)
+        meet_az, join_az = lat.meet_join(a, z)
+        meet_bz, join_bz = lat.meet_join(b, z)
         tri = g.add(_spread(phi, join_az, meet_az), dist(phi, z, b))
         report.record("triangle", g.leq(dab, tri), wit)
 
         contr = g.add(dist(phi, meet_az, meet_bz), dist(phi, join_az, join_bz))
         report.record("contraction", g.leq(contr, dab), wit)
 
-        joint = g.add(dist(phi, lat.meet(a, w), meet_bz), dist(phi, lat.join(a, w), join_bz))
+        meet_aw, join_aw = lat.meet_join(a, w)
+        joint = g.add(dist(phi, meet_aw, meet_bz), dist(phi, join_aw, join_bz))
         report.record(
             "joint contraction",
             g.leq(joint, g.add(dab, dist(phi, w, z))),
@@ -150,16 +153,9 @@ def check_congruence(
             continue
         report.record("pad produces approx-equal elements", True, wit)
         report.record("phi constant on classes", g.equal(phi(a1), phi(a2)), wit)
-        report.record(
-            "meet congruence",
-            approx_equal(phi, lat.meet(a1, b1), lat.meet(a2, b2)),
-            wit,
-        )
-        report.record(
-            "join congruence",
-            approx_equal(phi, lat.join(a1, b1), lat.join(a2, b2)),
-            wit,
-        )
+        (meet1, join1), (meet2, join2) = lat.meet_join(a1, b1), lat.meet_join(a2, b2)
+        report.record("meet congruence", approx_equal(phi, meet1, meet2), wit)
+        report.record("join congruence", approx_equal(phi, join1, join2), wit)
         report.record(
             "distance constant on classes",
             g.equal(dist(phi, a1, b1), dist(phi, a2, b2)),
@@ -175,7 +171,7 @@ def check_modular_map_identity(phi: Valuation, samples: int, seed: int) -> Check
     g, lat = phi.group, phi.domain
     for _ in range(samples):
         x, y, a = phi.sample(rng), phi.sample(rng), phi.sample(rng)
-        low, up = lat.meet(x, y), lat.join(x, y)
+        low, up = lat.meet_join(x, y)
         lhs = phi(lat.join(low, lat.meet(a, up)))
         rhs = phi(lat.meet(lat.join(low, a), up))
         report.record(
@@ -228,11 +224,13 @@ def quotient(phi: Valuation) -> tuple[FiniteLattice, Valuation]:
         for other in classes:
             a, b = cls[0], other[0]
             key = label_of[a], label_of[b]
-            want = label_of[lat.meet(a, b)], label_of[lat.join(a, b)]
+            m, j = lat.meet_join(a, b)
+            want = label_of[m], label_of[j]
             meet[key], join[key] = want
             for x in cls:
                 for y in other:
-                    got = label_of[lat.meet(x, y)], label_of[lat.join(x, y)]
+                    m, j = lat.meet_join(x, y)
+                    got = label_of[m], label_of[j]
                     if got != want:
                         op = "meet" if got[0] != want[0] else "join"
                         raise QuotientIllDefined(

@@ -3,8 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from latval import intervals, stepfn
 from latval.gf2 import GF2Subspace
-from latval.instances import INTERVAL_SETS, STEP_FNS, gf2_subspace_lattice
+from latval.instances import (
+    INTERVAL_SETS,
+    STEP_FNS,
+    gf2_subspace_lattice,
+    sample_interval_set,
+    sample_step_fn,
+)
 from latval.intervals import interval
 from latval.lattice import (
     DIVISIBILITY,
@@ -32,7 +39,7 @@ from latval.oag import (
     LexPair,
     product_group,
 )
-from latval.stepfn import indicator
+from latval.stepfn import indicator, step_from_values, step_join, step_meet, step_meet_join
 
 
 def pentagon_n5():
@@ -242,11 +249,15 @@ CHECKED = [
         "a member of product(lex-plane, opposite(div-pos))",
     ),
     (DIV_POS, DivPos.from_int(6), Fraction(6), "a DivPos"),  # the rational it stores is not one
+    # a DivPos must hold a positive Fraction: the table divides by its numerator
+    (DIV_POS, DivPos.from_int(6), DivPos(Fraction(-2)), "a DivPos"),
+    (DIV_POS, DivPos.from_int(6), DivPos(Fraction(0)), "a DivPos"),
+    (DIV_POS, DivPos.from_int(6), DivPos(2), "a DivPos"),
 ]
 
 
 @pytest.mark.parametrize("lat, good, foreign, what", CHECKED)
-@pytest.mark.parametrize("op", ["meet", "join", "leq"])
+@pytest.mark.parametrize("op", ["meet", "join", "leq", "meet_join"])
 def test_checked_lattices_reject_foreign_operands(lat, good, foreign, what, op):
     for a, b in [(good, foreign), (foreign, good)]:
         with pytest.raises(ForeignElement) as err:
@@ -264,3 +275,71 @@ def test_json_loader():
         finite_lattice_from_json('{"carrier": ["a"], "leq": []}')
     with pytest.raises(ValueError):  # not the pair ("a", "b")
         finite_lattice_from_json({"carrier": ["a", "b"], "leq": ["ab"]})
+
+
+M3 = diamond_m3()
+# Each lattice with a sampler of its elements, for the meet_join tests.
+SAMPLED = [
+    (INTERVAL_SETS, sample_interval_set),
+    (STEP_FNS, sample_step_fn),
+    (
+        product_lattice(INTERVAL_SETS, STEP_FNS),
+        lambda rng: (sample_interval_set(rng), sample_step_fn(rng)),
+    ),
+    (opposite(INTERVAL_SETS), sample_interval_set),
+    (opposite(STEP_FNS), sample_step_fn),
+    (M3, lambda rng: rng.choice(M3.carrier)),
+    (opposite(M3), lambda rng: rng.choice(M3.carrier)),
+    (DIVISIBILITY, lambda rng: rng.randint(1, 400)),
+    *((group, group.sample) for group in GROUPS.values()),
+    (opposite(DIV_POS), DIV_POS.sample),
+]
+
+
+@pytest.mark.parametrize("lat, sample", SAMPLED, ids=[lat.name for lat, _ in SAMPLED])
+def test_meet_join_is_the_pair_of_meet_and_join(lat, sample):
+    rng = random.Random(27)
+    for _ in range(150):
+        a, b = sample(rng), sample(rng)
+        assert lat.meet_join(a, b) == (lat.meet(a, b), lat.join(a, b))
+        assert lat.meet_join(a, a) == (a, a)
+
+
+def test_opposite_meet_join_swaps_and_is_an_involution():
+    rng = random.Random(4)
+    for lat, sample in SAMPLED:
+        if lat.opposite_of is None:
+            assert opposite(opposite(lat))._meet_join is lat._meet_join
+        a, b = sample(rng), sample(rng)
+        assert opposite(lat).meet_join(a, b) == lat.meet_join(a, b)[::-1]
+        assert opposite(opposite(lat)).meet_join(a, b) == lat.meet_join(a, b)
+
+
+def test_step_ties_keep_the_first_operands_value_objects():
+    # equal values read from two documents are distinct objects
+    f = step_from_values(["0", "1", "2"], ["3/2", "-1"], ["1", "1", "5"])
+    g = step_from_values([Fraction(0), Fraction(1), Fraction(2)],
+                         [Fraction(3, 2), Fraction(2)], [Fraction(1), Fraction(1), Fraction(5)])
+    assert f.open_values[0] is not g.open_values[0]
+    low, high = step_meet_join(f, g)
+    assert (low, high) == (step_meet(f, g), step_join(f, g))
+    assert low.open_values == (Fraction(3, 2), Fraction(-1))
+    assert high.open_values == (Fraction(3, 2), Fraction(2))
+    for result in (low, high, step_meet(f, g), step_join(f, g)):
+        assert result.open_values[0] is f.open_values[0]
+        assert all(v is w for v, w in zip(result.point_values, f.point_values))
+
+
+def test_meet_join_kernels_run_one_sweep(monkeypatch):
+    sweeps = []
+    for module in (intervals, stepfn):
+        sweep = module._sweep
+        counted = lambda ops, zero, sweep=sweep: sweeps.append(1) or sweep(ops, zero)
+        monkeypatch.setattr(module, "_sweep", counted)
+    rng = random.Random(3)
+    for lat, sample in SAMPLED[:2]:
+        for _ in range(20):
+            a, b = sample(rng), sample(rng)
+            sweeps.clear()
+            lat.meet_join(a, b)
+            assert len(sweeps) == 1
