@@ -212,9 +212,10 @@ _DOCUMENTS = {
 
 # Integer flag -> what it needs, and its ceiling.  Each is at least 1: zero
 # samples would check nothing, and depths, indices and codes count from 1.
-# The ceilings make every run end: on a 2-CPU VM, check --suite pseudometric
-# at the samples ceiling took 24 s, a step-function converge-trace at the
-# depth ceiling 9 s, and totient-table at its ceiling 0.14 s.
+# The ceilings make every run end: on a shared 2-CPU VM with Python 3.11,
+# check --suite pseudometric at the samples ceiling took about 12 s (10-14 s
+# over seven runs), a step-function converge-trace at the depth ceiling 9 s,
+# and totient-table at its ceiling 0.14 s.
 _COUNTS = {
     "samples": ("at least one sample", 10_000),
     "depth": ("a depth of at least 1", 1_000),

@@ -51,33 +51,44 @@ def gf2_subspace_lattice(ambient: int) -> Lattice:
     )
 
 
+# Each drawn (numerator, denominator) pair is made into a Fraction once, so
+# equal draws are one object and pass the sweeps' identity tests.  The
+# defaults draw from 342 pairs; step values are the pairs (v, 1).
+_DRAWS = intervals._Memo(lambda nd: Fraction(*nd))
+
+
 def sample_rational(rng: random.Random) -> Fraction:
     """A rational in [-8, 8] with a denominator of at most 6."""
     den = rng.randint(1, 6)
-    return Fraction(rng.randint(-8 * den, 8 * den), den)
+    return _DRAWS[rng.randint(-8 * den, 8 * den), den]
 
 
 def sample_interval_set(rng: random.Random, max_pieces: int = 3) -> IntervalSet:
-    n = rng.randint(0, max_pieces)
-    descs = []
-    for _ in range(n):
+    """A union of up to ``max_pieces`` intervals and, three times in ten, a
+    singleton.  Each draw goes through ``_interval_breaks``'s checks and the
+    pieces are merged by one ``_union``, as ``iset_make`` does after reading."""
+    parts = []
+    for _ in range(rng.randint(0, max_pieces)):
         a, b = sample_rational(rng), sample_rational(rng)
         if a > b:
             a, b = b, a
-        descs.append((a, b, rng.random() < 0.5, rng.random() < 0.5))
+        parts.append(intervals._interval_breaks(a, b, rng.random() < 0.5, rng.random() < 0.5))
     if rng.random() < 0.3:
-        descs.append((x := sample_rational(rng), x, True, True))
-    return intervals.iset_make(descs)
+        x = sample_rational(rng)
+        parts.append(intervals._interval_breaks(x, x))
+    return intervals._union(parts)
 
 
 def sample_step_fn(rng: random.Random, value_lo: int = -4, value_hi: int = 4) -> StepFn:
+    """Up to five breakpoints with integer values in ``[value_lo,
+    value_hi]``, built by ``step_from_values``' checked tail."""
     k = rng.randint(0, 5)  # at most five breakpoints
     bps = sorted({sample_rational(rng) for _ in range(k)})
     if not bps:
         return stepfn.ZERO_FN
-    ovals = [Fraction(rng.randint(value_lo, value_hi)) for _ in range(len(bps) - 1)]
-    pvals = [Fraction(rng.randint(value_lo, value_hi)) for _ in range(len(bps))]
-    return stepfn.step_from_values(bps, ovals, pvals)
+    ovals = [_DRAWS[rng.randint(value_lo, value_hi), 1] for _ in range(len(bps) - 1)]
+    pvals = [_DRAWS[rng.randint(value_lo, value_hi), 1] for _ in range(len(bps))]
+    return stepfn._from_arrays(bps, ovals, pvals)
 
 
 def mu_S(a: IntervalSet) -> Fraction:
@@ -192,7 +203,5 @@ def dimension_valuation() -> Valuation:
 
 def pad_with_nulls(rng: random.Random, a: IntervalSet) -> IntervalSet:
     """Adjoin a few zero-measure singletons: an approx-equal representative."""
-    out = a
-    for _ in range(rng.randint(1, 3)):
-        out = intervals.iset_join(out, intervals.singleton(sample_rational(rng)))
-    return out
+    nulls = [sample_rational(rng) for _ in range(rng.randint(1, 3))]
+    return intervals._union([a._breaks, *(intervals._interval_breaks(x, x) for x in nulls)])

@@ -22,7 +22,9 @@ operands (``iset_make`` and ``fubini._axis_atoms``, through ``_sums``) keep
 running totals and take time linear in the breakpoints, not in breakpoints
 times operands.  ``_descriptor_breaks`` reads
 a descriptor straight into its breakpoints for ``iset_make`` and
-``stepfn.step_make``.  A set keeps the breakpoints it was built from
+``stepfn.step_make``, and ``_union`` merges such lists into one set: the
+samplers hand it the checked breakpoints of their draws (``_interval_breaks``)
+and skip the reader.  A set keeps the breakpoints it was built from
 (``IntervalSet._breaks``), as a step function keeps its triples, so
 operations do not take its pieces apart again; ``_from_breaks`` and
 ``stepfn._canonical`` are the builders that store them.
@@ -334,7 +336,11 @@ def iset_make(raw: Iterable) -> IntervalSet:
     ``(lo, hi)`` or ``(lo, hi, lo_closed, hi_closed)``; flags are booleans in
     every form.  Overlapping and adjacent pieces are merged.
     """
-    parts = [_descriptor_breaks(d) for d in raw]
+    return _union([_descriptor_breaks(d) for d in raw])
+
+
+def _union(parts: Sequence[Sequence[tuple]]) -> IntervalSet:
+    """The canonical union of 0/1 breakpoint lists, from one sweep."""
     return _from_breaks((x, here > 0, after > 0) for x, here, after in _sums(parts))
 
 

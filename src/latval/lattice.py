@@ -44,6 +44,7 @@ class Lattice:
     """
 
     opposite_of: Lattice | None = None  # set by ``opposite``
+    _opposite: Lattice | None = None  # the copy ``opposite`` made of this lattice
 
     def __init__(self, name: str, member, what: str, meet, join, leq, fmt=str, meet_join=None):
         self.name = name
@@ -227,9 +228,12 @@ def finite_subset_lattice(ground: Iterable[Hashable]) -> Lattice:
 def opposite(lat: Lattice) -> Lattice:
     """A copy of ``lat`` with its order reversed, so meet and join trade
     places: a group stays a group and a finite lattice keeps its carrier.
-    An involution: the opposite of an opposite is the lattice."""
+    An involution: the opposite of an opposite is the lattice itself, and
+    the copy is made once and kept on ``lat``."""
     if lat.opposite_of is not None:
         return lat.opposite_of
+    if lat._opposite is not None and lat._opposite.opposite_of is lat:
+        return lat._opposite  # kept by this lattice, not by one it was copied from
     inner_leq, inner_meet_join = lat._leq, lat._meet_join
     opp = copy.copy(lat)
     opp.name = f"opposite({lat.name})"
@@ -237,6 +241,7 @@ def opposite(lat: Lattice) -> Lattice:
     opp._meet_join = lambda a, b: inner_meet_join(a, b)[::-1]
     opp._leq = lambda a, b: inner_leq(b, a)
     opp.opposite_of = lat
+    lat._opposite = opp
     return opp
 
 

@@ -34,7 +34,10 @@ class CheckReport:
     results: dict[str, PropertyResult] = field(default_factory=dict)
 
     def prop(self, name: str) -> PropertyResult:
-        return self.results.setdefault(name, PropertyResult())
+        result = self.results.get(name)
+        if result is None:  # built only when missing, not on every record
+            result = self.results[name] = PropertyResult()
+        return result
 
     def record(self, name: str, ok: bool, witness: str | Callable[[], str] = "") -> None:
         self.prop(name).record(ok, witness)

@@ -127,7 +127,14 @@ def step_from_values(
     string among them is parsed once, so equal values read from one document
     are one object; any other value goes to ``rat`` as it is."""
     memo, arrays = _Memo(rat), (bps, ovals, pvals)
-    bps, ovals, pvals = ([memo[v] if type(v) is str else rat(v) for v in a] for a in arrays)
+    return _from_arrays(*([memo[v] if type(v) is str else rat(v) for v in a] for a in arrays))
+
+
+def _from_arrays(
+    bps: Sequence[Fraction], ovals: Sequence[Fraction], pvals: Sequence[Fraction]
+) -> StepFn:
+    """The canonical ``StepFn`` of three arrays of ``Fraction``s, its shape
+    checked: ``step_from_values`` once it has read them, and the sampler."""
     _check_shape(bps, ovals, pvals)
     return _canonical(list(zip(bps, pvals, [*ovals, ZERO])))
 

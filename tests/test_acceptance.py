@@ -499,3 +499,17 @@ def test_scale_64_label_quotient(tmp_path, capsys):
     print(f"SCALE: the quotient of a 64-label powerset system through main "
           f"in {elapsed:.3f}s (< 1s)")
     assert elapsed < 1.0
+
+
+def test_scale_1000_sample_pseudometric_check(capsys):
+    t0 = time.perf_counter()
+    code = main(["check", "--suite", "pseudometric", "--samples", "1000", "--seed", "1"])
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is True and out["report"]["triangle"] == {
+        "pass": 2000, "fail": 0, "counterexample": None,
+    }
+    print(f"SCALE: check --suite pseudometric --samples 1000 through main "
+          f"in {elapsed:.3f}s (< 3s)")
+    assert elapsed < 3.0

@@ -4,20 +4,23 @@ from fractions import Fraction
 
 import pytest
 
+from latval import instances
 from latval.instances import (
     counting_valuation,
     dimension_valuation,
     interval_measure,
     mu_S,
+    pad_with_nulls,
     phi_S,
     sample_interval_set,
+    sample_rational,
     sample_step_fn,
     step_integral,
     totient,
     totient_valuation,
 )
-from latval.intervals import EMPTY, interval, iset_join, iset_meet, singleton
-from latval.stepfn import indicator, step_make
+from latval.intervals import EMPTY, interval, iset_join, iset_make, iset_meet, singleton
+from latval.stepfn import indicator, step_from_values, step_make
 from latval.valuation import check_valuation
 
 
@@ -95,3 +98,66 @@ def test_phi_ignores_point_values():
     f = indicator(0, 1)
     g = step_make([((0, 1, False, False), 1)])
     assert phi_S(f) == phi_S(g) == 1
+
+
+# --- the samplers against a reference that builds through the readers ------
+
+
+def reference_rational(rng):
+    den = rng.randint(1, 6)
+    return Fraction(rng.randint(-8 * den, 8 * den), den)
+
+
+def reference_interval_set(rng, max_pieces):
+    descs = []
+    for _ in range(rng.randint(0, max_pieces)):
+        a, b = sorted((reference_rational(rng), reference_rational(rng)))
+        descs.append({"lo": a, "hi": b, "lo_closed": rng.random() < 0.5,
+                      "hi_closed": rng.random() < 0.5})
+    if rng.random() < 0.3:
+        x = reference_rational(rng)
+        descs.append((x, x))
+    return iset_make(descs)
+
+
+def reference_step_fn(rng):
+    bps = sorted({reference_rational(rng) for _ in range(rng.randint(0, 5))})
+    ovals = [Fraction(rng.randint(-4, 4)) for _ in bps[1:]]
+    pvals = [str(rng.randint(-4, 4)) for _ in bps]
+    return step_from_values(bps, ovals, pvals)
+
+
+def reference_pad(rng, a):
+    for _ in range(rng.randint(1, 3)):
+        a = iset_join(a, singleton(reference_rational(rng)))
+    return a
+
+
+def test_samplers_match_a_reference_built_through_the_readers():
+    drawn = {id(v) for v in instances._DRAWS.values()}
+    for seed in range(200):
+        lib, ref = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            for max_pieces in (3, 2):
+                a = sample_interval_set(lib, max_pieces)
+                assert a == reference_interval_set(ref, max_pieces)
+                assert a._breaks == iset_make([a])._breaks
+                padded = pad_with_nulls(lib, a)
+                assert padded == reference_pad(ref, a)
+                assert padded._breaks == iset_make(padded.pieces)._breaks
+            f = sample_step_fn(lib)
+            assert f == reference_step_fn(ref)
+            assert f._breaks == step_from_values(*map(list, (
+                f.breakpoints, f.open_values, f.point_values)))._breaks
+            assert sample_rational(lib) == reference_rational(ref)
+            drawn |= {id(v) for v in instances._DRAWS.values()}
+            endpoints = a.endpoints() + padded.endpoints()
+            values = f.breakpoints + f.open_values + f.point_values
+            assert all(id(v) in drawn for v in endpoints + list(values))
+        assert lib.getstate() == ref.getstate()
+    # equal draws are one object
+    assert sample_rational(random.Random(3)) is sample_rational(random.Random(3))
+    seen = {}
+    for seed in range(50):
+        f = sample_step_fn(random.Random(seed))
+        assert all(seen.setdefault(v, v) is v for v in f.open_values + f.point_values)

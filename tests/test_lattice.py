@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -313,6 +314,13 @@ def test_opposite_meet_join_swaps_and_is_an_involution():
         a, b = sample(rng), sample(rng)
         assert opposite(lat).meet_join(a, b) == lat.meet_join(a, b)[::-1]
         assert opposite(opposite(lat)).meet_join(a, b) == lat.meet_join(a, b)
+        # one copy per lattice, on both sides of the involution
+        assert opposite(lat) is opposite(lat)
+        assert opposite(opposite(lat)) is lat
+        assert opposite(opposite(opposite(lat))) is opposite(lat)
+        if lat.opposite_of is None:  # a copy gets its own opposite, not lat's
+            twin = copy.copy(lat)
+            assert opposite(twin) is not opposite(lat) and opposite(opposite(twin)) is twin
 
 
 def test_step_ties_keep_the_first_operands_value_objects():
