@@ -8,6 +8,8 @@ matrix holds the open cells (odd x odd), the measure-zero grid lines and the
 grid points, and sections through a grid line stay exact.  Integrals read
 the gap atoms only, mirroring the 1-D convention.
 
+A terms document is read with each distinct numeral string parsed once, and
+a one-piece base set is built from its checked breakpoints without a sweep.
 Each axis is classified by the sweep kernel of :mod:`latval.intervals`: one
 merge of the terms' base-set breakpoints gives the grid and, per atom, the
 bitmask of the terms containing it.  Each distinct x mask is rastered into a
@@ -37,8 +39,8 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .instances import mu_S, phi_S, sample_interval_set
-from .intervals import IntervalSet, _Memo, _canonical_breaks, _key, _sums, _trusted
-from .intervals import iset_from_json, iset_make
+from .intervals import IntervalSet, _Memo, _canonical_breaks, _key, _set_from_json, _sums
+from .intervals import _trusted, iset_make
 from .oag import rat
 from .report import CheckReport
 from .stepfn import ZERO, ZERO_FN, StepFn, _locate
@@ -189,7 +191,7 @@ def _grid(xs: tuple, ys: tuple, den: int, atoms: Matrix) -> StepFn2D:
     distinct numerator is divided once."""
     g = den
     if den > 1:
-        for n in {n for row in atoms for n in row}:
+        for n in set().union(*atoms):
             g = math.gcd(g, n)
             if g == 1:
                 break
@@ -325,7 +327,8 @@ def sample_ys(f: StepFn2D, rng: random.Random, count: int) -> list[Fraction]:
     cands: list[Fraction] = []
     if not f.is_zero():
         cands.extend(f.ys)
-        cands.extend((f.ys[j] + f.ys[j + 1]) / 2 for j in range(len(f.ys) - 1))
+        _, _, yn, yd = f._axes
+        cands.extend(Fraction(a + b, 2 * yd) for a, b in zip(yn, yn[1:]))
         cands.append(f.ys[0] - 1)
         cands.append(f.ys[-1] + 1)
     else:
@@ -408,14 +411,24 @@ _TERM_KEYS = frozenset({"coefficient", "base_x", "base_y"})
 
 
 def terms_from_json(doc: list) -> list[RectTerm]:
-    """Terms of a parsed ``[{"coefficient": "2", "base_x": [...], "base_y": [...]}, ...]``."""
+    """Terms of a parsed ``[{"coefficient": "2", "base_x": [...], "base_y": [...]}, ...]``.
+    Each distinct numeral string is parsed once, coefficients and endpoints
+    alike, so equal numerals are one object; any other value goes to ``rat``."""
     if not isinstance(doc, list):
         raise TypeError(f"expected a list of rectangle terms, got {type(doc).__name__}")
-    base = iset_from_json
-    terms = [RectTerm(rat(t["coefficient"]), base(t["base_x"]), base(t["base_y"])) for t in doc]
-    for t in doc:  # each a dict, since its three keys were read
-        if not t.keys() <= _TERM_KEYS:
-            raise ValueError(f"unknown keys {sorted(t.keys() - _TERM_KEYS)} in a rectangle term")
+    memo = _Memo(rat)
+    num = lambda v: memo[v] if type(v) is str else rat(v)
+    terms = []
+    for i, t in enumerate(doc):
+        if not isinstance(t, dict):
+            raise TypeError(f"rectangle term {i}: expected an object, got {type(t).__name__}")
+        if t.keys() != _TERM_KEYS:
+            missing, unknown = sorted(_TERM_KEYS - t.keys()), sorted(t.keys() - _TERM_KEYS)
+            problem = f"missing key {missing[0]!r}" if missing else f"unknown keys {unknown}"
+            raise ValueError(f"rectangle term {i}: {problem}")
+        coefficient = num(t["coefficient"])
+        xs, ys = _set_from_json(t["base_x"], num), _set_from_json(t["base_y"], num)
+        terms.append(RectTerm(coefficient, xs, ys))
     return terms
 
 

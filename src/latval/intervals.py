@@ -15,19 +15,20 @@ the Boolean operation is applied to both values, ``_canonical_breaks`` drops
 the breakpoints where nothing changes, and what is left reassembles into
 canonical pieces.  One sweep gives both bounds of a pair: ``iset_meet_join``
 applies ``and`` and ``or`` to the same merge.  ``stepfn`` and ``fubini`` use
-the same two functions for step functions and for the lines of 2-D grids.
-The sweep also names the
-operands that have a breakpoint at each ``x``, so the readers of many
-operands (``iset_make`` and ``fubini._axis_atoms``, through ``_sums``) keep
-running totals and take time linear in the breakpoints, not in breakpoints
-times operands.  ``_descriptor_breaks`` reads
-a descriptor straight into its breakpoints for ``iset_make`` and
-``stepfn.step_make``, and ``_union`` merges such lists into one set: the
-samplers hand it the checked breakpoints of their draws (``_interval_breaks``)
-and skip the reader.  A set keeps the breakpoints it was built from
-(``IntervalSet._breaks``), as a step function keeps its triples, so
-operations do not take its pieces apart again; ``_from_breaks`` and
-``stepfn._canonical`` are the builders that store them.
+the same two functions for step functions and for the lines of 2-D grids.  The
+sweep also names the operands that have a breakpoint at each ``x``, so the
+readers of many operands (``iset_make`` and ``fubini._axis_atoms``, through
+``_sums``) keep running totals and take time linear in the breakpoints, not in
+breakpoints times operands.  ``_descriptor_breaks`` reads a descriptor
+straight into its checked breakpoints for ``iset_make`` and
+``stepfn.step_make``, its endpoints parsed by ``rat`` or by the caller's
+reader (``fubini`` parses each distinct numeral of a terms document once), and
+``_union`` merges such lists into one set, with no sweep for a single list,
+which is already canonical; the samplers hand it the breakpoints of their
+draws (``_interval_breaks``) and skip the reader.  A set keeps the breakpoints
+it was built from (``IntervalSet._breaks``), as a step function keeps its
+triples, so operations do not take its pieces apart again; ``_from_breaks``
+and ``stepfn._canonical`` are the builders that store them.
 
 The sweep sorts its events by the integer key ``floor(2**64 * x)``, which is
 exact and monotone in ``x`` and about 64 bits past ``x``'s integer part
@@ -141,19 +142,20 @@ class IntervalSet:
 EMPTY = IntervalSet(())
 
 
-def _interval_breaks(lo, hi, lo_closed: bool = True, hi_closed: bool = True) -> tuple:
-    """One interval's breakpoints, checked; an open singleton has none."""
-    lo, hi = rat(lo), rat(hi)
-    if lo > hi:
+def _interval_breaks(lo: Fraction, hi: Fraction, lo_closed=True, hi_closed=True) -> tuple:
+    """One interval's breakpoints, checked; an open singleton has none.  The
+    order is one identity test or one integer cross-multiplication."""
+    c = 0 if lo is hi else lo.numerator * hi.denominator - hi.numerator * lo.denominator
+    if c > 0:
         raise ValueError(f"interval with lo={lo} > hi={hi}")
-    if lo == hi:
+    if c == 0:
         return ((lo, True, False),) if lo_closed and hi_closed else ()
     return (lo, lo_closed, True), (hi, hi_closed, False)
 
 
 def interval(lo, hi, lo_closed: bool = True, hi_closed: bool = True) -> IntervalSet:
     """One interval as a set; the empty open singleton normalizes to the empty set."""
-    breaks = _interval_breaks(lo, hi, lo_closed, hi_closed)
+    breaks = _interval_breaks(rat(lo), rat(hi), lo_closed, hi_closed)
     if not breaks:
         return EMPTY
     (lo, _, _), (hi, _, _) = breaks[0], breaks[-1]
@@ -201,11 +203,11 @@ def _sweep(operands: Sequence[Sequence[tuple]], zero) -> Iterator[tuple]:
     in time linear in the breakpoints.  The lists are reused: read them
     before advancing.
     """
-    events = sorted(
-        (_key(b[0]), b[0], i, b[1], b[2])
+    events = sorted([
+        ((x.numerator << 64) // x.denominator, x, i, at, after)  # _key(x), with no call
         for i, op in enumerate(operands)
-        for b in op
-    )
+        for x, at, after in op
+    ])
     at = [zero] * len(operands)
     after = [zero] * len(operands)
     touched: list[int] = []
@@ -239,20 +241,21 @@ def _sums(operands: Sequence[Sequence[tuple]]) -> Iterator[tuple]:
         yield x, here, total
 
 
-def _canonical_breaks(breaks: Iterable[tuple], zero) -> list[tuple]:
+def _canonical_breaks(breaks: Iterable[tuple], zero, eq=operator.eq) -> list[tuple]:
     """Drop every breakpoint whose left, point and right values are equal.
 
     ``breaks`` are ``(x, value at x, value right of x)`` in increasing ``x``,
     ``zero`` left of the first and right of the last.  Removing a breakpoint
     joins two gaps of equal value, so it changes no other breakpoint's test
-    and one pass is exact.  Identity is tested before ``==``: the sweep
-    carries a value across other operands' breakpoints as the same object.
+    and one pass is exact.  Identity is tested before ``eq`` (``stepfn``'s
+    compares integers): the sweep carries a value across other operands'
+    breakpoints as the same object.
     """
     kept = []
     left = zero
     for b in breaks:
         _, at, after = b
-        if not ((left is at or left == at) and (at is after or at == after)):
+        if not ((left is at or eq(left, at)) and (at is after or eq(at, after))):
             kept.append(b)
         left = after
     return kept
@@ -311,8 +314,8 @@ def iset_symmdiff(a: IntervalSet, b: IntervalSet) -> IntervalSet:
 _PIECE_KEYS = frozenset({"lo", "hi", "lo_closed", "hi_closed"})
 
 
-def _descriptor_breaks(d) -> tuple:
-    """The breakpoints of one descriptor as ``iset_make`` reads it, checked."""
+def _descriptor_breaks(d, num=rat) -> tuple:
+    """The checked breakpoints of one descriptor; ``num`` parses its endpoints."""
     if isinstance(d, IntervalSet):
         return d._breaks
     if isinstance(d, Piece):
@@ -325,7 +328,7 @@ def _descriptor_breaks(d) -> tuple:
         raise ValueError(f"bad interval descriptor: {d!r}")
     if not all(isinstance(f, bool) for f in d[2:]):
         raise ValueError(f"lo_closed and hi_closed must be booleans: {d!r}")
-    return _interval_breaks(*d)
+    return _interval_breaks(num(d[0]), num(d[1]), *d[2:])
 
 
 def iset_make(raw: Iterable) -> IntervalSet:
@@ -340,14 +343,21 @@ def iset_make(raw: Iterable) -> IntervalSet:
 
 
 def _union(parts: Sequence[Sequence[tuple]]) -> IntervalSet:
-    """The canonical union of 0/1 breakpoint lists, from one sweep."""
+    """The canonical union of checked 0/1 breakpoint lists: one sweep, none for one list."""
+    if len(parts) == 1:
+        return _from_breaks(parts[0])
     return _from_breaks((x, here > 0, after > 0) for x, here, after in _sums(parts))
 
 
 def iset_from_json(doc: list) -> IntervalSet:
+    return _set_from_json(doc, rat)
+
+
+def _set_from_json(doc: list, num) -> IntervalSet:
+    """``iset_from_json`` with the endpoints read by ``num``."""
     if not isinstance(doc, list):
         raise TypeError(f"expected a list of intervals, got {type(doc).__name__}")
-    return iset_make(doc)
+    return _union([_descriptor_breaks(d, num) for d in doc])
 
 
 def measure(a: IntervalSet) -> Fraction:

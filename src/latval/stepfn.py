@@ -107,11 +107,16 @@ class StepFn:
 ZERO_FN = StepFn((), (), ())
 
 
+def _same(u: Fraction, v: Fraction) -> bool:
+    """``u == v`` on integers: a ``Fraction`` is in lowest terms."""
+    return u.numerator == v.numerator and u.denominator == v.denominator
+
+
 def _canonical(breaks: list[tuple]) -> StepFn:
     """The canonical ``StepFn`` of ``(x, value at x, value right of x)``
     triples, unchecked: ``x`` must be strictly increasing and the last triple
     zero on its right."""
-    kept = _canonical_breaks(breaks, ZERO)
+    kept = _canonical_breaks(breaks, ZERO, _same)
     if not kept:
         return ZERO_FN
     bps, pvals, ovals = zip(*kept)

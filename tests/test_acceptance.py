@@ -31,9 +31,10 @@ from latval.instances import (
     totient_valuation,
 )
 from latval.cli import main
-from latval.intervals import interval
+from latval.intervals import Piece, interval
 from latval.lattice import check_distributive, diamond_m3, finite_lattice_build
 from latval.fubini import fubini_check, rectset_measure, sample_step2d, sample_ys
+from latval.fubini import terms_from_json
 from latval.intervals import iset_meet
 from latval.oag import RATIONALS
 from latval.sequences import (
@@ -438,6 +439,29 @@ def test_scale_65536_piece_set_document(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"value": "65536/43046721"}
     print(f"SCALE: a 65,536-piece set document measured through main in {elapsed:.2f}s (< 10s)")
     assert elapsed < 10.0
+
+
+def test_scale_20000_one_piece_terms_read():
+    rng = random.Random(20000)
+
+    def piece():
+        lo, hi = sorted(rng.sample(range(-600, 600), 2))
+        den = rng.choice((1, 2, 3, 4, 6, 12))
+        return [{"lo": f"{lo}/{den}", "hi": f"{hi}/{den}", "lo_closed": rng.random() < 0.5}]
+
+    doc = [{"coefficient": f"{rng.randint(-9, 9) or 1}/{rng.randint(1, 5)}", "base_x": piece(),
+            "base_y": piece()} for _ in range(20000)]
+    t0 = time.perf_counter()
+    terms = terms_from_json(doc)
+    elapsed = time.perf_counter() - t0
+    assert len(terms) == 20000
+    for t, d in zip(terms, doc):
+        assert t.coefficient == Fraction(d["coefficient"])
+        for base, (p,) in ((t.base_x, d["base_x"]), (t.base_y, d["base_y"])):
+            assert base.pieces == (Piece(Fraction(p["lo"]), p["lo_closed"], Fraction(p["hi"]), True),)
+    print(f"SCALE: 20,000 one-piece rectangle terms read by terms_from_json "
+          f"in {elapsed:.3f}s (< 3s)")
+    assert elapsed < 3.0
 
 
 def test_scale_3200_breakpoint_integral():

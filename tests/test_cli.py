@@ -304,6 +304,37 @@ def test_malformed_step_document_is_input_error(doc, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+_TERM = TERMS_DOC[0]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (["x"], "rectangle term 0: expected an object, got str"),
+        ([1], "rectangle term 0: expected an object, got int"),
+        ([_TERM, None], "rectangle term 1: expected an object, got NoneType"),
+        ([_TERM, [_TERM]], "rectangle term 1: expected an object, got list"),
+        ([{"base_x": _TERM["base_x"], "base_y": _TERM["base_y"]}],
+         "rectangle term 0: missing key 'coefficient'"),
+        ([_TERM, {"coefficient": "1", "base_y": _TERM["base_y"]}],
+         "rectangle term 1: missing key 'base_x'"),
+        ([{"coefficient": "1", "base_x": _TERM["base_x"]}], "rectangle term 0: missing key 'base_y'"),
+        ([{}], "rectangle term 0: missing key 'base_x'"),
+        ([{**_TERM, "coeficient": "1"}], "rectangle term 0: unknown keys ['coeficient']"),
+        # a misspelt key in place of a required one: the required one is named
+        ([{"coeficient": "1", "base_x": [], "base_y": []}],
+         "rectangle term 0: missing key 'coefficient'"),
+        ([_TERM, {**_TERM, "extra": 1, "more": 2}], "rectangle term 1: unknown keys ['extra', 'more']"),
+    ],
+)
+def test_malformed_term_names_its_index_and_key(doc, message, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, text = run_cli(["fubini-check", "--terms", str(bad)], tmp_path)
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == f"input error at --terms: bad rectangle terms: {message}\n"
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_check_rejects_zero_samples(samples, tmp_path, capsys):
     code, text = run_cli(

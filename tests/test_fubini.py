@@ -29,6 +29,7 @@ from latval.fubini import (
 )
 from latval.instances import mu_S, phi_S, sample_interval_set
 from latval.intervals import EMPTY, IntervalSet, interval, iset_make, iset_meet, singleton
+from latval.oag import ShapeError
 from latval.stepfn import ZERO_FN, StepFn, indicator, step_add, step_from_values
 
 
@@ -265,6 +266,36 @@ def test_terms_from_json():
     assert mu_S(terms[0].base_x) == 3
     with pytest.raises(TypeError):
         terms_from_json(json.dumps(doc))
+
+
+def test_terms_from_json_parses_each_numeral_once():
+    piece = {"lo": "1/2", "hi": "3", "lo_closed": False}
+    doc = [
+        {"coefficient": "1/2", "base_x": [piece], "base_y": [["0", "1/2"]]},
+        {"coefficient": "1/2", "base_x": [["3", "4"], piece], "base_y": [("1/2", "3")]},
+    ]
+    (s, t) = terms_from_json(doc)
+    half, three = s.coefficient, s.base_x.pieces[0].hi
+    assert half == Fraction(1, 2) and three == 3
+    assert t.coefficient is half and s.base_x.pieces[0].lo is half and s.base_y.pieces[0].hi is half
+    assert t.base_y.pieces[0].lo is half and t.base_y.pieces[0].hi is three
+    assert t.base_x == iset_make([(Fraction(1, 2), 4, False, True)])
+    # a second document parses its own numerals
+    assert terms_from_json(doc)[0].coefficient is not half
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        {"coefficient": True, "base_x": [["0", "1"]], "base_y": [["0", "1"]]},
+        {"coefficient": "1", "base_x": [["0", True]], "base_y": [["0", "1"]]},
+        {"coefficient": "1", "base_x": [["0", "1"]], "base_y": [{"lo": True, "hi": "1"}]},
+    ],
+)
+def test_terms_true_after_one_is_no_rational(term):
+    first = {"coefficient": "1", "base_x": [[1, "1"]], "base_y": [["1", 1]]}
+    with pytest.raises(ShapeError, match="^not a rational: True$"):
+        terms_from_json([first, term])
 
 
 def restart_canonical_2d(xs, ys, cells, vlines, hlines, points) -> StepFn2D:

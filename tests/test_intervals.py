@@ -20,6 +20,7 @@ from latval.intervals import (
     Piece,
     _descriptor_breaks,
     _from_breaks,
+    _interval_breaks,
     _sweep,
     interval,
     iset_diff,
@@ -506,3 +507,51 @@ def test_make_keeps_a_running_count_of_operands_in():
         assert got == want and got._breaks == want._breaks, raw
         for x in probe_points(got, offset=Fraction(1, 8)):
             assert got.contains(x) == any(iset_make([d]).contains(x) for d in raw), (raw, x)
+
+
+# --- one-part unions and the endpoint check ---------------------------------
+
+
+@st.composite
+def one_descriptor(draw):
+    """One interval in every descriptor form: closed, open or half-open, a
+    closed singleton, or an open singleton (the empty set); a ``Piece`` only
+    where the checked constructor allows one."""
+    a, b = sorted([draw(rationals), draw(rationals)])
+    if draw(st.booleans()):
+        b = a
+    lo_closed, hi_closed = draw(st.booleans()), draw(st.booleans())
+    forms = [
+        [a, b, lo_closed, hi_closed],
+        (a, b, lo_closed, hi_closed),
+        {"lo": str(a), "hi": str(b), "lo_closed": lo_closed, "hi_closed": hi_closed},
+        interval(a, b, lo_closed, hi_closed),
+    ]
+    if a < b or (lo_closed and hi_closed):
+        forms.append(Piece(a, lo_closed, b, hi_closed))
+    return draw(st.sampled_from(forms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(one_descriptor(), interval_sets()))
+def test_one_part_union_is_the_swept_union(d):
+    got, swept = iset_make([d]), iset_make([d, d])
+    assert got == swept and got._breaks == swept._breaks
+    assert got._breaks == IntervalSet(got.pieces)._breaks
+
+
+def test_interval_breaks_on_equal_objects_and_long_endpoints():
+    lo, hi = Fraction(3, 4), Fraction(6, 8)  # equal, two objects
+    assert lo is not hi
+    assert _interval_breaks(lo, hi) == ((lo, True, False),)
+    assert _interval_breaks(lo, hi, True, False) == _interval_breaks(lo, lo, False, True) == ()
+    big = Fraction(3**700 + 1, 2**1100 + 7)
+    twin = Fraction(big.numerator, big.denominator)
+    tiny = Fraction(1, 2**2300)  # far below the sweep key's 2**-64
+    assert big.denominator.bit_length() > 1100 and twin is not big
+    assert _interval_breaks(big, twin) == ((big, True, False),)
+    assert _interval_breaks(big, big + tiny, False) == ((big, False, True), (big + tiny, True, False))
+    for lo, hi in [(big + tiny, big), (Fraction(1, 2), Fraction(1, 3)), (-big, -big - tiny)]:
+        with pytest.raises(ValueError) as info:
+            _interval_breaks(lo, hi)
+        assert str(info.value) == f"interval with lo={lo} > hi={hi}"
