@@ -413,7 +413,8 @@ _TERM_KEYS = frozenset({"coefficient", "base_x", "base_y"})
 def terms_from_json(doc: list) -> list[RectTerm]:
     """Terms of a parsed ``[{"coefficient": "2", "base_x": [...], "base_y": [...]}, ...]``.
     Each distinct numeral string is parsed once, coefficients and endpoints
-    alike, so equal numerals are one object; any other value goes to ``rat``."""
+    alike, so equal numerals are one object; any other value goes to ``rat``.
+    A bad value's error keeps its type, prefixed ``rectangle term <i>: <key>: ``."""
     if not isinstance(doc, list):
         raise TypeError(f"expected a list of rectangle terms, got {type(doc).__name__}")
     memo = _Memo(rat)
@@ -426,9 +427,16 @@ def terms_from_json(doc: list) -> list[RectTerm]:
             missing, unknown = sorted(_TERM_KEYS - t.keys()), sorted(t.keys() - _TERM_KEYS)
             problem = f"missing key {missing[0]!r}" if missing else f"unknown keys {unknown}"
             raise ValueError(f"rectangle term {i}: {problem}")
-        coefficient = num(t["coefficient"])
-        xs, ys = _set_from_json(t["base_x"], num), _set_from_json(t["base_y"], num)
-        terms.append(RectTerm(coefficient, xs, ys))
+        values = []
+        for key in ("coefficient", "base_x", "base_y"):
+            try:
+                values.append(num(t[key]) if key == "coefficient" else _set_from_json(t[key], num))
+                if key != "coefficient" and values[-1].is_empty():
+                    raise ValueError("rectangle terms need nonempty base sets")
+            except (ValueError, TypeError, ZeroDivisionError) as exc:
+                exc.args = (f"rectangle term {i}: {key}: {exc}",)
+                raise
+        terms.append(RectTerm(*values))
     return terms
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import math
 import operator
-from typing import Any, Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 MAX_FINITE_CARRIER = 64
 
@@ -114,8 +114,12 @@ def finite_lattice_build(
 ) -> FiniteLattice:
     """Build a finite lattice from generating order pairs.
 
-    The pairs are closed reflexively and transitively; antisymmetry and the
-    existence of all binary glbs/lubs are then verified.
+    Element ``i`` is its up-set ``up[i]`` and its down-set ``down[i]``, bit
+    masks over the carrier indices; the pairs are closed reflexively and
+    transitively by Warshall on the up-set rows.  Two elements are order
+    equivalent when their up-sets are equal, and the glb of ``i`` and ``j``
+    is the element whose down-set is ``down[i] & down[j]`` (the lub likewise
+    from the up-sets), so each bound is one lookup.
     """
     elems = list(carrier)
     if len(elems) > MAX_FINITE_CARRIER:
@@ -125,57 +129,34 @@ def finite_lattice_build(
     index = {x: i for i, x in enumerate(elems)}
     n = len(elems)
 
-    leq = [[False] * n for _ in range(n)]
-    for i in range(n):
-        leq[i][i] = True
+    up = [1 << i for i in range(n)]
     for a, b in leq_pairs:
         if a not in index or b not in index:
             raise ForeignElement(f"order pair ({a!r}, {b!r}) mentions a non-carrier label")
-        leq[index[a]][index[b]] = True
+        up[index[a]] |= 1 << index[b]
     for k in range(n):
-        for i in range(n):
-            if leq[i][k]:
-                row_k, row_i = leq[k], leq[i]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
+        up = [row | up[k] if row >> k & 1 else row for row in up]
+    down = [sum(1 << i for i, row in enumerate(up) if row >> j & 1) for j in range(n)]
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if leq[i][j] and leq[j][i]:
-                raise NotAPartialOrder(
-                    f"antisymmetry fails: {elems[i]!r} and {elems[j]!r} are order equivalent"
-                )
+    at_up = {}
+    for j, row in enumerate(up):
+        at_up.setdefault(row, j)
+    if len(at_up) < n:  # report the first equivalent pair i < j in row-major order
+        i, j = min((at_up[row], j) for j, row in enumerate(up) if at_up[row] != j)
+        raise NotAPartialOrder(
+            f"antisymmetry fails: {elems[i]!r} and {elems[j]!r} are order equivalent"
+        )
+    at_down = {row: j for j, row in enumerate(down)}
 
-    def bound(i: int, j: int, lower: bool) -> int:
-        if lower:
-            cands = [k for k in range(n) if leq[k][i] and leq[k][j]]
-        else:
-            cands = [k for k in range(n) if leq[i][k] and leq[j][k]]
-        best = None
-        for k in cands:
-            if all((leq[m][k] if lower else leq[k][m]) for m in cands):
-                best = k
-                break
-        if best is None:
-            kind = "greatest lower" if lower else "least upper"
-            raise NotALattice(
-                f"pair ({elems[i]!r}, {elems[j]!r}) has no {kind} bound",
-                pair=(elems[i], elems[j]),
-            )
-        return best
-
-    meet_table: dict[tuple, Any] = {}
-    join_table: dict[tuple, Any] = {}
-    for i in range(n):
-        for j in range(n):
-            meet_table[(elems[i], elems[j])] = elems[bound(i, j, lower=True)]
-            join_table[(elems[i], elems[j])] = elems[bound(i, j, lower=False)]
-
-    leq_map = {
-        (elems[i], elems[j]): leq[i][j] for i in range(n) for j in range(n)
-    }
-    return FiniteLattice(elems, leq_map, meet_table, join_table)
+    leq, meet, join = {}, {}, {}
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            lo, hi = at_down.get(down[i] & down[j]), at_up.get(up[i] & up[j])
+            if lo is None or hi is None:
+                kind = "greatest lower" if lo is None else "least upper"
+                raise NotALattice(f"pair ({a!r}, {b!r}) has no {kind} bound", pair=(a, b))
+            leq[a, b], meet[a, b], join[a, b] = bool(up[i] >> j & 1), elems[lo], elems[hi]
+    return FiniteLattice(elems, leq, meet, join)
 
 
 def finite_lattice_from_json(doc: dict) -> FiniteLattice:

@@ -525,6 +525,28 @@ def test_scale_64_label_quotient(tmp_path, capsys):
     assert elapsed < 1.0
 
 
+def test_scale_64_label_chain_quotient(tmp_path, capsys):
+    # the carrier ceiling as a chain, phi constant on runs of four labels
+    labels = [f"c{i}" for i in range(64)]
+    doc = {
+        "carrier": labels,
+        "leq": [[a, b] for a, b in zip(labels, labels[1:])],
+        "phi": {a: str(i // 4) for i, a in enumerate(labels)},
+    }
+    path = tmp_path / "chain64.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    code = main(["quotient", "--system", str(path)])
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["classes"]) == 16 and out["hausdorff"] is True
+    assert sorted(int(v) for v in out["phi"].values()) == list(range(16))
+    print(f"SCALE: the quotient of a 64-label chain system through main "
+          f"in {elapsed:.3f}s (< 0.15s)")
+    assert elapsed < 0.15
+
+
 def test_scale_1000_sample_pseudometric_check(capsys):
     t0 = time.perf_counter()
     code = main(["check", "--suite", "pseudometric", "--samples", "1000", "--seed", "1"])

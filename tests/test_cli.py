@@ -325,6 +325,14 @@ _TERM = TERMS_DOC[0]
         ([{"coeficient": "1", "base_x": [], "base_y": []}],
          "rectangle term 0: missing key 'coefficient'"),
         ([_TERM, {**_TERM, "extra": 1, "more": 2}], "rectangle term 1: unknown keys ['extra', 'more']"),
+        # a bad value names its term and key, and keeps its exception type
+        ([_TERM, {**_TERM, "base_x": []}],
+         "rectangle term 1: base_x: rectangle terms need nonempty base sets"),
+        ([{**_TERM, "base_y": [["1", "0"]]}], "rectangle term 0: base_y: interval with lo=1 > hi=0"),
+        ([{**_TERM, "base_x": [["x", "1"]]}], "rectangle term 0: base_x: Invalid literal for Fraction: 'x'"),
+        ([_TERM, {**_TERM, "coefficient": "1/0"}], "rectangle term 1: coefficient: Fraction(1, 0)"),
+        ([_TERM, {**_TERM, "base_x": {"lo": "0", "hi": "1"}}],
+         "rectangle term 1: base_x: expected a list of intervals, got dict"),
     ],
 )
 def test_malformed_term_names_its_index_and_key(doc, message, tmp_path, capsys):

@@ -285,16 +285,20 @@ def test_terms_from_json_parses_each_numeral_once():
 
 
 @pytest.mark.parametrize(
-    "term",
+    "term, message",
     [
-        {"coefficient": True, "base_x": [["0", "1"]], "base_y": [["0", "1"]]},
-        {"coefficient": "1", "base_x": [["0", True]], "base_y": [["0", "1"]]},
-        {"coefficient": "1", "base_x": [["0", "1"]], "base_y": [{"lo": True, "hi": "1"}]},
+        ({"coefficient": True, "base_x": [["0", "1"]], "base_y": [["0", "1"]]},
+         "^rectangle term 1: coefficient: not a rational: True$"),
+        ({"coefficient": "1", "base_x": [["0", True]], "base_y": [["0", "1"]]},
+         "^rectangle term 1: base_x: not a rational: True$"),
+        ({"coefficient": "1", "base_x": [["0", "1"]], "base_y": [{"lo": True, "hi": "1"}]},
+         "^rectangle term 1: base_y: not a rational: True$"),
     ],
+    ids=["term0", "term1", "term2"],
 )
-def test_terms_true_after_one_is_no_rational(term):
+def test_terms_true_after_one_is_no_rational(term, message):
     first = {"coefficient": "1", "base_x": [[1, "1"]], "base_y": [["1", 1]]}
-    with pytest.raises(ShapeError, match="^not a rational: True$"):
+    with pytest.raises(ShapeError, match=message):
         terms_from_json([first, term])
 
 

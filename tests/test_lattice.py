@@ -16,6 +16,7 @@ from latval.instances import (
 from latval.intervals import interval
 from latval.lattice import (
     DIVISIBILITY,
+    MAX_FINITE_CARRIER,
     FiniteLattice,
     ForeignElement,
     NotALattice,
@@ -92,6 +93,107 @@ def test_foreign_elements_rejected():
 def test_carrier_cap():
     with pytest.raises(ValueError):
         finite_lattice_build(range(65), [(i, i + 1) for i in range(64)])
+
+
+def reference_finite_lattice_build(carrier, leq_pairs) -> FiniteLattice:
+    """Reference: a boolean order matrix closed by Warshall, and each bound
+    found by scanning the common lower (upper) bounds for one above (below)
+    all the others; same checks, messages and order of errors."""
+    elems = list(carrier)
+    if len(elems) > MAX_FINITE_CARRIER:
+        raise ValueError(f"carrier exceeds {MAX_FINITE_CARRIER} elements")
+    if len(set(elems)) != len(elems):
+        raise ValueError("carrier has duplicate labels")
+    index = {x: i for i, x in enumerate(elems)}
+    n = len(elems)
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for a, b in leq_pairs:
+        if a not in index or b not in index:
+            raise ForeignElement(f"order pair ({a!r}, {b!r}) mentions a non-carrier label")
+        leq[index[a]][index[b]] = True
+    for k in range(n):
+        for i in range(n):
+            if leq[i][k]:
+                for j in range(n):
+                    leq[i][j] = leq[i][j] or leq[k][j]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if leq[i][j] and leq[j][i]:
+                raise NotAPartialOrder(
+                    f"antisymmetry fails: {elems[i]!r} and {elems[j]!r} are order equivalent"
+                )
+
+    def bound(i, j, lower):
+        below = (lambda x, y: leq[x][y]) if lower else (lambda x, y: leq[y][x])
+        cands = [k for k in range(n) if below(k, i) and below(k, j)]
+        for k in cands:
+            if all(below(m, k) for m in cands):
+                return elems[k]
+        kind = "greatest lower" if lower else "least upper"
+        raise NotALattice(
+            f"pair ({elems[i]!r}, {elems[j]!r}) has no {kind} bound", pair=(elems[i], elems[j])
+        )
+
+    meet, join = {}, {}
+    for i in range(n):
+        for j in range(n):
+            meet[elems[i], elems[j]] = bound(i, j, lower=True)
+            join[elems[i], elems[j]] = bound(i, j, lower=False)
+    leq_map = {(elems[i], elems[j]): leq[i][j] for i in range(n) for j in range(n)}
+    return FiniteLattice(elems, leq_map, meet, join)
+
+
+def random_relation(rng: random.Random):
+    """A carrier of up to 12 labels and generating pairs: a chain, the
+    subsets of up to three atoms, or a random DAG, the last sometimes with
+    a back edge (a cycle), a foreign pair, a repeated label or an added
+    bottom and top."""
+    n = rng.randint(0, 12)
+    labels = [f"x{i}" for i in range(n)]
+    rng.shuffle(labels)
+    kind = rng.choice(["chain", "powerset", "dag", "cycle", "foreign", "duplicate"])
+    if kind == "chain":
+        pairs = list(zip(labels, labels[1:]))
+    elif kind == "powerset":
+        k = rng.randint(0, 3)
+        labels = [frozenset(j for j in range(k) if m >> j & 1) for m in range(2**k)]
+        rng.shuffle(labels)
+        pairs = [(a, b) for a in labels for b in labels
+                 if len(b - a) == 1 or a < b and rng.random() < 0.5]
+    else:
+        p = rng.random()
+        pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:] if rng.random() < p]
+        if kind == "cycle" and n >= 2:
+            i, j = sorted(rng.sample(range(n), 2))
+            pairs.append((labels[j], labels[i]))
+        if kind == "foreign":
+            pairs.insert(rng.randint(0, len(pairs)), (rng.choice(labels + ["zz"]), "zz"))
+        if kind == "duplicate" and n:
+            labels.append(rng.choice(labels))
+        if rng.random() < 0.5:
+            labels = ["bot", *labels, "top"]
+            pairs += [("bot", x) for x in labels[1:]] + [(x, "top") for x in labels[:-1]]
+    rng.shuffle(pairs)
+    return labels, pairs
+
+
+def test_builder_matches_reference_candidate_search():
+    def outcome(build, labels, pairs):
+        try:
+            lat = build(labels, pairs)
+        except ValueError as exc:
+            return type(exc), str(exc), getattr(exc, "pair", None)
+        c = lat.carrier
+        return c, {(a, b): (lat.leq(a, b), lat.meet(a, b), lat.join(a, b)) for a in c for b in c}
+
+    rng = random.Random(30)
+    kinds = set()
+    for _ in range(1000):
+        labels, pairs = random_relation(rng)
+        expected = outcome(reference_finite_lattice_build, labels, pairs)
+        assert outcome(finite_lattice_build, labels, pairs) == expected, (labels, pairs)
+        kinds.add(expected[0] if isinstance(expected[0], type) else FiniteLattice)
+    assert kinds == {FiniteLattice, NotALattice, NotAPartialOrder, ForeignElement, ValueError}
 
 
 def test_distributivity_verdicts():
