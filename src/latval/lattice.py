@@ -238,13 +238,21 @@ def product_lattice(*factors: Lattice) -> Lattice:
     meet_joins, leqs = [f._meet_join for f in factors], [f._leq for f in factors]
     name = "product(" + ", ".join(f.name for f in factors) + ")"
 
+    def member(a) -> bool:  # a loop, as a generator for ``all`` costs a frame per call
+        if not (isinstance(a, tuple) and len(a) == n):
+            return False
+        for m, x in zip(members, a):
+            if not m(x):
+                return False
+        return True
+
     def meet_join(a, b):
         bounds = [f(x, y) for f, x, y in zip(meet_joins, a, b)]
         return tuple(m for m, _ in bounds), tuple(j for _, j in bounds)
 
     return Lattice(
         name,
-        lambda a: isinstance(a, tuple) and len(a) == n and all(m(x) for m, x in zip(members, a)),
+        member,
         f"a member of {name}",
         lambda a, b: tuple(f(x, y) for f, x, y in zip(meets, a, b)),
         lambda a, b: tuple(f(x, y) for f, x, y in zip(joins, a, b)),

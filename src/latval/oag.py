@@ -28,19 +28,17 @@ class ShapeError(TypeError):
 
 def rat(value) -> Fraction:
     """Parse ``p/q`` strings, ints, or pass Fractions through."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):  # an int subclass, but never a number here
-        raise ShapeError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str):  # before the Fraction test, an ABC instance check
         # plain ASCII ``[-]digits[/digits]`` skips Fraction's regex; ``isdigit``
         # alone would also pass digits like '²' that ``int`` rejects
         value = value.strip()
         num, slash, den = value.partition("/")
         if value.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
             return Fraction(int(num), int(den) if slash else 1)
+        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):  # bool is never a number here
         return Fraction(value)
     raise ShapeError(f"not a rational: {value!r}")
 
@@ -125,21 +123,28 @@ class Group(Lattice):
         return self.equal(x, self._zero)
 
 
+# Ordered on integers (denominators are positive), not through Fraction's
+# comparisons; on a tie meet and join give the first operand, as min and max do.
 RATIONALS = Group(
     "rational", lambda x: isinstance(x, Fraction), "a Fraction",
-    meet=min, join=max, leq=operator.le,
+    meet=lambda x, y: y if y.numerator * x.denominator < x.numerator * y.denominator else x,
+    join=lambda x, y: y if y.numerator * x.denominator > x.numerator * y.denominator else x,
+    leq=lambda x, y: x.numerator * y.denominator <= y.numerator * x.denominator,
     add=operator.add, neg=operator.neg, zero=Fraction(0),
     sample=lambda rng: Fraction(rng.randint(-400, 400), rng.randint(1, 40)),
 )
 
 
 def _lex_leq(x: LexPair, y: LexPair) -> bool:
-    return x.first < y.first or (x.first == y.first and x.second <= y.second)
+    c = x.first.numerator * y.first.denominator - y.first.numerator * x.first.denominator
+    return c < 0 or c == 0 and RATIONALS._leq(x.second, y.second)
 
 
 # The rational plane under componentwise addition, ordered lexicographically.
+# Its components are Fractions: the order reads their integers.
 LEX_PLANE = Group(
-    "lex-plane", lambda x: isinstance(x, LexPair), "a LexPair",
+    "lex-plane", lambda x: isinstance(x, LexPair) and type(x.first) is type(x.second) is Fraction,
+    "a LexPair",
     meet=lambda x, y: x if _lex_leq(x, y) else y,
     join=lambda x, y: y if _lex_leq(x, y) else x,
     leq=_lex_leq,
@@ -258,6 +263,7 @@ def check_group_axioms(group: Group, samples: int, seed: int) -> CheckReport:
         # upper bound (x,y) with x > 0 admits the strictly smaller upper
         # bound (x, y-1), so no sampled candidate is a least upper bound.
         bound = LexPair(Fraction(1), Fraction(0))
+        chain = [LexPair(Fraction(0), Fraction(k)) for k in range(1, 50)]
         for _ in range(samples):
             n = rng.randint(1, 10**6)
             report.record(
@@ -266,14 +272,9 @@ def check_group_axioms(group: Group, samples: int, seed: int) -> CheckReport:
                 f"n={n}",
             )
             cand = group.sample(rng)
-            if all(
-                group.leq(LexPair(Fraction(0), Fraction(k)), cand) for k in (1, 2, 3)
-            ) and cand.first > 0:
+            if all(group.leq(p, cand) for p in chain[:3]) and cand.first > 0:
                 smaller = LexPair(cand.first, cand.second - 1)
-                still_bound = all(
-                    group.leq(LexPair(Fraction(0), Fraction(k)), smaller)
-                    for k in range(1, 50)
-                )
+                still_bound = all(group.leq(p, smaller) for p in chain)
                 report.record(
                     "no least upper bound of (0,n)",
                     still_bound and group.leq(smaller, cand) and not group.equal(smaller, cand),

@@ -31,7 +31,8 @@ def dyadic_holds(i: int, s, t) -> bool:
     if i < 1:
         raise ValueError("uniformity indices start at 1")
     s, t = rat(s), rat(t)
-    return s <= t <= s + Fraction(1, 2**i)
+    gap = t.numerator * s.denominator - s.numerator * t.denominator  # (t - s) * s.den * t.den
+    return gap >= 0 and gap << i <= s.denominator * t.denominator
 
 
 def dyadic_half(i: int) -> int:

@@ -559,3 +559,17 @@ def test_scale_1000_sample_pseudometric_check(capsys):
     print(f"SCALE: check --suite pseudometric --samples 1000 through main "
           f"in {elapsed:.3f}s (< 3s)")
     assert elapsed < 3.0
+
+
+def test_scale_1000_depth_dyadic_uniformity_check(capsys):
+    t0 = time.perf_counter()
+    code = main(["check", "--suite", "uniformity-dyadic", "--samples", "500", "--depth", "1000"])
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is True and out["report"]["(i) reflexive"] == {
+        "pass": 500, "fail": 0, "counterexample": None,
+    }
+    print(f"SCALE: check --suite uniformity-dyadic --samples 500 --depth 1000 through main "
+          f"in {elapsed:.3f}s (< 0.5s)")
+    assert elapsed < 0.5

@@ -91,6 +91,24 @@ def test_quotient(files, tmp_path):
     assert sorted(doc["phi"].values()) == ["0", "1"]
 
 
+def test_quotient_hausdorff_asks_dist_once_per_unordered_pair(tmp_path, capsys, monkeypatch):
+    # a 64-label chain with phi(i) = i has 64 classes: 64 * 63 / 2 distances
+    labels = [f"c{i}" for i in range(64)]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({
+        "carrier": labels,
+        "leq": [[a, b] for a, b in zip(labels, labels[1:])],
+        "phi": {a: str(i) for i, a in enumerate(labels)},
+    }))
+    calls, real = [], cli.dist
+    monkeypatch.setattr(cli, "dist", lambda phi, x, y: calls.append({x, y}) or real(phi, x, y))
+    assert main(["quotient", "--system", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["classes"]) == 64 and doc["hausdorff"] is True
+    assert len(calls) == 64 * 63 // 2
+    assert len(set(map(frozenset, calls))) == len(calls) and all(len(c) == 2 for c in calls)
+
+
 def test_quotient_of_a_non_valuation_the_samples_miss(tmp_path, capsys):
     # modularity fails only at (a, b), which one sample at seed 1 does not draw
     path = tmp_path / "system.json"

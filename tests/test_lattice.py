@@ -356,6 +356,10 @@ CHECKED = [
     (DIV_POS, DivPos.from_int(6), DivPos(Fraction(-2)), "a DivPos"),
     (DIV_POS, DivPos.from_int(6), DivPos(Fraction(0)), "a DivPos"),
     (DIV_POS, DivPos.from_int(6), DivPos(2), "a DivPos"),
+    # a LexPair must hold Fractions: the order compares their integers
+    (LEX_PLANE, ORIGIN, LexPair(0.5, 1), "a LexPair"),
+    (LEX_PLANE, ORIGIN, LexPair(0, 1), "a LexPair"),
+    (LEX_PLANE, ORIGIN, LexPair(Fraction(0), 1), "a LexPair"),
 ]
 
 

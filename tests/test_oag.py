@@ -1,7 +1,11 @@
+import operator
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latval.lattice import ForeignElement, opposite
 from latval.oag import (
@@ -12,6 +16,7 @@ from latval.oag import (
     DivPos,
     Group,
     LexPair,
+    ShapeError,
     product_group,
     check_group_axioms,
     rat,
@@ -45,6 +50,9 @@ def test_divpos_roundtrip_and_format():
     assert str(DivPos(Fraction(1))) == "1"
     with pytest.raises(ValueError):
         DivPos.from_fraction(Fraction(-1, 2))
+    for zero in (0, Fraction(0), "0/5"):  # zero is not strictly positive
+        with pytest.raises(ValueError, match="strictly positive rational, got 0$"):
+            DivPos.from_fraction(zero)
 
 
 def _exponents(q: Fraction) -> dict[int, int]:
@@ -205,3 +213,62 @@ def test_rat_parses_strings_as_fraction_does(text):
     else:
         got = rat(text)
         assert type(got) is Fraction and got == want
+
+
+class _FractionKind(Fraction):
+    pass
+
+
+def test_rat_reads_by_type():
+    q, sub = Fraction(241, 12), _FractionKind(1, 2)
+    assert rat(q) is q and rat(sub) is sub
+    for n in (0, -7, 2**1000):
+        got = rat(n)
+        assert type(got) is Fraction and got == n
+    assert rat("241/12") == q and rat(" -241/12 ") == -q
+    for bad in (True, False, None, 0.5, Decimal("0.5"), [1], b"1", (1, 2)):
+        with pytest.raises(ShapeError) as err:
+            rat(bad)
+        assert str(err.value) == f"not a rational: {bad!r}"
+
+
+# numerators and denominators of a few bits or up to 1,000, of either sign
+rationals = st.builds(
+    Fraction,
+    st.one_of(st.integers(-50, 50), st.integers(-(2**1000), 2**1000)),
+    st.one_of(st.integers(1, 50), st.integers(1, 2**1000)),
+)
+
+
+@st.composite
+def rational_pairs(draw):
+    """Two rationals; half the time the second equals the first in a new object."""
+    x = draw(rationals)
+    return x, Fraction(x.numerator, x.denominator) if draw(st.booleans()) else draw(rationals)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rational_pairs())
+def test_rational_order_matches_fraction_operators(pair):
+    x, y = pair
+    for a, b in ((x, y), (y, x)):
+        assert RATIONALS.leq(a, b) is operator.le(a, b)
+        # the same object as min and max choose, the first operand on a tie
+        assert RATIONALS.meet(a, b) is min(a, b)
+        assert RATIONALS.join(a, b) is max(a, b)
+        lo, hi = RATIONALS.meet_join(a, b)
+        assert lo is min(a, b) and hi is max(a, b)
+    if x == y:
+        assert y is not x
+        assert RATIONALS.meet(x, y) is x and RATIONALS.join(x, y) is x
+
+
+@settings(max_examples=400, deadline=None)
+@given(rational_pairs(), rational_pairs())
+def test_lex_order_matches_tuple_order(firsts, seconds):
+    x, y = LexPair(firsts[0], seconds[0]), LexPair(firsts[1], seconds[1])
+    for a, b in ((x, y), (y, x)):
+        below = (a.first, a.second) <= (b.first, b.second)
+        assert LEX_PLANE.leq(a, b) is below
+        assert LEX_PLANE.meet(a, b) is (a if below else b)
+        assert LEX_PLANE.join(a, b) is (b if below else a)

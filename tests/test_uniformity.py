@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latval.instances import INTERVAL_SETS, interval_measure, step_integral
 from latval.intervals import EMPTY, interval, iset_diff, singleton
@@ -21,6 +23,7 @@ from latval.uniformity import (
     uniformity_check,
     weak_conv_check,
 )
+from test_oag import rationals
 
 
 def test_dyadic_boundary_cases():
@@ -31,6 +34,29 @@ def test_dyadic_boundary_cases():
     assert not dyadic_holds(1, 1, 0)  # order matters
     with pytest.raises(ValueError):
         dyadic_holds(0, 0, 0)
+
+
+@st.composite
+def dyadic_cases(draw):
+    """An index, s, and t free or at, just inside, just past or below s's edges."""
+    i, s = draw(st.integers(1, 1003)), draw(rationals)
+    step, tiny = Fraction(1, 2**i), Fraction(1, 2 ** (i + draw(st.integers(1, 64))))
+    kind = draw(st.sampled_from(["free", "same", "edge", "inside", "past", "below"]))
+    if kind == "free":
+        return kind, i, s, draw(rationals)
+    t = {"same": s, "edge": s + step, "inside": s + step - tiny, "past": s + step + tiny,
+         "below": s - tiny}[kind]
+    return kind, i, s, Fraction(t.numerator, t.denominator)  # a new object
+
+
+@settings(max_examples=400, deadline=None)
+@given(dyadic_cases())
+def test_dyadic_holds_matches_fraction_operators(case):
+    kind, i, s, t = case
+    want = s <= t <= s + Fraction(1, 2**i)
+    assert dyadic_holds(i, s, t) is want
+    if kind != "free":
+        assert want is (kind in ("same", "edge", "inside"))
 
 
 def test_meet_index_is_max():
