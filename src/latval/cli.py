@@ -165,7 +165,7 @@ def _read_system(doc) -> Valuation:
         try:
             values[label] = rat(doc["phi"][str(label)])
         except _INPUT_ERRORS as exc:
-            raise InputError(f"--system:phi:{label}", f"not a rational: {exc}")
+            raise InputError(f"--system:phi:{label}", str(exc))
     if len(doc["phi"]) > len(values):  # the labels' strings are distinct
         key = min(doc["phi"].keys() - {str(label) for label in values})
         raise InputError(f"--system:phi:{key}", "not a carrier label")

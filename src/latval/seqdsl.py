@@ -3,7 +3,7 @@
 Templates are strings over a fixed affine grammar: each coordinate is a sum
 of terms ``p/q``, ``p/q/n``, ``p/q*n`` or ``n``, so a coordinate evaluates
 to c0 + cinv/n + clin*n at stage n.  A numeral is ``p`` or ``p/q`` in
-decimal digits; ``0.5`` and ``1e3`` are not numerals here.  Interval
+decimal digits, as ``oag.rat`` reads it; ``0.5`` and ``1e3`` are not.  Interval
 templates are unions of ``[lo, hi]`` pairs separated by ``u`` (or the union
 sign); step templates are terms ``(coef)*1_[lo, hi]`` joined by ``+``.  A
 template must match the grammar as a whole.  Explicit per-stage lists are
@@ -103,6 +103,8 @@ def producer_from_json(doc: dict):
     ``{"kind": "interval-list", "stages": [[...descriptors...], ...]}``, with
     ``"tail": "constant"`` to repeat the last stage.  Returns ``(producer, kind)``.
     """
+    if not isinstance(doc, dict):
+        raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
     kind = doc["kind"]
     if kind not in ("interval", "step", "interval-list"):
         raise ValueError(f"unknown sequence kind {kind!r}")

@@ -299,6 +299,8 @@ _STEP_KEYS = frozenset({"breakpoints", "open_values", "point_values"})
 
 
 def step_from_json(doc: dict) -> StepFn:
+    if not isinstance(doc, dict):
+        raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
     arrays = doc["breakpoints"], doc["open_values"], doc["point_values"]
     if not doc.keys() <= _STEP_KEYS:
         raise ValueError(f"unknown keys {sorted(doc.keys() - _STEP_KEYS)}")

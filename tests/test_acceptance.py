@@ -441,6 +441,21 @@ def test_scale_65536_piece_set_document(tmp_path, capsys):
     assert elapsed < 10.0
 
 
+def test_scale_exponent_numeral_is_rejected_unread(tmp_path, capsys):
+    # 21 bytes that Fraction's own reader would expand to a million digits
+    path = tmp_path / "exponent.json"
+    path.write_text('[["0", "1e3000000"]]')
+    t0 = time.perf_counter()
+    code = main(["measure", "--set", str(path)])
+    elapsed = time.perf_counter() - t0
+    assert code == 2 and capsys.readouterr() == (
+        "", "input error at --set: bad interval-set document: not a rational: '1e3000000'\n"
+    )
+    print(f"SCALE: a 21-byte set document with an exponent numeral rejected through main "
+          f"in {elapsed:.4f}s (< 0.1s)")
+    assert elapsed < 0.1
+
+
 def test_scale_20000_one_piece_terms_read():
     rng = random.Random(20000)
 

@@ -201,6 +201,11 @@ def test_stump_json_roundtrip():
             Stump.from_json(doc)
 
 
+def test_stump_with_both_keys_and_leaf_false_is_a_node():
+    assert Stump.from_json({"leaf": False, "node": []}) == Stump.node([])
+    assert Stump.from_json({"leaf": False, "node": [{"leaf": True}]}) == Stump.node([leaf()])
+
+
 def test_stump_deeper_than_the_recursion_limit():
     depth = 3 * sys.getrecursionlimit()
     doc = {"leaf": True}
@@ -262,6 +267,20 @@ def test_decode_stratified_default_children_are_exact():
     expected = {p for p in space.points() if p[0] == 2}
     assert got == expected
     assert any("exact" in note for note in meta.truncations)
+
+
+def test_decode_stratified_cap_equal_to_the_explicit_children_is_exact():
+    # two explicit children and a cap of two: every explicit child is decoded
+    space = TruncatedBaire(2, 2)
+    codes = [tuple_encode([tuple_encode([basic_code(2, v, 1)])]) for v in (1, 2)]
+    assign = CodeNode(tuple(CodeLeaf((c,)) for c in codes), default=None)
+    meta = DecodeMeta()
+    for p in space.points():
+        decode_stratified(Stump.node([leaf(), leaf()]), assign, "Sigma", space, p, 2, meta=meta)
+    assert meta.truncations and all("exact (cap 2 covers all 2" in n for n in meta.truncations)
+    meta = DecodeMeta()
+    decode_stratified(Stump.node([leaf(), leaf()]), assign, "Sigma", space, (1, 1), 1, meta=meta)
+    assert meta.truncations == ["path '.': cap 1 below 2 explicit children"]
 
 
 def test_decode_stratified_missing_code():

@@ -322,6 +322,56 @@ def test_malformed_step_document_is_input_error(doc, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# each document kind that holds a rational -> (argv, document with the numeral in
+# one place, the prefix of its error line)
+RATIONAL_SLOTS = {
+    "set-endpoint": (["measure", "--set"], lambda v: [["0", v]],
+                     "--set: bad interval-set document"),
+    "step-value": (["integrate", "--step"],
+                   lambda v: {"breakpoints": ["0", "1"], "open_values": [v], "point_values": ["0", "0"]},
+                   "--step: bad step-function document"),
+    "term-coefficient": (["fubini-check", "--terms"],
+                         lambda v: [{"coefficient": v, "base_x": [["0", "1"]], "base_y": [["0", "1"]]}],
+                         "--terms: bad rectangle terms: rectangle term 0: coefficient"),
+    "phi-value": (["quotient", "--system"],
+                  lambda v: {"carrier": ["a", "b"], "leq": [["a", "b"]], "phi": {"a": "0", "b": v}},
+                  "--system:phi:b"),
+    "stage-endpoint": (["converge-trace", "--seq"],
+                       lambda v: {"kind": "interval-list", "stages": [[["0", v]]], "tail": "constant"},
+                       "--seq: bad sequence document"),
+}
+
+
+@pytest.mark.parametrize("form", ["0.5", "1e3", "+3", "1_000", "\u0661"])
+@pytest.mark.parametrize("slot", sorted(RATIONAL_SLOTS))
+def test_numeral_outside_the_grammar_is_input_error(slot, form, tmp_path, capsys):
+    argv, doc, prefix = RATIONAL_SLOTS[slot]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc(form)))
+    code, text = run_cli([*argv, str(path)], tmp_path)
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == f"input error at {prefix}: not a rational: {form!r}\n"
+    path.write_text(json.dumps(doc(" 3/4\n")))  # the same slot reads a numeral
+    assert run_cli([*argv, str(path)], tmp_path)[0] in (0, 1)
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (["integrate", "--step"], [1, 2], "--step: bad step-function document"),
+        (["converge-trace", "--seq"], [], "--seq: bad sequence document"),
+    ],
+    ids=["step", "seq"],
+)
+def test_non_object_document_is_named(argv, doc, message, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, text = run_cli([*argv, str(path)], tmp_path)
+    assert code == 2 and text == ""
+    got = capsys.readouterr().err
+    assert got == f"input error at {message}: expected a JSON object, got list\n"
+
+
 _TERM = TERMS_DOC[0]
 
 
@@ -347,7 +397,7 @@ _TERM = TERMS_DOC[0]
         ([_TERM, {**_TERM, "base_x": []}],
          "rectangle term 1: base_x: rectangle terms need nonempty base sets"),
         ([{**_TERM, "base_y": [["1", "0"]]}], "rectangle term 0: base_y: interval with lo=1 > hi=0"),
-        ([{**_TERM, "base_x": [["x", "1"]]}], "rectangle term 0: base_x: Invalid literal for Fraction: 'x'"),
+        ([{**_TERM, "base_x": [["x", "1"]]}], "rectangle term 0: base_x: not a rational: 'x'"),
         ([_TERM, {**_TERM, "coefficient": "1/0"}], "rectangle term 1: coefficient: Fraction(1, 0)"),
         ([_TERM, {**_TERM, "base_x": {"lo": "0", "hi": "1"}}],
          "rectangle term 1: base_x: expected a list of intervals, got dict"),

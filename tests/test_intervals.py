@@ -368,7 +368,7 @@ def _forms(lo, hi, *flags) -> list:
     [
         ("1", "0", ValueError, "interval with lo=1 > hi=0"),
         ("1/2", "1/3", ValueError, "interval with lo=1/2 > hi=1/3"),
-        ("abc", "1", ValueError, "Invalid literal for Fraction: 'abc'"),
+        ("abc", "1", ShapeError, "not a rational: 'abc'"),
         ("0", "1/0", ZeroDivisionError, "Fraction(1, 0)"),
         (True, 1, ShapeError, "not a rational: True"),
         (None, 1, ShapeError, "not a rational: None"),

@@ -1,10 +1,11 @@
 import operator
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latval.lattice import ForeignElement, opposite
@@ -129,14 +130,28 @@ def test_serialization_forms():
     assert LEX_PLANE.fmt(LexPair(Fraction(1, 2), Fraction(-2))) == "(1/2, -2)"
 
 
-@pytest.mark.parametrize(
-    "group",
-    [pytest.param(GROUPS[name], id=name) for name in GROUPS]
-    + [pytest.param(g, id=g.name) for g in (opposite(LEX_PLANE), LEX_BY_OPP_DIV)],
-)
+AXIOM_GROUPS = [pytest.param(GROUPS[name], id=name) for name in GROUPS] + [
+    pytest.param(g, id=g.name) for g in (opposite(LEX_PLANE), LEX_BY_OPP_DIV)
+]
+
+
+@pytest.mark.parametrize("group", AXIOM_GROUPS)
 def test_group_axioms_all_pass(group):
     report = check_group_axioms(group, samples=300, seed=7)
     assert report.ok, report.failing()
+
+
+@pytest.mark.parametrize("group", AXIOM_GROUPS)
+def test_group_table_is_closed(group):
+    """The law checks call the table on sampled members without checking
+    what it returns: sums, negatives, both bounds and the identity are members."""
+    rng = random.Random(7)
+    assert group.member(group._zero)
+    for _ in range(200):
+        x, y = group.sample(rng), group.sample(rng)
+        assert group.member(x) and group.member(y)
+        for z in (group._add(x, y), group._neg(x), *group._meet_join(x, y)):
+            assert group.member(z), (group.fmt(x), group.fmt(y))
 
 
 # The groups' rows of the one table of checked structures
@@ -204,15 +219,42 @@ BIG = str(3**631)  # 1,001 bits
     ],
 )
 def test_rat_parses_strings_as_fraction_does(text):
-    try:
-        want = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        with pytest.raises(type(exc)) as got:
+    """Within the numeral grammar ``rat`` gives ``Fraction``'s value; every
+    other string, though ``Fraction`` reads ``0.5`` or ``+3/4``, is rejected."""
+    assert_reads_the_numeral_grammar(text)
+
+
+# The numeral grammar, written apart from ``rat``: ASCII digits, an optional
+# leading minus, an optional ``/q`` and ASCII whitespace around.
+NUMERAL = re.compile(r"[ \t\n\r\x0b\x0c]*(-?[0-9]+)(?:/([0-9]+))?[ \t\n\r\x0b\x0c]*")
+
+
+def assert_reads_the_numeral_grammar(text):
+    m = NUMERAL.fullmatch(text)
+    if m is None:
+        with pytest.raises(ShapeError) as err:
             rat(text)
-        assert str(got.value) == str(exc)
+        assert str(err.value) == f"not a rational: {text!r}"
+    elif m[2] is not None and int(m[2]) == 0:
+        with pytest.raises(ZeroDivisionError):
+            rat(text)
     else:
         got = rat(text)
-        assert type(got) is Fraction and got == want
+        assert type(got) is Fraction and got == Fraction(int(m[1]), int(m[2] or 1))
+        assert got == Fraction(text.strip())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.text(alphabet="0123456789-+/._e \t\n\x0b\x0c\x1c\xa0\u0661\xb2", max_size=8),
+    st.from_regex(NUMERAL, fullmatch=True),
+))
+@example("\x1c3")  # spaces that ``str.strip`` takes: ASCII separators
+@example("3\x1f")
+@example(" 3\xa0")  # and non-ASCII spaces
+def test_rat_reads_exactly_the_numeral_grammar(text):
+    assert_reads_the_numeral_grammar(text)
 
 
 class _FractionKind(Fraction):

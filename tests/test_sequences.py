@@ -24,7 +24,7 @@ from latval.sequences import (
     sqrt2_convergents,
     sqrt2_witness,
 )
-from latval.stepfn import indicator, step_scale
+from latval.stepfn import ZERO_FN, indicator, step_scale
 
 
 def shrinking(n: int):
@@ -218,6 +218,18 @@ def test_pi_leq_proved_with_constant_target():
     assert verdict.kind == "proved" and verdict.stage == 1
 
 
+def test_pi_leq_constant_tail_declared_at_the_depth():
+    # y is [0, 4], [0, 3], then [0, 2] from stage 3 on; x_1 = [0, 2]
+    y = PiElem(seq_make(
+        INTERVAL_SETS, "decreasing", lambda n: interval(0, 2 + max(0, 3 - n)), lambda eps: 3,
+        phi=interval_measure, constant_from=3,
+    ))
+    verdict = pi_leq_at_depth(PiElem(make_shrinking()), y, depth=3, certificate="y-constant")
+    assert (verdict.kind, verdict.stage) == ("proved", 3)
+    with pytest.raises(ValueError):
+        pi_leq_at_depth(PiElem(make_shrinking()), y, depth=2, certificate="y-constant")
+
+
 def test_pi_leq_refuted_by_probe():
     x = constant_elem(0, 2)
     y = PiElem(make_shrinking())
@@ -288,6 +300,23 @@ def test_phi_limits_constant():
     f = indicator(0, 1)
     pulim, pllim, _ = phi_limits_at_depth(step_integral, lambda n: f, 6)
     assert pulim == pllim == 1
+
+
+def test_limits_at_the_least_depth():
+    # stages 1_[0,1] and 1_[0,2]: the tails from stage 1 have join 1_[0,2]
+    # and meet 1_[0,1], the tail from stage 2 is 1_[0,2] alone
+    producer = lambda n: indicator(0, n)
+    pulim, pllim, tails = phi_limits_at_depth(step_integral, producer, 2)
+    assert (pulim, pllim, tails) == (2, 2, [(2, 1), (2, 2)])
+    for kind in ("fatou", "dct"):
+        bounds = (ZERO_FN, indicator(0, 2)) if kind == "dct" else None
+        report = convergence_theorem_check(kind, step_integral, producer, 2, 0, bounds)
+        assert report.ok and report.results, report.to_dict()
+    for depth in (0, 1):
+        with pytest.raises(ValueError):
+            phi_limits_at_depth(step_integral, producer, depth)
+        with pytest.raises(ValueError):
+            convergence_theorem_check("fatou", step_integral, producer, depth, 0)
 
 
 def test_phi_limits_decaying_indicator():

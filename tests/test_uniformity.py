@@ -184,6 +184,19 @@ def test_dense_approximate_constant_dyadic_sequence():
     assert out.producer(5) == interval(0, Fraction(3, 4))
 
 
+def test_dense_approximate_modulus_at_a_power_of_two():
+    # a source modulus of 1 leaves the least i with 2^-i <= eps, capped at the depth
+    const = seq_make(
+        INTERVAL_SETS, "decreasing", lambda n: interval(0, 1), lambda eps: 1,
+        phi=interval_measure, constant_from=1,
+    )
+    out, _ = dense_approximate(interval_measure, dyadic_endpoint_oracle(), const, 2, 12)
+    for k in range(1, 12):
+        assert out.modulus(Fraction(1, 2**k)) == k
+        assert out.modulus(Fraction(3, 2 ** (k + 2))) == k + 1  # 2^-(k+2) < 3/2^(k+2) < 2^-k
+    assert out.modulus(Fraction(1, 2**20)) == 12
+
+
 def test_dense_approximate_rejects_bad_oracle():
     from latval.uniformity import DenseOracle
 
@@ -236,6 +249,16 @@ def test_weak_conv_wrong_rate_fails():
     assert bad.failed > 0
     # d(f_1, 0) = 1 misses every dyadic tolerance, already at index 1
     assert "n=1" in bad.counterexample
+
+
+def test_weak_conv_rate_equal_to_the_depth_checks_that_stage():
+    # every index declares stage 4, the last one: d(f_4, 0) = 1/4 meets 2^-1
+    # and 2^-2 and misses the fourteen tolerances after them
+    report = weak_conv_check(
+        step_integral, traveling_bump, ZERO_FN, rate=lambda i: 4, depth=4
+    )
+    got = report.results["weak convergence at declared rate"]
+    assert (got.passed, got.failed, got.counterexample) == (2, 14, "i=3 n=4 d=1/4")
 
 
 def test_weak_conv_constant_sequence():
