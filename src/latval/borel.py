@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Sequence
 
+from .oag import fields
+
 
 def pair(a: int, b: int) -> int:
     """Cantor-diagonal bijection (a, b) -> {2, 3, ...} for a, b >= 1."""
@@ -113,18 +115,15 @@ _STUMP_KEYS = frozenset({"leaf", "node"})
 
 def _stump_children(doc):
     """``None`` for a leaf document, else an iterator over its children."""
-    if isinstance(doc, dict):
-        if not doc.keys() <= _STUMP_KEYS:
-            raise ValueError(f"unknown keys {sorted(doc.keys() - _STUMP_KEYS)} in a stump")
-        leaf = doc.get("leaf", False)
-        if not isinstance(leaf, bool):
-            raise ValueError(f"leaf is not a JSON boolean: {leaf!r}")
-        if leaf and "node" in doc:
-            raise ValueError(f"a stump is a leaf or a node, not both: {doc!r}")
-        if leaf:
-            return None
-        if isinstance(doc.get("node"), list):
-            return iter(doc["node"])
+    leaf = fields(doc, frozenset(), _STUMP_KEYS).get("leaf", False)
+    if not isinstance(leaf, bool):
+        raise ValueError(f"leaf is not a JSON boolean: {leaf!r}")
+    if leaf and "node" in doc:
+        raise ValueError(f"a stump is a leaf or a node, not both: {doc!r}")
+    if leaf:
+        return None
+    if isinstance(doc.get("node"), list):
+        return iter(doc["node"])
     raise ValueError(f"not a leaf or a node: {doc!r}")
 
 

@@ -37,7 +37,7 @@ from .instances import (
 )
 from .intervals import iset_from_json
 from .lattice import MAX_FINITE_CARRIER, check_distributive, diamond_m3, finite_lattice_from_json
-from .oag import GROUPS, RATIONALS, check_group_axioms, rat
+from .oag import GROUPS, RATIONALS, check_group_axioms, fields, rat
 from .report import CheckReport
 from .stepfn import step_from_json
 from .valuation import (
@@ -62,9 +62,18 @@ class InputError(Exception):
         self.pointer = pointer
 
 
-# What the library raises on input it cannot read: wherever one comes from a
-# document or a flag, it is an input error.
-_INPUT_ERRORS = (KeyError, IndexError, ValueError, TypeError, ZeroDivisionError, RecursionError)
+# What the library raises on input it cannot read; only ``_within`` catches
+# them.  Any other exception is a fault in latval (exit 3).
+_INPUT_ERRORS = (ValueError, TypeError, RecursionError)
+
+
+def _within(pointer: str, read, *args, about: str = ""):
+    """``read(*args)``; a library error it raises is an input error at
+    ``pointer``, its message prefixed by ``about``."""
+    try:
+        return read(*args)
+    except _INPUT_ERRORS as exc:
+        raise InputError(pointer, f"{about}{exc}")
 
 
 def _finite(text: str) -> float:
@@ -90,16 +99,6 @@ def _load_json(path: str, pointer: str):
         raise InputError(pointer, f"invalid JSON in {path}: {exc}")
     except RecursionError:
         raise InputError(pointer, f"document nested too deeply: {path}")
-
-
-def _load_doc(path: str, pointer: str, what: str, parse):
-    """``parse`` applied to the JSON document at ``path``; a document it
-    rejects is an input error at ``pointer``."""
-    doc = _load_json(path, pointer)
-    try:
-        return parse(doc)
-    except _INPUT_ERRORS as exc:
-        raise InputError(pointer, f"bad {what}: {exc}")
 
 
 def _emit(args, text: str) -> None:
@@ -133,15 +132,13 @@ def _report_exit(args, report: CheckReport, extra: dict | None = None) -> int:
     return 0 if report.ok else 1
 
 
+_SYSTEM_KEYS = frozenset({"carrier", "leq", "phi"})
+
+
 def _read_system(doc) -> Valuation:
     """The valuation a ``--system`` document describes; each fault is an
     input error at the field it is in."""
-    if not isinstance(doc, dict):
-        raise InputError("--system", "expected a JSON object")
-    wrong = sorted(doc.keys() ^ {"carrier", "leq", "phi"})
-    if wrong:  # the first key that is missing or not allowed
-        key = wrong[0]
-        raise InputError(f"--system:{key}", "unknown field" if key in doc else "missing field")
+    _within("--system", fields, doc, _SYSTEM_KEYS, _SYSTEM_KEYS)
     carrier = doc["carrier"]
     if not isinstance(carrier, list) or not 1 <= len(carrier) <= MAX_FINITE_CARRIER:
         raise InputError(
@@ -150,25 +147,12 @@ def _read_system(doc) -> Valuation:
     if not all(isinstance(a, (str, int, float)) and not isinstance(a, bool) for a in carrier):
         raise InputError("--system:carrier", "labels must be JSON strings or numbers")
     # labels key the lattice tables, and their strings key phi
-    if not len(frozenset(carrier)) == len({str(a) for a in carrier}) == len(carrier):
+    names = {str(a) for a in carrier}
+    if not len(frozenset(carrier)) == len(names) == len(carrier):
         raise InputError("--system:carrier", "labels must be distinct, and so must their strings")
-    try:
-        lat = finite_lattice_from_json(doc)
-    except _INPUT_ERRORS as exc:
-        raise InputError("--system:leq", str(exc))
-    if not isinstance(doc["phi"], dict):
-        raise InputError("--system:phi", "expected a JSON object")
-    values = {}
-    for label in lat.carrier:
-        if str(label) not in doc["phi"]:
-            raise InputError(f"--system:phi:{label}", "missing valuation value")
-        try:
-            values[label] = rat(doc["phi"][str(label)])
-        except _INPUT_ERRORS as exc:
-            raise InputError(f"--system:phi:{label}", str(exc))
-    if len(doc["phi"]) > len(values):  # the labels' strings are distinct
-        key = min(doc["phi"].keys() - {str(label) for label in values})
-        raise InputError(f"--system:phi:{key}", "not a carrier label")
+    lat = _within("--system:leq", finite_lattice_from_json, doc)
+    phi = _within("--system:phi", fields, doc["phi"], names, names)
+    values = {a: _within(f"--system:phi:{a}", rat, phi[str(a)]) for a in lat.carrier}
     return Valuation(
         domain=lat,
         group=RATIONALS,
@@ -182,13 +166,7 @@ def _read_sequence(doc):
     """The stage producer and kind of a ``--seq`` document; a stage the
     document cannot produce is an input error at ``--seq``."""
     producer, kind = seqdsl.producer_from_json(doc)
-
-    def stage(n: int):
-        try:
-            return producer(n)
-        except _INPUT_ERRORS as exc:
-            raise InputError("--seq", f"bad sequence document: stage {n}: {exc}")
-
+    stage = lambda n: _within("--seq", producer, n, about=f"bad sequence document: stage {n}: ")
     return stage, kind
 
 
@@ -293,7 +271,8 @@ def _read_documents(args) -> None:
         key = _KINDS[args.kind][1] if dest in ("a", "b") else dest
         if key in _DOCUMENTS:
             what, reader = _DOCUMENTS[key]
-            setattr(args, dest, _load_doc(path, "--" + dest, what, reader))
+            doc = _load_json(path, "--" + dest)
+            setattr(args, dest, _within("--" + dest, reader, doc, about=f"bad {what}: "))
 
 
 # --- handlers: each gets the parsed values of its flags --------------------

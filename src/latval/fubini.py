@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 from .instances import mu_S, phi_S, sample_interval_set
 from .intervals import IntervalSet, _Memo, _canonical_breaks, _key, _set_from_json, _sums
 from .intervals import _trusted, iset_make
-from .oag import rat
+from .oag import ShapeError, fields, rat
 from .report import CheckReport
 from .stepfn import ZERO, ZERO_FN, StepFn, _locate
 
@@ -414,26 +414,26 @@ def terms_from_json(doc: list) -> list[RectTerm]:
     """Terms of a parsed ``[{"coefficient": "2", "base_x": [...], "base_y": [...]}, ...]``.
     Each distinct numeral string is parsed once, coefficients and endpoints
     alike, so equal numerals are one object; any other value goes to ``rat``.
-    A bad value's error keeps its type, prefixed ``rectangle term <i>: <key>: ``."""
+    An error keeps its type, prefixed ``rectangle term <i>: ``, and for a bad
+    value ``<key>: `` too."""
     if not isinstance(doc, list):
         raise TypeError(f"expected a list of rectangle terms, got {type(doc).__name__}")
     memo = _Memo(rat)
     num = lambda v: memo[v] if type(v) is str else rat(v)
     terms = []
     for i, t in enumerate(doc):
-        if not isinstance(t, dict):
-            raise TypeError(f"rectangle term {i}: expected an object, got {type(t).__name__}")
-        if t.keys() != _TERM_KEYS:
-            missing, unknown = sorted(_TERM_KEYS - t.keys()), sorted(t.keys() - _TERM_KEYS)
-            problem = f"missing key {missing[0]!r}" if missing else f"unknown keys {unknown}"
-            raise ValueError(f"rectangle term {i}: {problem}")
+        try:
+            fields(t, _TERM_KEYS, _TERM_KEYS)
+        except ShapeError as exc:
+            exc.args = (f"rectangle term {i}: {exc}",)
+            raise
         values = []
         for key in ("coefficient", "base_x", "base_y"):
             try:
                 values.append(num(t[key]) if key == "coefficient" else _set_from_json(t[key], num))
                 if key != "coefficient" and values[-1].is_empty():
                     raise ValueError("rectangle terms need nonempty base sets")
-            except (ValueError, TypeError, ZeroDivisionError) as exc:
+            except (ValueError, TypeError) as exc:
                 exc.args = (f"rectangle term {i}: {key}: {exc}",)
                 raise
         terms.append(RectTerm(*values))

@@ -18,7 +18,7 @@ class AmbientMismatch(ValueError):
     pass
 
 
-def _rref(rows: Iterable[int], width: int) -> tuple[int, ...]:
+def _rref(rows: Iterable[int]) -> tuple[int, ...]:
     basis: list[int] = []
     for row in rows:
         for b in basis:
@@ -54,7 +54,7 @@ class GF2Subspace:
         for v in vecs:
             if v < 0 or v >> ambient:
                 raise ValueError(f"vector {v} outside ambient dimension {ambient}")
-        return GF2Subspace(ambient, _rref(vecs, ambient))
+        return GF2Subspace(ambient, _rref(vecs))
 
     @property
     def dim(self) -> int:
@@ -92,7 +92,7 @@ def gf2_meet(u: GF2Subspace, w: GF2Subspace) -> GF2Subspace:
     _check_pair(u, w)
     n = u.ambient
     block = [(r << n) | r for r in u.rows] + [r << n for r in w.rows]
-    reduced = _rref(block, 2 * n)
+    reduced = _rref(block)
     low_mask = (1 << n) - 1
     inter = [r & low_mask for r in reduced if r >> n == 0]
     return GF2Subspace.from_vectors(n, inter)

@@ -79,15 +79,15 @@ def sample_interval_set(rng: random.Random, max_pieces: int = 3) -> IntervalSet:
     return intervals._union(parts)
 
 
-def sample_step_fn(rng: random.Random, value_lo: int = -4, value_hi: int = 4) -> StepFn:
-    """Up to five breakpoints with integer values in ``[value_lo,
-    value_hi]``, built by ``step_from_values``' checked tail."""
+def sample_step_fn(rng: random.Random) -> StepFn:
+    """Up to five breakpoints with integer values in ``[-4, 4]``, built by
+    ``step_from_values``' checked tail."""
     k = rng.randint(0, 5)  # at most five breakpoints
     bps = sorted({sample_rational(rng) for _ in range(k)})
     if not bps:
         return stepfn.ZERO_FN
-    ovals = [_DRAWS[rng.randint(value_lo, value_hi), 1] for _ in range(len(bps) - 1)]
-    pvals = [_DRAWS[rng.randint(value_lo, value_hi), 1] for _ in range(len(bps))]
+    ovals = [_DRAWS[rng.randint(-4, 4), 1] for _ in range(len(bps) - 1)]
+    pvals = [_DRAWS[rng.randint(-4, 4), 1] for _ in range(len(bps))]
     return stepfn._from_arrays(bps, ovals, pvals)
 
 

@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .oag import rat
+from .oag import fields, rat
 
 
 @dataclass(frozen=True)
@@ -311,7 +311,8 @@ def iset_symmdiff(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     return _combine(a, b, operator.ne)
 
 
-_PIECE_KEYS = frozenset({"lo", "hi", "lo_closed", "hi_closed"})
+_PIECE_ENDS = frozenset({"lo", "hi"})
+_PIECE_KEYS = _PIECE_ENDS | {"lo_closed", "hi_closed"}
 
 
 def _descriptor_breaks(d, num=rat) -> tuple:
@@ -321,8 +322,7 @@ def _descriptor_breaks(d, num=rat) -> tuple:
     if isinstance(d, Piece):
         d = d.lo, d.hi, d.lo_closed, d.hi_closed
     elif isinstance(d, dict):
-        if not d.keys() <= _PIECE_KEYS:
-            raise ValueError(f"unknown keys {sorted(d.keys() - _PIECE_KEYS)} in a piece")
+        fields(d, _PIECE_ENDS, _PIECE_KEYS)
         d = d["lo"], d["hi"], d.get("lo_closed", True), d.get("hi_closed", True)
     if not isinstance(d, (list, tuple)) or len(d) not in (2, 4):
         raise ValueError(f"bad interval descriptor: {d!r}")

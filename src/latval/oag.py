@@ -15,30 +15,51 @@ from __future__ import annotations
 import math
 import operator
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import AbstractSet, Iterable
 
 from .lattice import Lattice, product_lattice
 from .report import CheckReport
 
+
 class ShapeError(TypeError, ValueError):
-    """A value that ``rat`` cannot read as a rational."""
+    """Input of the wrong shape: a numeral ``rat`` rejects, or an object ``fields`` rejects."""
 
 
 def rat(value) -> Fraction:
-    """Read a numeral ``[-]p`` or ``[-]p/q`` in ASCII digits, an int, or a Fraction."""
+    """Read a numeral ``[-]p`` or ``[-]p/q``, ``q > 0``, in ASCII digits, an int, or a Fraction."""
     if isinstance(value, str):  # before the Fraction test, an ABC instance check
         # ASCII spaces only: ``strip()`` would also take '\x1c' to '\x1f'; and
         # ``isdigit`` alone would pass digits like '²' that ``int`` rejects
         num, slash, den = value.strip(" \t\n\r\x0b\x0c").partition("/")
         if value.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
-            return Fraction(int(num), int(den) if slash else 1)
+            try:
+                p, q = int(num), int(den or 1)
+            except ValueError:  # more digits than the interpreter's int-string limit
+                raise ShapeError(f"not a rational: {len(num.lstrip('-') + den)} digits, over the "
+                                 f"limit of {sys.get_int_max_str_digits()}") from None
+            if q:
+                return Fraction(p, q)
     elif isinstance(value, Fraction):
         return value
     elif isinstance(value, int) and not isinstance(value, bool):  # bool is never a number here
         return Fraction(value)
     raise ShapeError(f"not a rational: {value!r}")
+
+
+def fields(doc, required: AbstractSet[str], allowed: AbstractSet[str]) -> dict:
+    """``doc``, if it is a JSON object that has every key in ``required`` and
+    no key outside ``allowed``; the first missing key, in sorted order, is
+    named before any unknown key."""
+    if isinstance(doc, dict) and required <= doc.keys() <= allowed:
+        return doc
+    if not isinstance(doc, dict):
+        raise ShapeError(f"expected a JSON object, got {type(doc).__name__}")
+    if missing := sorted(required - doc.keys()):
+        raise ShapeError(f"missing key {missing[0]!r}")
+    raise ShapeError(f"unknown keys {sorted(doc.keys() - allowed)}")
 
 
 @dataclass(frozen=True, order=False)

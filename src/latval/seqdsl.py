@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .intervals import IntervalSet, iset_from_json, iset_make
-from .oag import rat
+from .oag import ShapeError, fields, rat
 from .stepfn import ZERO_FN, StepFn, step_add, step_make
 
 
@@ -95,37 +95,40 @@ def parse_step_template(text: str) -> Callable[[int], StepFn]:
     return producer
 
 
+_TEMPLATE_KEYS = frozenset({"kind", "template"})
+_LIST_KEYS = frozenset({"kind", "stages", "tail"})
+
+
 def producer_from_json(doc: dict):
     """Build a stage producer from a parsed DSL document.
 
     ``{"kind": "interval", "template": "[0, 1 + 1/n]"}``
     ``{"kind": "step", "template": "(1/n)*1_[n, n+1]"}``
-    ``{"kind": "interval-list", "stages": [[...descriptors...], ...]}``, with
-    ``"tail": "constant"`` to repeat the last stage.  Returns ``(producer, kind)``.
+    ``{"kind": "interval-list", "stages": [[...descriptors...], ...]}``, one
+    stage or more, with ``"tail": "constant"`` to repeat the last stage.
+    Returns ``(producer, kind)``.
     """
-    if not isinstance(doc, dict):
-        raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
-    kind = doc["kind"]
+    kind = fields(doc, {"kind"}, _TEMPLATE_KEYS | _LIST_KEYS)["kind"]
     if kind not in ("interval", "step", "interval-list"):
         raise ValueError(f"unknown sequence kind {kind!r}")
-    allowed = {"kind", "stages", "tail"} if kind == "interval-list" else {"kind", "template"}
-    if not doc.keys() <= allowed:
-        raise ValueError(f"unknown keys {sorted(doc.keys() - allowed)} in a {kind} sequence")
     if kind != "interval-list":
-        template = doc["template"]
+        template = fields(doc, _TEMPLATE_KEYS, _TEMPLATE_KEYS)["template"]
         if not isinstance(template, str):
             raise TypeError(f"template is {type(template).__name__}, not a string")
         parse = parse_interval_template if kind == "interval" else parse_step_template
         return parse(template), kind
+    stages = fields(doc, _LIST_KEYS - {"tail"}, _LIST_KEYS)["stages"]
     if doc.get("tail", "constant") != "constant":
         raise ValueError(f"tail is {doc['tail']!r}, not 'constant'")
-    stages = [iset_from_json(s) for s in doc["stages"]]
+    if not isinstance(stages, list) or not stages:
+        raise ShapeError("stages must be a nonempty list")
+    stages = [iset_from_json(s) for s in stages]
 
     def producer(n: int) -> IntervalSet:
         if n <= len(stages):
             return stages[n - 1]
         if "tail" in doc:
             return stages[-1]
-        raise IndexError(f"explicit stage list has {len(stages)} stages")
+        raise ShapeError(f"explicit stage list has {len(stages)} stages")
 
     return producer, "interval"

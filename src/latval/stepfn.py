@@ -39,7 +39,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .intervals import _Memo, _canonical_breaks, _descriptor_breaks, _key, _sweep, _trusted
-from .oag import rat
+from .oag import fields, rat
 
 ZERO = Fraction(0)
 
@@ -299,11 +299,8 @@ _STEP_KEYS = frozenset({"breakpoints", "open_values", "point_values"})
 
 
 def step_from_json(doc: dict) -> StepFn:
-    if not isinstance(doc, dict):
-        raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+    fields(doc, _STEP_KEYS, _STEP_KEYS)
     arrays = doc["breakpoints"], doc["open_values"], doc["point_values"]
-    if not doc.keys() <= _STEP_KEYS:
-        raise ValueError(f"unknown keys {sorted(doc.keys() - _STEP_KEYS)}")
     if not all(isinstance(a, list) for a in arrays):
         raise TypeError("breakpoints, open_values and point_values must be lists")
     return step_from_values(*arrays)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from latval import cli
+from latval import cli, seqdsl, stepfn
 from latval.cli import _SUITES, _dump, build_parser, main
 
 STEP_DOC = {
@@ -296,7 +296,7 @@ def test_input_error_names_pointer_once(files, tmp_path, capsys):
     bad.write_text('{"breakpoints": ["0"]}')
     assert main(["integrate", "--step", str(bad)]) == 2
     assert capsys.readouterr().err == (
-        "input error at --step: bad step-function document: 'open_values'\n"
+        "input error at --step: bad step-function document: missing key 'open_values'\n"
     )
 
 
@@ -342,7 +342,7 @@ RATIONAL_SLOTS = {
 }
 
 
-@pytest.mark.parametrize("form", ["0.5", "1e3", "+3", "1_000", "\u0661"])
+@pytest.mark.parametrize("form", ["0.5", "1e3", "+3", "1_000", "\u0661", "1/0"])
 @pytest.mark.parametrize("slot", sorted(RATIONAL_SLOTS))
 def test_numeral_outside_the_grammar_is_input_error(slot, form, tmp_path, capsys):
     argv, doc, prefix = RATIONAL_SLOTS[slot]
@@ -378,10 +378,10 @@ _TERM = TERMS_DOC[0]
 @pytest.mark.parametrize(
     "doc, message",
     [
-        (["x"], "rectangle term 0: expected an object, got str"),
-        ([1], "rectangle term 0: expected an object, got int"),
-        ([_TERM, None], "rectangle term 1: expected an object, got NoneType"),
-        ([_TERM, [_TERM]], "rectangle term 1: expected an object, got list"),
+        (["x"], "rectangle term 0: expected a JSON object, got str"),
+        ([1], "rectangle term 0: expected a JSON object, got int"),
+        ([_TERM, None], "rectangle term 1: expected a JSON object, got NoneType"),
+        ([_TERM, [_TERM]], "rectangle term 1: expected a JSON object, got list"),
         ([{"base_x": _TERM["base_x"], "base_y": _TERM["base_y"]}],
          "rectangle term 0: missing key 'coefficient'"),
         ([_TERM, {"coefficient": "1", "base_y": _TERM["base_y"]}],
@@ -398,7 +398,8 @@ _TERM = TERMS_DOC[0]
          "rectangle term 1: base_x: rectangle terms need nonempty base sets"),
         ([{**_TERM, "base_y": [["1", "0"]]}], "rectangle term 0: base_y: interval with lo=1 > hi=0"),
         ([{**_TERM, "base_x": [["x", "1"]]}], "rectangle term 0: base_x: not a rational: 'x'"),
-        ([_TERM, {**_TERM, "coefficient": "1/0"}], "rectangle term 1: coefficient: Fraction(1, 0)"),
+        ([_TERM, {**_TERM, "coefficient": "1/0"}],
+         "rectangle term 1: coefficient: not a rational: '1/0'"),
         ([_TERM, {**_TERM, "base_x": {"lo": "0", "hi": "1"}}],
          "rectangle term 1: base_x: expected a list of intervals, got dict"),
     ],
@@ -409,6 +410,51 @@ def test_malformed_term_names_its_index_and_key(doc, message, tmp_path, capsys):
     code, text = run_cli(["fubini-check", "--terms", str(bad)], tmp_path)
     assert code == 2 and text == ""
     assert capsys.readouterr().err == f"input error at --terms: bad rectangle terms: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (["measure", "--set"], [{"hi": "1"}], "--set: bad interval-set document: missing key 'lo'"),
+        (["converge-trace", "--seq"], {"template": "[0,1]"},
+         "--seq: bad sequence document: missing key 'kind'"),
+        (["converge-trace", "--seq"], {"kind": "interval", "template": "[0,1]", "tail": "constant"},
+         "--seq: bad sequence document: unknown keys ['tail']"),
+        (["stump-alpha", "--tree"], {"node": [{"leaf": True, "x": 1}]},
+         "--tree: bad stump document: unknown keys ['x']"),
+        (["stump-alpha", "--tree"], {"node": [5]},
+         "--tree: bad stump document: expected a JSON object, got int"),
+        (["quotient", "--system"], {"carrier": ["a"], "leq": [], "phi": {"a": "0"}, "junk": 1},
+         "--system: unknown keys ['junk']"),
+        (["quotient", "--system"], {"carrier": ["a"], "leq": []}, "--system: missing key 'phi'"),
+        (["quotient", "--system"], {"carrier": ["a", "b"], "leq": [["a", "b"]], "phi": {"a": "0"}},
+         "--system:phi: missing key 'b'"),
+        (["quotient", "--system"], {"carrier": ["a"], "leq": [], "phi": {"a": "0", "leaf": "1"}},
+         "--system:phi: unknown keys ['leaf']"),
+    ],
+    ids=["set-lo", "seq-kind", "seq-tail", "tree-key", "tree-child", "system-junk", "system-phi",
+         "phi-missing", "phi-unknown"],
+)
+def test_reader_fault_is_one_named_line(argv, doc, message, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, text = run_cli([*argv, str(path)], tmp_path)
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == f"input error at {message}\n"
+
+
+@pytest.mark.parametrize("stages", [[], 5], ids=["empty", "number"])
+@pytest.mark.parametrize(
+    "argv", [["converge-trace"], ["dense-approx", "--eps-index", "2"]], ids=["trace", "dense"]
+)
+def test_stage_list_must_be_nonempty(argv, stages, tmp_path, capsys):
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps({"kind": "interval-list", "stages": stages, "tail": "constant"}))
+    code, text = run_cli([*argv, "--seq", str(path)], tmp_path)
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == (
+        "input error at --seq: bad sequence document: stages must be a nonempty list\n"
+    )
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
@@ -466,7 +512,7 @@ def test_integer_above_its_ceiling_is_input_error(argv, flag, ceiling, files, ca
     def work(*args, **kwargs):
         raise AssertionError("work started before the flags were checked")
 
-    for name in ("_load_doc", "_load_json", "totient_range"):
+    for name in ("_load_json", "totient_range"):
         monkeypatch.setattr(cli, name, work)
     monkeypatch.setattr(cli.sequences, "sqrt2_witness", work)
     monkeypatch.setattr(cli, "_SUITES", dict.fromkeys(_SUITES, work))
@@ -649,8 +695,8 @@ RAW_DOCS = {
         (["converge-trace", "--seq", "stages-seq"], "--seq"),
         (["converge-trace", "--seq", "repeat-tail", "--depth", "1"], "--seq"),
         (["converge-trace", "--seq", "typo-key-stages", "--depth", "1"], "--seq"),
-        (["quotient", "--system", "junk-key-system"], "--system:junk"),
-        (["quotient", "--system", "extra-key-phi"], "--system:phi:leaf"),
+        (["quotient", "--system", "junk-key-system"], "--system"),
+        (["quotient", "--system", "extra-key-phi"], "--system:phi"),
         (["stump-alpha", "--tree", "leaf-empty-node-tree"], "--tree"),
         (["stump-alpha", "--tree", "leaf-child-tree"], "--tree"),
         (["quotient", "--system", "null-label"], "--system:carrier"),
@@ -825,6 +871,26 @@ def test_fault_in_dense_approximation_is_not_a_misfit_sequence(files, monkeypatc
     assert err == "internal error: TypeError: witness table corrupted\n"
 
 
+@pytest.mark.parametrize(
+    "argv, module, name",
+    [
+        (["integrate", "--step", "STEP"], stepfn, "step_from_values"),
+        (["converge-trace", "--seq", "SEQ", "--depth", "3"], seqdsl, "iset_make"),
+    ],
+    ids=["step-reader", "stage-producer"],
+)
+def test_fault_inside_a_reader_is_exit_3(argv, module, name, files, monkeypatch, capsys):
+    # a KeyError raised by latval's own code is a fault, not bad input
+    def broken(*args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(module, name, broken)
+    assert main([{"STEP": files["step"], "SEQ": files["seq"]}.get(a, a) for a in argv]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: KeyError: 'internal'\n"
+
+
 def test_dump_encodes_fractions_only(tmp_path):
     args = argparse.Namespace(out=str(tmp_path / "out.json"))
     _dump(args, {"q": Fraction(-3, 4), "n": 2, "rows": [{"x": Fraction(5)}]})
@@ -887,9 +953,10 @@ def test_rationals_of_any_size_are_read_and_written(argv, docs, value, tmp_path,
 
 def test_long_integer_literal_is_read(tmp_path, capsys):
     path = tmp_path / "set.json"
-    path.write_text("[[0, " + "1" * 5_000 + "]]")
-    assert main(["measure", "--set", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out) == {"value": "1" * 5_000}
+    for end in ["1" * 5_000, json.dumps("1" * 5_000)]:  # a JSON integer and a numeral string
+        path.write_text(f"[[0, {end}]]")
+        assert main(["measure", "--set", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"value": "1" * 5_000}
 
 
 def test_int_digit_limit_is_restored(files, capsys):

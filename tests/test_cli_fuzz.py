@@ -1,16 +1,23 @@
-"""Mutation fuzzing of the CLI's documents, seeded with the README's examples.
+"""Fuzzing of the CLI's documents.
 
 Each ``Input schemas`` example in README.md is read back, mutated one to
 three times (a value replaced from a fixed pool, a key or element deleted,
 an unknown key added, a value wrapped in a list) and run through every
-subcommand that reads its kind.  Whatever the document, a run ends in exit
-0, 1 or 2 as documented: never exit 3 and never a traceback.
+subcommand that reads its kind.  A ``hypothesis`` fuzzer also draws
+documents of every kind from the readers' schemas, with keys dropped or
+unknown, values of the wrong JSON type, zero denominators, 5,000-digit
+numerals and empty or nested lists.  Whatever the document, a run ends in
+exit 0, 1 or 2 as documented: never exit 3 and never a traceback.
 """
 
 import json
 import random
 import re
 from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from latval.cli import main
 
@@ -111,6 +118,20 @@ def test_readme_examples_run(tmp_path, capsys):
         json.loads(out)
 
 
+def run_as_documented(argv, path, doc, capsys) -> int:
+    """The exit code of one run, checked: 0 or 1 with a JSON document on
+    stdout, or 2 with one ``input error at --`` line on stderr."""
+    code, out, err = run(argv, path, capsys)
+    assert code in (0, 1, 2), (argv, doc, err)
+    assert "Traceback" not in out + err, (argv, doc)
+    if code == 2:
+        assert out == "" and err.startswith("input error at --"), (argv, doc, err)
+        assert err.count("\n") == 1 and err.endswith("\n"), (argv, doc, err)
+    else:
+        json.loads(out)
+    return code
+
+
 def test_mutated_documents_end_as_documented(tmp_path, capsys):
     rng = random.Random(20)
     examples = readme_examples()
@@ -121,14 +142,107 @@ def test_mutated_documents_end_as_documented(tmp_path, capsys):
             doc = mutate(seed, rng)
             path.write_text(json.dumps(doc))
             for argv in RUNS[kind]:
-                code, out, err = run(argv, path, capsys)
-                assert code in codes, (argv, doc, err)
-                assert "Traceback" not in out + err, (argv, doc)
-                if code == 2:
-                    assert out == "" and err.startswith("input error at --"), (argv, doc, err)
-                    assert err.count("\n") == 1 and err.endswith("\n"), (argv, doc, err)
-                else:
-                    json.loads(out)
-                codes[code] += 1
+                codes[run_as_documented(argv, path, doc, capsys)] += 1
     # the readers reject most mutations, but some runs get past them
     assert codes[0] > 50 and codes[2] > 1000
+
+
+# --- documents drawn from the readers' schemas -----------------------------
+
+# numerals in increasing order of value, drawn by index; L stands for 5,000 digits
+NUMERAL_TEXTS = [text.replace("L", "3" * 5000) for text in ["-1/2", "0", "1/L", "1", " 2 ", "7/3", "L"]]
+INDICES = st.integers(0, len(NUMERAL_TEXTS) - 1)
+NUMERALS = INDICES.map(NUMERAL_TEXTS.__getitem__)
+NOT_NUMERALS = st.sampled_from(["1/0", "-3/0", "L/0", "0.5", "1e3", "x", ""]).map(
+    lambda text: text.replace("L", "3" * 5000)
+)
+# any JSON value: what a reader may find in place of what it wants
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.just(2**70) | st.just(0.5) | NUMERALS
+    | NOT_NUMERALS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["lo", "x"]), inner,
+                                                                max_size=2),
+    max_leaves=6,
+)
+
+
+def objects(**schema):
+    """JSON objects with the keys of ``schema`` and values from their
+    strategies, as drawn or with one fault: a key dropped, a value of any
+    JSON type, or an unknown key."""
+    return st.fixed_dictionaries(schema).flatmap(lambda doc: st.just(doc) | st.one_of(
+        st.sampled_from(sorted(doc)).map(lambda key: {k: v for k, v in doc.items() if k != key}),
+        st.tuples(st.sampled_from(sorted(doc)), JUNK).map(lambda kv: {**doc, kv[0]: kv[1]}),
+        JUNK.map(lambda value: {**doc, "junk": value}),
+    ))
+
+
+def lists(elements, max_size=3):
+    """Lists of up to ``max_size`` elements, or any JSON value."""
+    return st.lists(elements, max_size=max_size) | JUNK
+
+
+def ascending(min_size, max_size, unique=False):
+    """Lists of numerals in increasing order, strictly if ``unique``."""
+    return st.lists(INDICES, min_size=min_size, max_size=max_size, unique=unique).map(
+        lambda indices: [NUMERAL_TEXTS[i] for i in sorted(indices)]
+    )
+
+
+PIECES = st.one_of(
+    st.lists(NUMERALS, min_size=2, max_size=2),  # in either order
+    ascending(2, 2),
+    ascending(2, 2).map(lambda ends: [*ends, False, True]),
+    ascending(2, 2).flatmap(lambda ends: objects(lo=st.just(ends[0]), hi=st.just(ends[1]),
+                                                  lo_closed=st.booleans(), hi_closed=st.booleans())),
+)
+SETS = lists(PIECES)
+# increasing breakpoints with one open value fewer and as many point values
+STEPS = ascending(0, 3, unique=True).flatmap(lambda bps: objects(
+    breakpoints=st.just(bps),
+    open_values=st.lists(NUMERALS, min_size=max(len(bps) - 1, 0), max_size=max(len(bps) - 1, 0)),
+    point_values=st.lists(NUMERALS, min_size=len(bps), max_size=len(bps)),
+))
+LABELS = st.sampled_from(["a", "b", 0, 1])
+# chains over distinct labels, valued at every label
+SYSTEMS = st.lists(LABELS, min_size=1, max_size=3, unique_by=str).flatmap(lambda carrier: objects(
+    carrier=st.just(carrier),
+    leq=st.just([[a, b] for a, b in zip(carrier, carrier[1:])]),
+    phi=st.fixed_dictionaries({str(a): NUMERALS for a in carrier}),
+))
+STUMPS = st.recursive(
+    objects(leaf=st.just(True)),
+    lambda inner: objects(node=st.lists(inner, max_size=3))
+    | objects(leaf=st.just(False), node=st.lists(inner, max_size=3)),
+    max_leaves=5,
+)
+SEQS = st.one_of(
+    objects(kind=st.just("interval"),
+            template=st.sampled_from(["[0, 1 + 1/n]", "[n, 1]", "[0, 1/0]", "[0, 1] u [2, 2 + 1/n]"])),
+    objects(kind=st.just("step"), template=st.sampled_from(["(1/n)*1_[0, n]", "(1)*1_[1, 0]"])),
+    objects(kind=st.just("interval-list"), stages=lists(SETS, max_size=2), tail=st.just("constant")),
+)
+DOCS = {
+    "set": SETS,
+    "step": STEPS,
+    "terms": lists(objects(coefficient=NUMERALS, base_x=SETS, base_y=SETS), max_size=2),
+    "system": SYSTEMS,
+    "seq": SEQS,
+    "tree": STUMPS | JUNK,
+}
+
+
+def test_drawn_documents_cover_every_kind():
+    assert sorted(DOCS) == sorted(RUNS)
+
+
+@pytest.mark.parametrize("kind", sorted(DOCS))
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_drawn_documents_end_as_documented(kind, tmp_path, capsys, data):
+    doc = data.draw(DOCS[kind])
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for argv in RUNS[kind]:
+        run_as_documented(argv, path, doc, capsys)

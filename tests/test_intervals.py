@@ -369,7 +369,7 @@ def _forms(lo, hi, *flags) -> list:
         ("1", "0", ValueError, "interval with lo=1 > hi=0"),
         ("1/2", "1/3", ValueError, "interval with lo=1/2 > hi=1/3"),
         ("abc", "1", ShapeError, "not a rational: 'abc'"),
-        ("0", "1/0", ZeroDivisionError, "Fraction(1, 0)"),
+        ("0", "1/0", ShapeError, "not a rational: '1/0'"),
         (True, 1, ShapeError, "not a rational: True"),
         (None, 1, ShapeError, "not a rational: None"),
     ],
@@ -395,8 +395,8 @@ def test_bad_endpoints_raise_the_same_error_in_every_form(lo, hi, error, message
          "lo_closed and hi_closed must be booleans: ('2', '1', 'x', True)"),
         (["0"], ValueError, "bad interval descriptor: ['0']"),
         (("0", "1", True), ValueError, "bad interval descriptor: ('0', '1', True)"),
-        ({"lo": "0"}, KeyError, "'hi'"),
-        ({"lo": "0", "hi": "1", "open": True}, ValueError, "unknown keys ['open'] in a piece"),
+        ({"lo": "0"}, ShapeError, "missing key 'hi'"),
+        ({"lo": "0", "hi": "1", "open": True}, ShapeError, "unknown keys ['open']"),
     ],
 )
 def test_bad_descriptors_raise_the_same_error(d, error, message):

@@ -1,6 +1,7 @@
 import operator
 import random
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from latval.oag import (
     ShapeError,
     product_group,
     check_group_axioms,
+    fields,
     rat,
 )
 from test_lattice import CHECKED, LEX_BY_OPP_DIV
@@ -220,7 +222,8 @@ BIG = str(3**631)  # 1,001 bits
 )
 def test_rat_parses_strings_as_fraction_does(text):
     """Within the numeral grammar ``rat`` gives ``Fraction``'s value; every
-    other string, though ``Fraction`` reads ``0.5`` or ``+3/4``, is rejected."""
+    other string, though ``Fraction`` reads ``0.5`` or ``+3/4``, and every
+    zero denominator is rejected."""
     assert_reads_the_numeral_grammar(text)
 
 
@@ -231,13 +234,10 @@ NUMERAL = re.compile(r"[ \t\n\r\x0b\x0c]*(-?[0-9]+)(?:/([0-9]+))?[ \t\n\r\x0b\x0
 
 def assert_reads_the_numeral_grammar(text):
     m = NUMERAL.fullmatch(text)
-    if m is None:
+    if m is None or m[2] is not None and int(m[2]) == 0:  # no numeral, or q = 0
         with pytest.raises(ShapeError) as err:
             rat(text)
         assert str(err.value) == f"not a rational: {text!r}"
-    elif m[2] is not None and int(m[2]) == 0:
-        with pytest.raises(ZeroDivisionError):
-            rat(text)
     else:
         got = rat(text)
         assert type(got) is Fraction and got == Fraction(int(m[1]), int(m[2] or 1))
@@ -272,6 +272,46 @@ def test_rat_reads_by_type():
         with pytest.raises(ShapeError) as err:
             rat(bad)
         assert str(err.value) == f"not a rational: {bad!r}"
+
+
+@pytest.mark.parametrize(
+    "text, digits", [("1" * 5000, 5000), (f"-{'7' * 4301}/3", 4302), (f"1/{'9' * 6000}", 6001)]
+)
+def test_rat_past_the_int_digit_limit_is_a_shape_error(text, digits):
+    # outside cli.main the interpreter's limit on int strings holds
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ShapeError) as err:
+            rat(text)
+        assert str(err.value) == f"not a rational: {digits} digits, over the limit of 4300"
+        sys.set_int_max_str_digits(0)
+        assert rat(text) == Fraction(text)
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([], "expected a JSON object, got list"),
+        ("lo", "expected a JSON object, got str"),
+        (None, "expected a JSON object, got NoneType"),
+        ({}, "missing key 'hi'"),  # the first in sorted order
+        ({"hi": "1", "open": True}, "missing key 'lo'"),  # before any unknown key
+        ({"lo": "0", "hi": "1", "b": 1, "a": 2}, "unknown keys ['a', 'b']"),
+    ],
+)
+def test_fields_names_the_first_fault(doc, message):
+    with pytest.raises(ShapeError) as err:
+        fields(doc, frozenset({"lo", "hi"}), frozenset({"lo", "hi", "lo_closed"}))
+    assert str(err.value) == message
+
+
+def test_fields_returns_the_object_it_accepts():
+    for doc in ({"lo": "0", "hi": "1"}, {"lo": "0", "hi": "1", "lo_closed": False}):
+        assert fields(doc, frozenset({"lo", "hi"}), frozenset({"lo", "hi", "lo_closed"})) is doc
+    assert fields({}, frozenset(), frozenset()) == {}
 
 
 # numerators and denominators of a few bits or up to 1,000, of either sign

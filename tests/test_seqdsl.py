@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from latval.intervals import interval, iset_make
+from latval.oag import ShapeError
 from latval.seqdsl import (
     parse_affine,
     parse_interval_template,
@@ -100,7 +101,7 @@ def test_explicit_stage_list_without_tail_errors_past_end():
     producer, _ = producer_from_json(
         {"kind": "interval-list", "stages": [[{"lo": "0", "hi": "2"}]]}
     )
-    with pytest.raises(IndexError):
+    with pytest.raises(ShapeError, match="explicit stage list has 1 stages"):
         producer(2)
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latval.fubini import RectTerm, partial_integrate, slice_at, step2d_make
-from latval.instances import sample_step_fn
+from latval.instances import sample_rational, sample_step_fn
 from latval.intervals import Piece, _sweep, iset_make
 from latval.oag import ShapeError
 from latval.stepfn import (
@@ -476,11 +476,21 @@ def _equal_objects(rng):
     return pairs
 
 
+def _values_within(rng, bound: int) -> StepFn:
+    """A step function drawn as ``sample_step_fn`` draws one, with values in
+    ``[-bound, bound]`` in place of its ``[-4, 4]``."""
+    bps = sorted({sample_rational(rng) for _ in range(rng.randint(0, 5))})
+    if not bps:
+        return ZERO_FN
+    ovals = [rng.randint(-bound, bound) for _ in bps[1:]]
+    return step_from_values(bps, ovals, [rng.randint(-bound, bound) for _ in bps])
+
+
 def _zero(rng):
     """``ZERO_FN`` against functions that take the value 0 in other objects."""
     f = step_from_values([0, 1, 2, 3], [0, 2, -1], [1, 0, 0, -2])
     return [(ZERO_FN, ZERO_FN), (f, ZERO_FN)] + [
-        (sample_step_fn(rng, value_lo=-1, value_hi=1), ZERO_FN) for _ in range(60)
+        (_values_within(rng, 1), ZERO_FN) for _ in range(60)
     ]
 
 
@@ -489,7 +499,7 @@ def _disjoint(rng):
     between them where both are zero."""
     pairs = []
     for _ in range(60):
-        f, g = (sample_step_fn(rng, value_lo=-2, value_hi=2) for _ in range(2))
+        f, g = (_values_within(rng, 2) for _ in range(2))
         if f.is_zero() or g.is_zero():
             continue
         shift = f.breakpoints[-1] - g.breakpoints[0] + rng.choice((0, 1))
