@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Sequence
 
-from .oag import fields
+from .oag import ShapeError, fields
 
 
 def pair(a: int, b: int) -> int:
@@ -267,22 +267,25 @@ class MissingCode(ValueError):
     pass
 
 
-def code_assign_from_json(doc: dict) -> CodeAssign:
-    if "codes" in doc:
+_LEAF_KEYS, _NODE_KEYS = frozenset({"codes"}), frozenset({"children", "default"})
+
+
+def code_assign_from_json(doc) -> CodeAssign:
+    """A leaf ``{"codes": [...]}``, or a node ``{"children": [...]}`` with
+    an optional leaf ``default``."""
+    if isinstance(doc, dict) and "codes" in doc:
         return _code_leaf(doc)
-    if "children" in doc:
-        default = doc.get("default")
-        return CodeNode(
-            tuple(code_assign_from_json(c) for c in doc["children"]),
-            _code_leaf(default) if default else None,
-        )
-    raise ValueError(f"bad code assignment document: {doc!r}")
+    children = fields(doc, frozenset({"children"}), _NODE_KEYS)["children"]
+    if not isinstance(children, list):
+        raise ShapeError(f"children is not a JSON list: {children!r}")
+    default = _code_leaf(doc["default"]) if "default" in doc else None
+    return CodeNode(tuple(map(code_assign_from_json, children)), default)
 
 
-def _code_leaf(doc: dict) -> CodeLeaf:
-    codes = doc["codes"]
+def _code_leaf(doc) -> CodeLeaf:
+    codes = fields(doc, _LEAF_KEYS, _LEAF_KEYS)["codes"]
     if not isinstance(codes, list) or not all(type(c) is int for c in codes):
-        raise TypeError(f"codes must be a list of integers: {doc!r}")
+        raise ShapeError(f"codes must be a list of integers: {doc!r}")
     return CodeLeaf(tuple(codes))
 
 
@@ -360,8 +363,6 @@ def decode_stratified(
     return all(results) if kind == "Pi" else any(results)
 
 
-def decode_whole_set(
-    code: int, kind: str, space: TruncatedBaire, meta: DecodeMeta | None = None
-) -> frozenset:
+def decode_whole_set(code: int, kind: str, space: TruncatedBaire) -> frozenset:
     """The decoded subset of the whole truncated space."""
-    return frozenset(p for p in space.points() if decode_set(code, kind, space, p, meta))
+    return frozenset(p for p in space.points() if decode_set(code, kind, space, p))

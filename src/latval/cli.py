@@ -36,7 +36,7 @@ from .instances import (
     totient_valuation,
 )
 from .intervals import iset_from_json
-from .lattice import MAX_FINITE_CARRIER, check_distributive, diamond_m3, finite_lattice_from_json
+from .lattice import MAX_FINITE_CARRIER, check_distributive, diamond_m3, finite_lattice_build
 from .oag import GROUPS, RATIONALS, check_group_axioms, fields, rat
 from .report import CheckReport
 from .stepfn import step_from_json
@@ -150,7 +150,10 @@ def _read_system(doc) -> Valuation:
     names = {str(a) for a in carrier}
     if not len(frozenset(carrier)) == len(names) == len(carrier):
         raise InputError("--system:carrier", "labels must be distinct, and so must their strings")
-    lat = _within("--system:leq", finite_lattice_from_json, doc)
+    leq = doc["leq"]
+    if not (isinstance(leq, list) and all(isinstance(p, list) and len(p) == 2 for p in leq)):
+        raise InputError("--system:leq", "expected a JSON list of two-element lists [a, b]")
+    lat = _within("--system:leq", finite_lattice_build, carrier, [tuple(p) for p in leq])
     phi = _within("--system:phi", fields, doc["phi"], names, names)
     values = {a: _within(f"--system:phi:{a}", rat, phi[str(a)]) for a in lat.carrier}
     return Valuation(
@@ -410,15 +413,16 @@ def cmd_stump_alpha(args) -> int:
 
 
 def cmd_borel_decode(args) -> int:
-    try:
-        d_str, m_str = args.space.lower().split("x")
-        space = borel.TruncatedBaire(int(d_str), int(m_str))
-    except ValueError as exc:
-        raise InputError("--space", f"expected DxM, got {args.space!r}: {exc}")
-    try:
-        point = tuple(int(x) for x in args.point.split(","))
-    except ValueError:
-        raise InputError("--point", f"expected comma-separated integers, got {args.point!r}")
+    digits = lambda text: text.isascii() and text.isdigit()  # int() also reads '+1', '1_0', '٣'
+    about = f"expected DxM, got {args.space!r}: "
+    depth, _, alphabet = args.space.lower().partition("x")
+    if not (digits(depth) and digits(alphabet)):
+        raise InputError("--space", about + "D and M are decimal digits")
+    space = _within("--space", borel.TruncatedBaire, int(depth), int(alphabet), about=about)
+    entries = args.point.split(",")
+    if not all(map(digits, entries)):
+        raise InputError("--point", f"expected comma-separated decimal digits, got {args.point!r}")
+    point = tuple(map(int, entries))
     if len(point) != space.depth or any(not 1 <= v <= space.alphabet for v in point):
         raise InputError("--point", "point does not lie in the declared space")
     meta = borel.DecodeMeta()

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .lattice import FiniteLattice, Lattice
+from .lattice import FiniteLattice
 from .oag import Group
 from .valuation import Valuation
 
@@ -37,9 +37,9 @@ class SandwichWitness:
     upper: Any  # in L
 
 
-def convex_value(phi: Valuation, w: SandwichWitness, ambient: Lattice | None = None):
+def convex_value(phi: Valuation, w: SandwichWitness):
     """Value forced on the target by its sandwich; every clause is checked."""
-    lat = ambient if ambient is not None else phi.domain
+    lat = phi.domain
     if not lat.leq(w.lower, w.target):
         raise WitnessInvalid("lower <= target")
     if not lat.leq(w.target, w.upper):

@@ -180,7 +180,7 @@ def totient_valuation() -> Valuation:
     return Valuation(
         domain=DIVISIBILITY,
         group=DIV_POS,
-        fn=lambda n: DivPos.from_int(totient(n)),
+        fn=lambda n: DivPos.from_fraction(totient(n)),
         name="totient",
         sampler=lambda rng: rng.randint(1, 500),
     )

@@ -80,6 +80,21 @@ class Lattice:
         return self._leq(a, b) and self._leq(b, a)
 
 
+def _label_test(carrier: Sequence[Hashable]):
+    """The test of whether a value is one of ``carrier``'s labels: equal to
+    one in value and in type, so ``True`` and ``1.0`` are not the label ``1``
+    although both equal it; an unhashable value is no label."""
+    labels = {a: type(a) for a in carrier}
+
+    def member(a) -> bool:
+        try:
+            return labels.get(a) is type(a)
+        except TypeError:
+            return False
+
+    return member
+
+
 class FiniteLattice(Lattice):
     """Explicit lattice on at most 64 labelled elements.
 
@@ -91,16 +106,8 @@ class FiniteLattice(Lattice):
 
     def __init__(self, carrier: Sequence[Hashable], leq: dict, meet: dict, join: dict):
         self.carrier = tuple(carrier)
-        labels = {a: type(a) for a in self.carrier}
-
-        def member(a) -> bool:  # True == 1 and 1.0 == 1, but neither is the label 1
-            try:
-                return labels.get(a) is type(a)
-            except TypeError:  # unhashable, so not a label
-                return False
-
         super().__init__(
-            "finite", member, "in the carrier",
+            "finite", _label_test(self.carrier), "in the carrier",
             lambda a, b: meet[a, b], lambda a, b: join[a, b], lambda a, b: leq[a, b],
             meet_join=lambda a, b: (meet[a, b], join[a, b]),
         )
@@ -127,11 +134,12 @@ def finite_lattice_build(
     if len(set(elems)) != len(elems):
         raise ValueError("carrier has duplicate labels")
     index = {x: i for i, x in enumerate(elems)}
+    is_label = _label_test(elems)
     n = len(elems)
 
     up = [1 << i for i in range(n)]
     for a, b in leq_pairs:
-        if a not in index or b not in index:
+        if not (is_label(a) and is_label(b)):
             raise ForeignElement(f"order pair ({a!r}, {b!r}) mentions a non-carrier label")
         up[index[a]] |= 1 << index[b]
     for k in range(n):
@@ -157,14 +165,6 @@ def finite_lattice_build(
                 raise NotALattice(f"pair ({a!r}, {b!r}) has no {kind} bound", pair=(a, b))
             leq[a, b], meet[a, b], join[a, b] = bool(up[i] >> j & 1), elems[lo], elems[hi]
     return FiniteLattice(elems, leq, meet, join)
-
-
-def finite_lattice_from_json(doc: dict) -> FiniteLattice:
-    """Build from a parsed ``{"carrier": [...], "leq": [[a, b], ...]}``."""
-    carrier, pairs = doc["carrier"], doc["leq"]
-    if not isinstance(carrier, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
-        raise ValueError("need a carrier list and a leq list of pairs [a, b]")
-    return finite_lattice_build(carrier, [tuple(p) for p in pairs])
 
 
 def check_distributive(lat: FiniteLattice):

@@ -229,8 +229,10 @@ def dense_approximate(
     Tolerance schedule: stage k pulls its witness at index eps_index + k + 2,
     so the telescoped loss after any number of stages stays strictly below
     2^-(eps_index + 1).  Output stages are running meets of the witnesses,
-    hence decreasing and stage-wise below the input; the per-stage exact
-    bound check is returned as a trace.
+    hence decreasing and stage-wise below the input.  Each stage's gap is
+    checked exactly against its telescoped budget and against
+    2^-(eps_index + 1), and a miss raises; the trace holds every stage's
+    values, budget and gap.
     """
     if seq.direction != "decreasing":
         raise ValueError("dense approximation starts from a decreasing sequence")
@@ -267,8 +269,10 @@ def dense_approximate(
         budget += Fraction(1, 2**zeta_index)
 
         stage_gap = dist(phi, acc, a_n)
-        ok = g.leq(stage_gap, budget)
-        within_eps = g.leq(stage_gap, Fraction(1, 2 ** (eps_index + 1)))
+        if not (g.leq(stage_gap, budget) and g.leq(stage_gap, Fraction(1, 2 ** (eps_index + 1)))):
+            raise AssertionError(
+                f"telescoped bound failed at stage {n}: gap {stage_gap} budget {budget}"
+            )
         trace.append(
             {
                 "stage": n,
@@ -276,14 +280,8 @@ def dense_approximate(
                 "phi_atilde": phi(acc),
                 "bound": budget,
                 "gap": stage_gap,
-                "within_budget": ok,
-                "within_eps": within_eps,
             }
         )
-        if not ok or not within_eps:
-            raise AssertionError(
-                f"telescoped bound failed at stage {n}: gap {stage_gap} budget {budget}"
-            )
 
     stages = list(tilde)
 

@@ -287,7 +287,6 @@ def transform_compose(
     g_hom: Callable[[Any], Any],
     new_domain: Lattice,
     new_group: Group,
-    name: str | None = None,
     sampler: Callable[[random.Random], Any] | None = None,
 ) -> Valuation:
     """g o phi o f: modular when f is a lattice homomorphism and g a group
@@ -296,6 +295,6 @@ def transform_compose(
         domain=new_domain,
         group=new_group,
         fn=lambda a: g_hom(phi(f_lathom(a))),
-        name=name or f"compose({phi.name})",
+        name=f"compose({phi.name})",
         sampler=sampler,
     )

@@ -229,6 +229,12 @@ def test_criterion_7_sqrt2_witness():
         assert row["mu_union"] == row["q"]  # exact at every stage
     hits = rational_square_root_scan(q40, max_den=40, tol=Fraction(1, 10**6))
     assert hits == []
+    # 41/29 lies 4.2e-4 away, so that window holds no p/q; this one holds eleven
+    tol = Fraction(1, 100)
+    near = {Fraction(p, d) for d in range(1, 41) for p in range(3 * d)
+            if abs(Fraction(p, d) - q40) <= tol}
+    assert len(near) == 11
+    assert rational_square_root_scan(q40, max_den=40, tol=tol) == []
     verdict(
         7,
         True,

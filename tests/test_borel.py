@@ -25,6 +25,7 @@ from latval.borel import (
     tuple_encode,
     unpair,
 )
+from latval.oag import ShapeError
 
 SPACE = TruncatedBaire(4, 4)
 ALL_POINTS = frozenset(SPACE.points())
@@ -315,3 +316,27 @@ def test_truncated_space_fits_when_it_has_at_most_a_million_points(space, fits):
     else:
         with pytest.raises(ValueError, match="too large"):
             TruncatedBaire(depth, alphabet)
+
+
+@pytest.mark.parametrize("depth, alphabet", [(0, 2), (2, 0), (0, 0), (-1, 3)])
+def test_truncated_space_needs_a_positive_depth_and_alphabet(depth, alphabet):
+    TruncatedBaire(1, 1)
+    with pytest.raises(ValueError, match="^depth and alphabet must be positive$"):
+        TruncatedBaire(depth, alphabet)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"codes": [3], "junk": 1}, "unknown keys ['junk']"),
+        ({"codes": [1], "children": []}, "unknown keys ['children']"),  # no leaf, no node
+        ({"children": [], "default": {"code": [7]}}, "missing key 'codes'"),
+        ({"children": 5}, "children is not a JSON list: 5"),
+        ({"children": [{"codes": [5], "node": 1}]}, "unknown keys ['node']"),
+        ({"default": {"codes": [7]}}, "missing key 'children'"),
+    ],
+)
+def test_code_assign_objects_are_checked(doc, message):
+    with pytest.raises(ShapeError) as err:
+        code_assign_from_json(doc)
+    assert str(err.value) == message

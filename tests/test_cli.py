@@ -89,6 +89,28 @@ def test_quotient(files, tmp_path):
     assert len(doc["classes"]) == 2
     assert doc["hausdorff"] is True
     assert sorted(doc["phi"].values()) == ["0", "1"]
+    # bot ^ a = bot and bot v a = a are one class; the chain's order reaches top from bot
+    assert doc["classes"] == ["{bot,a}", "{b,top}"]
+    assert doc["leq"] == [["{bot,a}", "{bot,a}"], ["{bot,a}", "{b,top}"], ["{b,top}", "{b,top}"]]
+
+
+@pytest.mark.parametrize(
+    "carrier, leq, message",
+    [
+        # True == 1 and 1.0 == 1, but neither is the label 1
+        ([1, 2], [[True, 2]], "order pair (True, 2) mentions a non-carrier label"),
+        ([1, 2], [[1.0, 2]], "order pair (1.0, 2) mentions a non-carrier label"),
+        (["a", "b"], [[["a"], "b"]], "order pair (['a'], 'b') mentions a non-carrier label"),
+        ([1, 2], 5, "expected a JSON list of two-element lists [a, b]"),
+        ([1, 2], [[1, 2, 2]], "expected a JSON list of two-element lists [a, b]"),
+    ],
+)
+def test_system_leq_names_carrier_labels(carrier, leq, message, tmp_path, capsys):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"carrier": carrier, "leq": leq,
+                                "phi": {str(a): str(i) for i, a in enumerate(carrier)}}))
+    assert main(["quotient", "--system", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"input error at --system:leq: {message}\n")
 
 
 def test_quotient_hausdorff_asks_dist_once_per_unordered_pair(tmp_path, capsys, monkeypatch):
@@ -216,6 +238,29 @@ def test_oversize_space_is_rejected_without_its_size(capsys):
         "input error at --space: expected DxM, got '4000000x3': "
         "truncated space too large to enumerate\n"
     )
+
+
+@pytest.mark.parametrize(
+    "space, point, line",
+    [
+        ("3x3x3", "1,2,3", "--space: expected DxM, got '3x3x3': D and M are decimal digits"),
+        ("x3", "1", "--space: expected DxM, got 'x3': D and M are decimal digits"),
+        ("+3x3", "1,2,3", "--space: expected DxM, got '+3x3': D and M are decimal digits"),
+        ("1_0x3", "1", "--space: expected DxM, got '1_0x3': D and M are decimal digits"),
+        ("\u0663x3", "1,2,3", "--space: expected DxM, got '\u0663x3': D and M are decimal digits"),
+        ("0x3", "1", "--space: expected DxM, got '0x3': depth and alphabet must be positive"),
+        ("3x0", "1,1,1", "--space: expected DxM, got '3x0': depth and alphabet must be positive"),
+        ("3x3", "+1,2,3", "--point: expected comma-separated decimal digits, got '+1,2,3'"),
+        ("3x3", "1,2,", "--point: expected comma-separated decimal digits, got '1,2,'"),
+        ("3x3", "1,\u0662,3", "--point: expected comma-separated decimal digits, got '1,\u0662,3'"),
+        ("3x3", "1,2,4", "--point: point does not lie in the declared space"),
+    ],
+)
+def test_borel_decode_flags_take_ascii_digits(space, point, line, capsys):
+    # int() reads '+3', '1_0' and the Arabic-Indic digit three; these flags do not
+    argv = ["borel-decode", "--code", "9", f"--space={space}", f"--point={point}"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"input error at {line}\n")
 
 
 def test_totient_table(files, tmp_path):

@@ -6,8 +6,9 @@ an unknown key added, a value wrapped in a list) and run through every
 subcommand that reads its kind.  A ``hypothesis`` fuzzer also draws
 documents of every kind from the readers' schemas, with keys dropped or
 unknown, values of the wrong JSON type, zero denominators, 5,000-digit
-numerals and empty or nested lists.  Whatever the document, a run ends in
-exit 0, 1 or 2 as documented: never exit 3 and never a traceback.
+numerals and empty or nested lists, and a third draws the text of
+``borel-decode``'s ``--space`` and ``--point``.  Whatever the input, a run
+ends in exit 0, 1 or 2 as documented: never exit 3 and never a traceback.
 """
 
 import json
@@ -204,10 +205,28 @@ STEPS = ascending(0, 3, unique=True).flatmap(lambda bps: objects(
     point_values=st.lists(NUMERALS, min_size=len(bps), max_size=len(bps)),
 ))
 LABELS = st.sampled_from(["a", "b", 0, 1])
+# values equal to a label or unhashable, none of them a label
+NOT_LABELS = st.sampled_from([True, False, 1.0, ["a"], {"a": "b"}])
+
+
+def orders(carrier):
+    """The chain's pairs; or with a pair, or one end of a pair, that is no
+    label; or a ``leq`` that is not a list."""
+    chain = [[a, b] for a, b in zip(carrier, carrier[1:])]
+    return st.one_of(
+        st.just(chain),
+        st.tuples(NOT_LABELS, st.sampled_from(carrier)).flatmap(st.permutations).map(
+            lambda pair: chain + [pair]
+        ),
+        NOT_LABELS.map(lambda odd: [odd, *chain]),
+        st.sampled_from([5, "ab", None, {"a": "b"}]),
+    )
+
+
 # chains over distinct labels, valued at every label
 SYSTEMS = st.lists(LABELS, min_size=1, max_size=3, unique_by=str).flatmap(lambda carrier: objects(
     carrier=st.just(carrier),
-    leq=st.just([[a, b] for a, b in zip(carrier, carrier[1:])]),
+    leq=orders(carrier),
     phi=st.fixed_dictionaries({str(a): NUMERALS for a in carrier}),
 ))
 STUMPS = st.recursive(
@@ -246,3 +265,19 @@ def test_drawn_documents_end_as_documented(kind, tmp_path, capsys, data):
     path.write_text(json.dumps(doc))
     for argv in RUNS[kind]:
         run_as_documented(argv, path, doc, capsys)
+
+
+# what a --space or --point half may hold: digits, or text int() reads and these flags do not
+DIGIT_TEXTS = st.sampled_from(["1", "2", "3", "0", "", "+1", "-1", "1_0", "\u0663", " 2", "2x2"])
+SPACE_TEXTS = st.tuples(DIGIT_TEXTS, st.sampled_from(["x", "X", "xx"]), DIGIT_TEXTS).map("".join)
+POINT_TEXTS = st.lists(DIGIT_TEXTS, min_size=1, max_size=4).map(",".join)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(space=SPACE_TEXTS, point=POINT_TEXTS)
+def test_drawn_borel_decode_flags_end_as_documented(space, point, capsys):
+    # the "=" form keeps argparse from reading a leading "-" as a flag
+    argv = ["borel-decode", "--code", "9", f"--space={space}", f"--point={point}"]
+    if run_as_documented(argv, None, (space, point), capsys) == 0:
+        assert re.fullmatch("[0-9]+[xX][0-9]+", space) and re.fullmatch("[0-9]+(,[0-9]+)*", point)

@@ -25,7 +25,6 @@ from latval.lattice import (
     check_distributive,
     diamond_m3,
     finite_lattice_build,
-    finite_lattice_from_json,
     finite_subset_lattice,
     opposite,
     powerset_lattice,
@@ -88,6 +87,17 @@ def test_foreign_elements_rejected():
         lat.meet(0, 99)
     with pytest.raises(ForeignElement):
         finite_lattice_build(["a"], [("a", "zzz")])
+
+
+def test_order_pairs_name_labels_by_value_and_type():
+    # True == 1 and 1.0 == 1, but neither is the label 1; a list is no label
+    chain = finite_lattice_build([1, 2], [(1, 2)])
+    assert chain.leq(1, 2) and not chain.leq(2, 1)
+    for pair in [(True, 2), (1, 2.0), (1.0, 2), (["a"], 2), (1, {"a": 2})]:
+        with pytest.raises(ForeignElement) as err:
+            finite_lattice_build([1, 2], [pair])
+        assert str(err.value) == f"order pair {pair!r} mentions a non-carrier label"
+        assert not all(map(chain.member, pair))  # the one rule the lattice's operations use
 
 
 def test_carrier_cap():
@@ -337,7 +347,7 @@ CHECKED = [
         "a member of product(finite, divisibility, rational)",
     ),
     (LEX_PLANE, ORIGIN, Fraction(1), "a LexPair"),
-    (DIV_POS, DivPos.from_int(6), 6, "a DivPos"),
+    (DIV_POS, DivPos.from_fraction(6), 6, "a DivPos"),
     (
         GROUPS["rational-pair"],
         (Fraction(1), Fraction(2)),
@@ -347,15 +357,15 @@ CHECKED = [
     (opposite(LEX_PLANE), ORIGIN, Fraction(1), "a LexPair"),
     (
         LEX_BY_OPP_DIV,
-        (ORIGIN, DivPos.from_int(2)),
+        (ORIGIN, DivPos.from_fraction(2)),
         (ORIGIN, Fraction(2)),
         "a member of product(lex-plane, opposite(div-pos))",
     ),
-    (DIV_POS, DivPos.from_int(6), Fraction(6), "a DivPos"),  # the rational it stores is not one
+    (DIV_POS, DivPos.from_fraction(6), Fraction(6), "a DivPos"),  # the rational it stores is not one
     # a DivPos must hold a positive Fraction: the table divides by its numerator
-    (DIV_POS, DivPos.from_int(6), DivPos(Fraction(-2)), "a DivPos"),
-    (DIV_POS, DivPos.from_int(6), DivPos(Fraction(0)), "a DivPos"),
-    (DIV_POS, DivPos.from_int(6), DivPos(2), "a DivPos"),
+    (DIV_POS, DivPos.from_fraction(6), DivPos(Fraction(-2)), "a DivPos"),
+    (DIV_POS, DivPos.from_fraction(6), DivPos(Fraction(0)), "a DivPos"),
+    (DIV_POS, DivPos.from_fraction(6), DivPos(2), "a DivPos"),
     # a LexPair must hold Fractions: the order compares their integers
     (LEX_PLANE, ORIGIN, LexPair(0.5, 1), "a LexPair"),
     (LEX_PLANE, ORIGIN, LexPair(0, 1), "a LexPair"),
@@ -370,18 +380,6 @@ def test_checked_lattices_reject_foreign_operands(lat, good, foreign, what, op):
         with pytest.raises(ForeignElement) as err:
             getattr(lat, op)(a, b)
         assert str(err.value) == f"{foreign!r} is not {what}"
-
-
-def test_json_loader():
-    lat = finite_lattice_from_json(
-        {"carrier": ["bot", "mid", "top"], "leq": [["bot", "mid"], ["mid", "top"]]}
-    )
-    assert lat.join("bot", "mid") == "mid"
-    assert lat.leq("bot", "top")
-    with pytest.raises(TypeError):
-        finite_lattice_from_json('{"carrier": ["a"], "leq": []}')
-    with pytest.raises(ValueError):  # not the pair ("a", "b")
-        finite_lattice_from_json({"carrier": ["a", "b"], "leq": ["ab"]})
 
 
 M3 = diamond_m3()

@@ -41,15 +41,15 @@ def test_lex_leq_examples():
 
 
 def test_divpos_meet_join_gcd_lcm():
-    four, six = DivPos.from_int(4), DivPos.from_int(6)
-    assert DIV_POS.meet(four, six).as_fraction() == 2
-    assert DIV_POS.join(four, six).as_fraction() == 12
+    four, six = DivPos.from_fraction(4), DivPos.from_fraction(6)
+    assert DIV_POS.meet(four, six).value == 2
+    assert DIV_POS.join(four, six).value == 12
 
 
 def test_divpos_roundtrip_and_format():
     q = Fraction(12, 35)
-    assert DivPos.from_fraction(q).as_fraction() == q
-    assert str(DivPos.from_int(12)) == "2^2·3^1"
+    assert DivPos.from_fraction(q).value == q
+    assert str(DivPos.from_fraction(12)) == "2^2·3^1"
     assert str(DivPos(Fraction(1))) == "1"
     with pytest.raises(ValueError):
         DivPos.from_fraction(Fraction(-1, 2))
@@ -96,27 +96,27 @@ def test_divpos_table_matches_prime_exponents():
         primes = set(ex) | set(ey)
         lo = {p: min(ex.get(p, 0), ey.get(p, 0)) for p in primes}
         hi = {p: max(ex.get(p, 0), ey.get(p, 0)) for p in primes}
-        assert DIV_POS.meet(x, y).as_fraction() == _from_exponents(lo)
-        assert DIV_POS.join(x, y).as_fraction() == _from_exponents(hi)
+        assert DIV_POS.meet(x, y).value == _from_exponents(lo)
+        assert DIV_POS.join(x, y).value == _from_exponents(hi)
         leq = all(ex.get(p, 0) <= ey.get(p, 0) for p in primes)
         assert DIV_POS.leq(x, y) is leq
         leq_seen.add(leq)
         assert DIV_POS.equal(x, y) is (ex == ey)
         total = {p: ex.get(p, 0) + ey.get(p, 0) for p in primes}
-        assert DIV_POS.add(x, y).as_fraction() == _from_exponents(total)
-        assert DIV_POS.neg(x).as_fraction() == _from_exponents({p: -e for p, e in ex.items()})
+        assert DIV_POS.add(x, y).value == _from_exponents(total)
+        assert DIV_POS.neg(x).value == _from_exponents({p: -e for p, e in ex.items()})
         diff = {p: ex.get(p, 0) - ey.get(p, 0) for p in primes}
-        assert DIV_POS.sub(x, y).as_fraction() == _from_exponents(diff)
+        assert DIV_POS.sub(x, y).value == _from_exponents(diff)
         assert str(x) == ("·".join(f"{p}^{ex[p]}" for p in sorted(ex)) or "1")
     assert leq_seen == {True, False}
 
 
 def test_divpos_order_is_integer_multiplier():
     # q precedes r exactly when r/q is a positive integer
-    q, r = DivPos.from_fraction(Fraction(2, 3)), DivPos.from_int(4)
+    q, r = DivPos.from_fraction(Fraction(2, 3)), DivPos.from_fraction(4)
     assert DIV_POS.leq(q, r)  # 4/(2/3) = 6
     assert not DIV_POS.leq(r, q)
-    assert not DIV_POS.leq(DivPos.from_int(3), DivPos.from_int(4))
+    assert not DIV_POS.leq(DivPos.from_fraction(3), DivPos.from_fraction(4))
 
 
 def test_tag_mismatch_rejected():

@@ -288,6 +288,14 @@ def test_limits_finite_preperiod_junk():
     assert (ulim, llim, conv) == ("c", "c", True)
 
 
+def test_limits_finite_accepts_exactly_preperiod_plus_two_periods():
+    lat = diamond_m3()
+    seq = ["1", "a", "b", "a", "b"]  # preperiod 1 and two periods of 2: five stages
+    assert limits_finite(lat, seq, preperiod=1, period=2) == ("1", "0", False)
+    with pytest.raises(ValueError, match="need at least preperiod"):
+        limits_finite(lat, seq[:-1], preperiod=1, period=2)
+
+
 def test_limits_finite_requires_declared_period():
     lat = diamond_m3()
     with pytest.raises(ValueError):
@@ -426,6 +434,12 @@ def test_sqrt2_no_rational_square_root_nearby():
     trace = sqrt2_witness(12)
     q = trace[-1]["q"]
     assert rational_square_root_scan(q, max_den=12, tol=Fraction(1, 10**6)) == []
+    # that window holds no p/q at all; this one holds six, and none squares to 2
+    tol = Fraction(1, 20)
+    near = {Fraction(p, d) for d in range(1, 13) for p in range(3 * d)
+            if abs(Fraction(p, d) - q) <= tol}
+    assert len(near) == 6
+    assert rational_square_root_scan(q, max_den=12, tol=tol) == []
 
 
 def test_increment_domination_transfer():
@@ -448,3 +462,11 @@ def test_increment_domination_transfer():
         xs, ys, y_modulus, [Fraction(1, 2), Fraction(1, 16), Fraction(1, 256)]
     )
     assert report.ok, report.to_dict()
+
+
+def test_increment_domination_accepts_equal_increments():
+    # x and y move by the same amounts: each increment is dominated, with equality
+    xs = ys = [Fraction(0), Fraction(1, 2), Fraction(3, 4)]
+    report = increment_domination_check(xs, ys, lambda eps: 1, [Fraction(1)])
+    assert report.ok, report.to_dict()
+    assert report.results["increments dominated"].passed == 2

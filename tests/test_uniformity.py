@@ -261,6 +261,16 @@ def test_weak_conv_rate_equal_to_the_depth_checks_that_stage():
     assert (got.passed, got.failed, got.counterexample) == (2, 14, "i=3 n=4 d=1/4")
 
 
+def test_weak_conv_falling_rate_fails_monotonicity():
+    # rate(i) = 64 - i falls at every index after the first, and lies past the depth
+    report = weak_conv_check(
+        step_integral, traveling_bump, ZERO_FN, rate=lambda i: 64 - i, depth=8
+    )
+    assert list(report.results) == ["rate monotone"]
+    got = report.results["rate monotone"]
+    assert (got.passed, got.failed, got.counterexample) == (1, 15, "rate(2) < rate(1)")
+
+
 def test_weak_conv_constant_sequence():
     f = step_make([((0, 1), 2)])
     report = weak_conv_check(

@@ -206,6 +206,18 @@ def test_congruence_suites():
     assert check_congruence(step_integral, 200, 3, pad_step_at_points).ok
 
 
+def test_congruence_records_only_the_pad_property_when_the_pad_leaves_the_class():
+    # adding [100, 101], of measure 1, never gives an approx-equal element
+    def pad(rng, a):
+        return iset_join(a, interval(100, 101))
+
+    report = check_congruence(interval_measure, 30, 3, pad)
+    assert list(report.results) == ["pad produces approx-equal elements"]
+    got = report.results["pad produces approx-equal elements"]
+    assert (got.passed, got.failed) == (0, 30)
+    assert got.counterexample.startswith("a1=")
+
+
 def test_modular_map_identity_suites():
     assert check_modular_map_identity(interval_measure, 200, 23).ok
     assert check_modular_map_identity(step_integral, 200, 23).ok
