@@ -206,17 +206,30 @@ _COUNTS = {
     "code": ("a positive code", None),
 }
 
+
+def _digits(text: str) -> bool:
+    """ASCII decimal digits only: ``int`` also reads '+1', '1_0', ' 1' and '٣'."""
+    return text.isascii() and text.isdigit()
+
+
+def _integer(text: str) -> int:
+    """An integer flag's value: an optional '-' and ASCII decimal digits."""
+    if not _digits(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 # Flag -> its argparse spec.
 _FLAGS = {
     "--out": {"help": "write the document here instead of stdout"},
-    "--seed": {"type": int, "default": 0},
-    "--samples": {"type": int, "default": 20},
-    "--depth": {"type": int, "default": 12},
+    "--seed": {"type": _integer, "default": 0},
+    "--samples": {"type": _integer, "default": 20},
+    "--depth": {"type": _integer, "default": 12},
     "--format": {"choices": ["json", "csv"], "default": "json"},
     "--kind": {"choices": sorted(_KINDS), "required": True},
     **{flag: {"required": True} for flag in
        ("--set", "--step", "--a", "--b", "--system", "--seq", "--terms", "--tree", "--suite")},
-    **{flag: {"type": int, "required": True} for flag in ("--eps-index", "--max", "--code")},
+    **{flag: {"type": _integer, "required": True} for flag in ("--eps-index", "--max", "--code")},
     "--space": {"required": True, "help": "DxM"},
     "--point": {"required": True, "help": "comma-separated values"},
 }
@@ -413,14 +426,13 @@ def cmd_stump_alpha(args) -> int:
 
 
 def cmd_borel_decode(args) -> int:
-    digits = lambda text: text.isascii() and text.isdigit()  # int() also reads '+1', '1_0', '٣'
     about = f"expected DxM, got {args.space!r}: "
     depth, _, alphabet = args.space.lower().partition("x")
-    if not (digits(depth) and digits(alphabet)):
+    if not (_digits(depth) and _digits(alphabet)):
         raise InputError("--space", about + "D and M are decimal digits")
     space = _within("--space", borel.TruncatedBaire, int(depth), int(alphabet), about=about)
     entries = args.point.split(",")
-    if not all(map(digits, entries)):
+    if not all(map(_digits, entries)):
         raise InputError("--point", f"expected comma-separated decimal digits, got {args.point!r}")
     point = tuple(map(int, entries))
     if len(point) != space.depth or any(not 1 <= v <= space.alphabet for v in point):

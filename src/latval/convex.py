@@ -59,7 +59,7 @@ class FiniteValuationSystem:
     group: Group
 
     def __post_init__(self):
-        missing = [x for x in self.sub_carrier if x not in self.ambient.carrier]
+        missing = [x for x in self.sub_carrier if not self.ambient.member(x)]
         if missing:
             raise ValueError(f"sublattice elements outside the ambient carrier: {missing}")
         sub = set(self.sub_carrier)

@@ -38,6 +38,25 @@ class ModulusError(ValueError):
 
 
 @dataclass(frozen=True)
+class Verdict:
+    kind: str  # "proved" | "refuted" | "unknown"
+    stage: int
+    detail: str = ""
+
+    @staticmethod
+    def proved(stage: int, detail: str = "") -> "Verdict":
+        return Verdict("proved", stage, detail)
+
+    @staticmethod
+    def refuted(stage: int, detail: str = "") -> "Verdict":
+        return Verdict("refuted", stage, detail)
+
+    @staticmethod
+    def unknown(depth: int, detail: str = "") -> "Verdict":
+        return Verdict("unknown", depth, detail)
+
+
+@dataclass(frozen=True)
 class MonoSeq:
     """A lazily produced monotone sequence plus its convergence modulus.
 
@@ -66,6 +85,79 @@ class MonoSeq:
         if n < 1:
             raise ModulusError(f"modulus returned stage {n} < 1")
         return n
+
+    def value(self, phi: Valuation, eps) -> Any:
+        """phi at the modulus stage: within eps of the limit by contract."""
+        return phi(self.at(self.stage_for(eps)))
+
+    def combine(self, kind: str, other: MonoSeq) -> MonoSeq:
+        """Stage-wise meet or join with a sequence of the same direction.
+
+        The modulus eps -> max(Nx(eps/2), Ny(eps/2)) is sound because the
+        two-sided contraction inequality bounds the combined stage change by
+        the sum of the component changes.
+        """
+        if kind not in ("meet", "join"):
+            raise ValueError(f"unknown combination {kind!r}")
+        if self.direction != other.direction:
+            raise ValueError(f"cannot combine a {self.direction} and a {other.direction} sequence")
+        op = self.lattice.meet if kind == "meet" else self.lattice.join
+
+        def modulus(eps: Fraction) -> int:
+            half = rat(eps) / 2
+            return max(self.stage_for(half), other.stage_for(half))
+
+        lb = None
+        if self.lower_bound is not None and other.lower_bound is not None:
+            lb = op(self.lower_bound, other.lower_bound)
+        producer = lambda n: op(self.at(n), other.at(n))
+        return MonoSeq(self.lattice, self.direction, producer, modulus, lower_bound=lb)
+
+    def leq_at_depth(self, y: MonoSeq, depth: int, certificate: str | None = None) -> Verdict:
+        """Three-valued order test of this sequence's limit x against y's,
+        at a truncation depth.
+
+        Proof needs finite-stage evidence plus a tail certificate: either
+        ``"y-constant"`` (y declared constant from some stage within depth;
+        it proves only for a decreasing x, since a stage of an increasing x
+        below y does not bound its supremum) or ``"stagewise"`` (x_n <= y_n
+        verified for every n <= depth; the caller asserts the pattern
+        continues).  Refutation exhibits a probe point inside x's certified
+        lower-bound set but outside some y stage; it needs a decreasing y,
+        whose limit lies below each of its stages, and a domain with point
+        membership.  Everything else is ``unknown``.
+        """
+        if depth < 1:
+            raise ValueError("depth must be >= 1")
+        lat = self.lattice
+
+        if certificate == "y-constant":
+            k = y.constant_from
+            if k is None or k > depth:
+                raise ValueError("y has no constant-tail declaration within depth")
+            if self.direction == "decreasing":
+                target = y.at(k)
+                for n in range(1, depth + 1):
+                    if lat.leq(self.at(n), target):
+                        return Verdict.proved(max(n, k), f"x_{n} <= y_{k} and y constant from {k}")
+        elif certificate == "stagewise":
+            if all(lat.leq(self.at(n), y.at(n)) for n in range(1, depth + 1)):
+                return Verdict.proved(depth, "x_n <= y_n at every checked stage")
+        elif certificate is not None:
+            raise ValueError(f"unknown certificate {certificate!r}")
+
+        lb = self.lower_bound
+        if y.direction == "decreasing" and lat is INTERVAL_SETS and isinstance(lb, IntervalSet):
+            stage_sets = [y.at(m) for m in range(1, depth + 1)]
+            cand = probe_points(lb, *stage_sets)
+            for m, ym in enumerate(stage_sets, start=1):
+                for p in cand:
+                    if lb.contains(p) and not ym.contains(p):
+                        return Verdict.refuted(
+                            m, f"probe {p} lies below every x stage but outside y_{m}"
+                        )
+
+        return Verdict.unknown(depth, "no certificate applies at this depth")
 
 
 def seq_make(
@@ -133,115 +225,6 @@ def seq_make(
     return MonoSeq(
         lattice, direction, producer, modulus, lower_bound=lower_bound, constant_from=constant_from
     )
-
-
-@dataclass(frozen=True)
-class PiElem:
-    """The formal infimum of a decreasing sequence, handled stage by stage."""
-
-    seq: MonoSeq
-
-    def __post_init__(self):
-        if self.seq.direction != "decreasing":
-            raise ValueError("PiElem needs a decreasing sequence")
-
-
-def pi_value(x: PiElem, phi: Valuation, eps) -> Any:
-    """phi at the modulus stage: within eps of the limit by contract."""
-    n = x.seq.stage_for(eps)
-    return phi(x.seq.at(n))
-
-
-def pi_combine(kind: str, x: PiElem, y: PiElem, phi: Valuation) -> PiElem:
-    """Stage-wise meet/join of Pi elements.
-
-    The modulus eps -> max(Nx(eps/2), Ny(eps/2)) is sound because the
-    two-sided contraction inequality bounds the combined stage drop by the
-    sum of the component drops.
-    """
-    if kind not in ("meet", "join"):
-        raise ValueError(f"unknown Pi combination {kind!r}")
-    lat = phi.domain
-    op = lat.meet if kind == "meet" else lat.join
-
-    def producer(n: int):
-        return op(x.seq.at(n), y.seq.at(n))
-
-    def modulus(eps: Fraction) -> int:
-        half = rat(eps) / 2
-        return max(x.seq.stage_for(half), y.seq.stage_for(half))
-
-    lb = None
-    if x.seq.lower_bound is not None and y.seq.lower_bound is not None:
-        lb = op(x.seq.lower_bound, y.seq.lower_bound)
-    return PiElem(MonoSeq(lat, "decreasing", producer, modulus, lower_bound=lb))
-
-
-@dataclass(frozen=True)
-class Verdict:
-    kind: str  # "proved" | "refuted" | "unknown"
-    stage: int
-    detail: str = ""
-
-    @staticmethod
-    def proved(stage: int, detail: str = "") -> "Verdict":
-        return Verdict("proved", stage, detail)
-
-    @staticmethod
-    def refuted(stage: int, detail: str = "") -> "Verdict":
-        return Verdict("refuted", stage, detail)
-
-    @staticmethod
-    def unknown(depth: int, detail: str = "") -> "Verdict":
-        return Verdict("unknown", depth, detail)
-
-
-def pi_leq_at_depth(
-    x: PiElem,
-    y: PiElem,
-    depth: int,
-    certificate: str | None = None,
-) -> Verdict:
-    """Three-valued order test between Pi elements at a truncation depth.
-
-    Proof needs finite-stage evidence plus a tail certificate: either
-    ``"y-constant"`` (y declared constant from some stage within depth) or
-    ``"stagewise"`` (x_n <= y_n verified for every n <= depth; the caller
-    asserts the pattern continues).  Refutation exhibits a probe point
-    inside x's certified lower-bound set but outside some y stage; it needs
-    a domain with point membership.  Everything else is ``unknown``.
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    lat = x.seq.lattice
-
-    if certificate == "y-constant":
-        k = y.seq.constant_from
-        if k is None or k > depth:
-            raise ValueError("y has no constant-tail declaration within depth")
-        target = y.seq.at(k)
-        for n in range(1, depth + 1):
-            if lat.leq(x.seq.at(n), target):
-                return Verdict.proved(max(n, k), f"x_{n} <= y_{k} and y constant from {k}")
-    elif certificate == "stagewise":
-        if all(lat.leq(x.seq.at(n), y.seq.at(n)) for n in range(1, depth + 1)):
-            return Verdict.proved(depth, "x_n <= y_n at every checked stage")
-        certificate = None  # declared pattern failed; fall through to refutation
-    elif certificate is not None:
-        raise ValueError(f"unknown certificate {certificate!r}")
-
-    lb = x.seq.lower_bound
-    if lat is INTERVAL_SETS and isinstance(lb, IntervalSet):
-        stage_sets = [y.seq.at(m) for m in range(1, depth + 1)]
-        cand = probe_points(lb, *stage_sets)
-        for m, ym in enumerate(stage_sets, start=1):
-            for p in cand:
-                if lb.contains(p) and not ym.contains(p):
-                    return Verdict.refuted(
-                        m, f"probe {p} lies below every x stage but outside y_{m}"
-                    )
-
-    return Verdict.unknown(depth, "no certificate applies at this depth")
 
 
 def limits_finite(

@@ -38,9 +38,6 @@ from latval.fubini import terms_from_json
 from latval.intervals import iset_meet
 from latval.oag import RATIONALS
 from latval.sequences import (
-    PiElem,
-    pi_combine,
-    pi_value,
     rational_square_root_scan,
     seq_make,
     sqrt2_witness,
@@ -195,8 +192,7 @@ def test_criterion_6_pi_stage():
         phi=phi,
         lower_bound=interval(0, 1),
     )
-    x = PiElem(shrink)
-    v = pi_value(x, phi, tol)
+    v = shrink.value(phi, tol)
     assert Fraction(1) <= v <= 1 + tol
 
     other = seq_make(
@@ -207,17 +203,16 @@ def test_criterion_6_pi_stage():
         phi=phi,
         lower_bound=interval(Fraction(1, 2), 2),
     )
-    y = PiElem(other)
-    met = pi_combine("meet", x, y, phi)
-    jon = pi_combine("join", x, y, phi)
+    met = shrink.combine("meet", other)
+    jon = shrink.combine("join", other)
     for n in range(1, 51):
-        lhs = phi(met.seq.at(n)) + phi(jon.seq.at(n))
-        rhs = phi(x.seq.at(n)) + phi(y.seq.at(n))
+        lhs = phi(met.at(n)) + phi(jon.at(n))
+        rhs = phi(shrink.at(n)) + phi(other.at(n))
         assert lhs == rhs, n
     verdict(
         6,
         True,
-        f"pi_value = {v} in [1, 1 + 1e-6]; meet/join stage modularity exact to stage 50",
+        f"value = {v} in [1, 1 + 1e-6]; meet/join stage modularity exact to stage 50",
     )
 
 

@@ -569,6 +569,21 @@ def test_integer_above_its_ceiling_is_input_error(argv, flag, ceiling, files, ca
     assert err == f"input error at {flag}: need at most {ceiling}, got {ceiling + 1}\n"
 
 
+
+@pytest.mark.parametrize("text", ["\u0661\u0662", "1_2", "+12", "\u0663"])
+def test_integer_flag_reads_ascii_digits_only(text, capsys):
+    # int() reads each of these as 12 or 3: they fail in argparse, as --max abc does
+    with pytest.raises(SystemExit) as exc:
+        main(["totient-table", "--max", text])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "usage: latval totient-table [-h] [--out OUT] --max MAX\n"
+        f"latval totient-table: error: argument --max: invalid int value: {text!r}\n"
+    )
+
+
 BAD_DOCS = {
     "empty-tree": [],
     "phi-abc": {"carrier": ["a", "b"], "leq": [["a", "b"]], "phi": {"a": "0", "b": "abc"}},
@@ -877,7 +892,7 @@ def test_readme_flag_table_matches_the_command_table():
                             if flag in flags.split()}, flag
         dest = flag[2:].replace("-", "_")
         if values == "any integer":
-            assert cli._FLAGS[flag]["type"] is int and dest not in cli._COUNTS
+            assert cli._FLAGS[flag]["type"] is cli._integer and dest not in cli._COUNTS
         elif values:
             assert values == f"1 to {cli._COUNTS[dest][1]:,}", flag
         else:

@@ -6,8 +6,9 @@ an unknown key added, a value wrapped in a list) and run through every
 subcommand that reads its kind.  A ``hypothesis`` fuzzer also draws
 documents of every kind from the readers' schemas, with keys dropped or
 unknown, values of the wrong JSON type, zero denominators, 5,000-digit
-numerals and empty or nested lists, and a third draws the text of
-``borel-decode``'s ``--space`` and ``--point``.  Whatever the input, a run
+numerals and empty or nested lists, a third draws the text of
+``borel-decode``'s ``--space`` and ``--point``, and a fourth the text of
+every integer flag.  Whatever the input, a run
 ends in exit 0, 1 or 2 as documented: never exit 3 and never a traceback.
 """
 
@@ -281,3 +282,37 @@ def test_drawn_borel_decode_flags_end_as_documented(space, point, capsys):
     argv = ["borel-decode", "--code", "9", f"--space={space}", f"--point={point}"]
     if run_as_documented(argv, None, (space, point), capsys) == 0:
         assert re.fullmatch("[0-9]+[xX][0-9]+", space) and re.fullmatch("[0-9]+(,[0-9]+)*", point)
+
+
+# what an integer flag may hold: an optional '-' and ASCII digits, or text int() reads and
+# these flags do not
+INTEGER_TEXTS = st.sampled_from(["1", "12", "0", "-3", "+12", "1_2", " 2", "\u0663"]) | st.text(
+    "0123456789-+_ x\u0661\u0662\u0663", max_size=4
+)
+# integer flag -> a run that reads it, with every other work-setting flag small
+INTEGER_RUNS = {
+    "--seed": ["check", "--suite", "modularity-dim", "--samples", "2"],
+    "--samples": ["check", "--suite", "modularity-dim"],
+    "--depth": ["sqrt2-witness"],
+    "--eps-index": ["dense-approx", "--seq", "{}", "--depth", "4"],
+    "--max": ["totient-table"],
+    "--code": ["borel-decode", "--space", "2x2", "--point", "1,1"],
+}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flag=st.sampled_from(sorted(INTEGER_RUNS)), text=INTEGER_TEXTS)
+def test_drawn_integer_flags_end_as_documented(flag, text, tmp_path, capsys):
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps({"kind": "interval", "template": "[0, 1 + 1/n]"}))
+    # the "=" form keeps argparse from reading a leading "-" as a flag
+    argv = [*INTEGER_RUNS[flag], f"{flag}={text}"]
+    if re.fullmatch("-?[0-9]+", text):
+        run_as_documented(argv, path, text, capsys)
+        return
+    with pytest.raises(SystemExit) as exc:
+        run(argv, path, capsys)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith(f": error: argument {flag}: invalid int value: {text!r}\n"), err

@@ -75,6 +75,14 @@ def test_convexify_injective_chain_stays_put():
     assert tuple(bullet) == V.carrier
 
 
+
+def test_sub_carrier_labels_follow_the_carrier_label_rule():
+    # True == 1 and 1.0 == 1, but neither is the label 1 of the chain (0, 1)
+    with pytest.raises(ValueError) as err:
+        FiniteValuationSystem(chain_lattice(2), (True, 1.0), lambda z: Fraction(0), RATIONALS)
+    assert str(err.value) == "sublattice elements outside the ambient carrier: [True, 1.0]"
+
+
 def test_convexify_adopts_null_subsets():
     # weights 0 on {1,2}: everything between the empty set and {1,2} joins
     V = powerset_lattice([1, 2, 3])

@@ -126,6 +126,18 @@ def test_fubini_randomized():
         assert report.ok, report.to_dict()
 
 
+
+def test_sample_step2d_keeps_at_most_16_breakpoints_per_axis():
+    # one draw per seed: 16 is reached, so a bound of "< 16" would drop a term at these seeds
+    sizes = {}
+    for seed in range(200):
+        f = sample_step2d(random.Random(seed))
+        sizes[seed] = len(f.xs), len(f.ys)
+    assert max(max(xy) for xy in sizes.values()) == 16
+    assert {seed for seed, xy in sizes.items() if 16 in xy} == {11, 48, 106}
+    assert (sizes[11], sizes[48], sizes[106]) == ((16, 14), (12, 16), (8, 16))
+
+
 def test_partial_integrate_linear():
     rng = random.Random(7)
     for _ in range(60):

@@ -6,19 +6,15 @@ from fractions import Fraction
 import pytest
 
 from latval.instances import INTERVAL_SETS, interval_measure, step_integral
-from latval.intervals import interval, iset_make
+from latval.intervals import EMPTY, interval, iset_make
 from latval.lattice import diamond_m3
 from latval.sequences import (
     MonotonicityError,
     ModulusError,
-    PiElem,
     convergence_theorem_check,
     increment_domination_check,
     limits_finite,
     phi_limits_at_depth,
-    pi_combine,
-    pi_leq_at_depth,
-    pi_value,
     rational_square_root_scan,
     seq_make,
     sqrt2_convergents,
@@ -111,34 +107,34 @@ def test_seq_make_constant_sequence():
     assert seq.constant_from == 1
 
 
-def test_pi_value_shrinking():
-    x = PiElem(make_shrinking())
-    v = pi_value(x, interval_measure, Fraction(1, 100))
+def test_value_shrinking():
+    x = make_shrinking()
+    v = x.value(interval_measure, Fraction(1, 100))
     assert Fraction(1) <= v <= Fraction(1) + Fraction(1, 100)
 
 
-def test_pi_value_constant_exact():
+def test_value_constant_exact():
     seq = seq_make(
         INTERVAL_SETS, "decreasing", lambda n: interval(0, 1), lambda eps: 1,
         phi=interval_measure, constant_from=1,
     )
-    assert pi_value(PiElem(seq), interval_measure, Fraction(1, 1000)) == 1
+    assert seq.value(interval_measure, Fraction(1, 1000)) == 1
 
 
-def test_pi_value_respects_modulus_nesting():
+def test_value_respects_modulus_nesting():
     # values at two tolerances can differ by at most the sum of the tolerances
-    x = PiElem(make_shrinking())
+    x = make_shrinking()
     grid = [Fraction(1, 2), Fraction(1, 10), Fraction(1, 64), Fraction(1, 500)]
     for big in grid:
         for small in grid:
             if small >= big:
                 continue
-            v_small = pi_value(x, interval_measure, small)
-            v_big = pi_value(x, interval_measure, big)
+            v_small = x.value(interval_measure, small)
+            v_big = x.value(interval_measure, big)
             assert abs(v_small - v_big) <= small + big
 
 
-def test_pi_value_two_piece():
+def test_value_two_piece():
     seq = seq_make(
         INTERVAL_SETS,
         "decreasing",
@@ -146,12 +142,12 @@ def test_pi_value_two_piece():
         ceil_inv,
         phi=interval_measure,
     )
-    v = pi_value(PiElem(seq), interval_measure, Fraction(1, 1000))
+    v = seq.value(interval_measure, Fraction(1, 1000))
     assert abs(v - 1) <= Fraction(1, 1000)
 
 
 def constant_elem(lo, hi):
-    s = seq_make(
+    return seq_make(
         INTERVAL_SETS,
         "decreasing",
         lambda n: interval(lo, hi),
@@ -160,112 +156,162 @@ def constant_elem(lo, hi):
         lower_bound=interval(lo, hi),
         constant_from=1,
     )
-    return PiElem(s)
 
 
-def test_pi_combine_meet_against_stage_oracle():
-    x = PiElem(make_shrinking())
+def test_combine_meet_against_stage_oracle():
+    x = make_shrinking()
     y = constant_elem(Fraction(1, 2), 2)
-    m = pi_combine("meet", x, y, interval_measure)
+    m = x.combine("meet", y)
     # stage oracle: intersection at each stage
     for n in range(1, 30):
-        assert m.seq.at(n) == interval(Fraction(1, 2), 1 + Fraction(1, n))
-    v = pi_value(m, interval_measure, Fraction(1, 1000))
+        assert m.at(n) == interval(Fraction(1, 2), 1 + Fraction(1, n))
+    v = m.value(interval_measure, Fraction(1, 1000))
     assert abs(v - Fraction(1, 2)) <= Fraction(1, 1000)
 
 
-def test_pi_combine_idempotent():
-    x = PiElem(make_shrinking())
-    m = pi_combine("meet", x, x, interval_measure)
+def test_combine_idempotent():
+    x = make_shrinking()
+    m = x.combine("meet", x)
     for n in (1, 2, 5, 9):
-        assert m.seq.at(n) == x.seq.at(n)
+        assert m.at(n) == x.at(n)
 
 
-def test_pi_combine_join_two_blocks():
-    x = PiElem(make_shrinking())
-    y = PiElem(
-        seq_make(
-            INTERVAL_SETS,
-            "decreasing",
-            lambda n: interval(2 - Fraction(1, n), 3),
-            ceil_inv,
-            phi=interval_measure,
-        )
+def test_combine_join_two_blocks():
+    x = make_shrinking()
+    y = seq_make(
+        INTERVAL_SETS,
+        "decreasing",
+        lambda n: interval(2 - Fraction(1, n), 3),
+        ceil_inv,
+        phi=interval_measure,
     )
-    j = pi_combine("join", x, y, interval_measure)
+    j = x.combine("join", y)
     for n in (1, 3, 7):
-        assert j.seq.at(n) == iset_make(
+        assert j.at(n) == iset_make(
             [(0, 1 + Fraction(1, n)), (2 - Fraction(1, n), 3)]
         )
-    v = pi_value(j, interval_measure, Fraction(1, 1000))
+    v = j.value(interval_measure, Fraction(1, 1000))
     assert abs(v - 2) <= Fraction(1, 1000)
 
 
-def test_pi_combine_modularity_stagewise():
-    x = PiElem(make_shrinking())
+def test_combine_modularity_stagewise():
+    x = make_shrinking()
     y = constant_elem(Fraction(1, 2), 2)
-    m = pi_combine("meet", x, y, interval_measure)
-    j = pi_combine("join", x, y, interval_measure)
+    m = x.combine("meet", y)
+    j = x.combine("join", y)
     mu = interval_measure
     for n in range(1, 51):
-        assert mu(m.seq.at(n)) + mu(j.seq.at(n)) == mu(x.seq.at(n)) + mu(y.seq.at(n))
+        assert mu(m.at(n)) + mu(j.at(n)) == mu(x.at(n)) + mu(y.at(n))
 
 
 def test_pi_leq_proved_with_constant_target():
-    x = PiElem(make_shrinking())
+    x = make_shrinking()
     y = constant_elem(0, 2)
-    verdict = pi_leq_at_depth(x, y, depth=5, certificate="y-constant")
+    verdict = x.leq_at_depth(y, depth=5, certificate="y-constant")
     assert verdict.kind == "proved" and verdict.stage == 1
 
 
 def test_pi_leq_constant_tail_declared_at_the_depth():
     # y is [0, 4], [0, 3], then [0, 2] from stage 3 on; x_1 = [0, 2]
-    y = PiElem(seq_make(
+    y = seq_make(
         INTERVAL_SETS, "decreasing", lambda n: interval(0, 2 + max(0, 3 - n)), lambda eps: 3,
         phi=interval_measure, constant_from=3,
-    ))
-    verdict = pi_leq_at_depth(PiElem(make_shrinking()), y, depth=3, certificate="y-constant")
+    )
+    verdict = make_shrinking().leq_at_depth(y, depth=3, certificate="y-constant")
     assert (verdict.kind, verdict.stage) == ("proved", 3)
     with pytest.raises(ValueError):
-        pi_leq_at_depth(PiElem(make_shrinking()), y, depth=2, certificate="y-constant")
+        make_shrinking().leq_at_depth(y, depth=2, certificate="y-constant")
 
 
 def test_pi_leq_refuted_by_probe():
     x = constant_elem(0, 2)
-    y = PiElem(make_shrinking())
-    verdict = pi_leq_at_depth(x, y, depth=6)
+    y = make_shrinking()
+    verdict = x.leq_at_depth(y, depth=6)
     assert verdict.kind == "refuted"
 
 
 def test_pi_leq_unknown_when_truncation_cannot_decide():
-    x = PiElem(make_shrinking())
-    y = PiElem(
-        seq_make(
-            INTERVAL_SETS,
-            "decreasing",
-            lambda n: interval(0, 1 + Fraction(1, 2 * n)),
-            lambda eps: max(1, math.ceil(1 / (2 * eps))),
-            phi=interval_measure,
-            lower_bound=interval(0, 1),
-        )
+    x = make_shrinking()
+    y = seq_make(
+        INTERVAL_SETS,
+        "decreasing",
+        lambda n: interval(0, 1 + Fraction(1, 2 * n)),
+        lambda eps: max(1, math.ceil(1 / (2 * eps))),
+        phi=interval_measure,
+        lower_bound=interval(0, 1),
     )
-    verdict = pi_leq_at_depth(x, y, depth=10)
+    verdict = x.leq_at_depth(y, depth=10)
     assert verdict.kind == "unknown"
 
 
 def test_pi_leq_stagewise_certificate():
-    x = PiElem(
-        seq_make(
-            INTERVAL_SETS,
-            "decreasing",
-            lambda n: interval(0, 1 + Fraction(1, 2 * n)),
-            lambda eps: max(1, math.ceil(1 / (2 * eps))),
-            phi=interval_measure,
-        )
+    x = seq_make(
+        INTERVAL_SETS,
+        "decreasing",
+        lambda n: interval(0, 1 + Fraction(1, 2 * n)),
+        lambda eps: max(1, math.ceil(1 / (2 * eps))),
+        phi=interval_measure,
     )
-    y = PiElem(make_shrinking())
-    verdict = pi_leq_at_depth(x, y, depth=8, certificate="stagewise")
+    y = make_shrinking()
+    verdict = x.leq_at_depth(y, depth=8, certificate="stagewise")
     assert verdict.kind == "proved"
+
+
+def growing(stage, **kwargs):
+    """An increasing sequence of the given stages; phi of stage n is within
+    1/n of its limit, so ``ceil_inv`` is its modulus."""
+    return seq_make(INTERVAL_SETS, "increasing", stage, ceil_inv, phi=interval_measure, **kwargs)
+
+
+def test_leq_y_constant_proves_nothing_for_an_increasing_x():
+    # x_n = [0, 2 - 1/n] grows to [0, 2): x_1 lies in y = [0, 1], x_2 does not
+    x = growing(lambda n: interval(0, 2 - Fraction(1, n)), lower_bound=interval(0, 1))
+    y = constant_elem(0, 1)
+    assert INTERVAL_SETS.leq(x.at(1), y.at(1)) and not INTERVAL_SETS.leq(x.at(2), y.at(1))
+    verdict = x.leq_at_depth(y, depth=5, certificate="y-constant")
+    assert (verdict.kind, verdict.stage) == ("unknown", 5)
+
+
+def test_leq_probe_refutes_nothing_against_an_increasing_y():
+    # y_n = [0, 1 - 1/(n+1)] u {1} grows to [0, 1], which contains x = [0, 1];
+    # the probe 501/1000 misses y_1 only
+    x = constant_elem(0, 1)
+    y = growing(lambda n: iset_make([(0, 1 - Fraction(1, n + 1)), (1, 1)]))
+    probe = Fraction(501, 1000)
+    assert x.lower_bound.contains(probe) and not y.at(1).contains(probe)
+    assert all(y.at(n).contains(probe) for n in range(2, 10))
+    for certificate in (None, "stagewise"):
+        verdict = x.leq_at_depth(y, depth=6, certificate=certificate)
+        assert (verdict.kind, verdict.stage) == ("unknown", 6)
+
+
+def test_combine_needs_one_direction():
+    down = make_shrinking()
+    up = growing(lambda n: interval(0, 1 - Fraction(1, n + 1)))
+    for kind in ("meet", "join"):
+        for x, y in ((down, up), (up, down)):
+            with pytest.raises(ValueError, match="cannot combine a"):
+                x.combine(kind, y)
+
+
+def test_increasing_combine_and_value_against_stage_oracle():
+    # x_n = [0, 1 - 1/(n+1)] and y_n = [1/2, 2 - 1/n] grow to [0, 1) and [1/2, 2)
+    x = growing(lambda n: interval(0, 1 - Fraction(1, n + 1)), lower_bound=interval(0, 0))
+    y = growing(lambda n: interval(Fraction(1, 2), 2 - Fraction(1, n)),
+                lower_bound=interval(Fraction(1, 2), 1))
+    m, j = x.combine("meet", y), x.combine("join", y)
+    assert m.direction == j.direction == "increasing"
+    assert (m.lower_bound, j.lower_bound) == (EMPTY, iset_make([(0, 0), (Fraction(1, 2), 1)]))
+    for n in range(1, 30):
+        assert m.at(n) == interval(Fraction(1, 2), 1 - Fraction(1, n + 1))
+        assert j.at(n) == interval(0, 2 - Fraction(1, n))
+    for eps in (Fraction(1, 2), Fraction(1, 10), Fraction(1, 1000)):
+        # each modulus at eps/2 is ceil(2/eps), and so is the larger of the two
+        n = math.ceil(2 / eps)
+        assert m.stage_for(eps) == j.stage_for(eps) == n
+        assert m.value(interval_measure, eps) == Fraction(1, 2) - Fraction(1, n + 1)
+        assert j.value(interval_measure, eps) == 2 - Fraction(1, n)
+        assert 0 <= 2 - j.value(interval_measure, eps) <= eps
 
 
 def test_limits_finite_constant():
